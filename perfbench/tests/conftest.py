@@ -1,0 +1,8 @@
+"""Make the library under ``src/`` importable for the benchmark's own tests."""
+
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
