@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from statistics import median
 
 from .cluster import ClusterTable, build_table
 from .dedup import deduplicate
@@ -49,14 +50,6 @@ class BenchRow:
         ])
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def materialize_corpus(spec: GenSpec,
                        grid: GridParams = GridParams()) -> tuple[ClusterTable, SerializedStore, list[Signature], float]:
     """Generate a corpus into a compact store plus its cluster table.
@@ -89,15 +82,14 @@ def median_identify_ms(table: ClusterTable,
         start = time.perf_counter()
         identify(query, table, store, grid, params)
         latencies.append((time.perf_counter() - start) * 1000.0)
-    return _median(latencies)
+    return median(latencies)
 
 
 def scaling_run(sizes: list[int],
                 spec: GenSpec,
                 grid: GridParams = GridParams(),
                 params: MatchParams = MatchParams(),
-                reps: int = 3,
-                jobs: int = 1) -> list[BenchRow]:
+                reps: int = 3) -> list[BenchRow]:
     """Measure every pipeline phase at each corpus size.
 
     Sizes must be ascending. Per size the corpus is generated once; the
@@ -125,15 +117,15 @@ def scaling_run(sizes: list[int],
         report = None
         for _ in range(reps):
             start = time.perf_counter()
-            report = deduplicate(table, store, params, jobs=jobs)
+            report = deduplicate(table, store, params)
             dedup_times.append(time.perf_counter() - start)
 
         identify_ms = median_identify_ms(table, store, sample, grid, params)
-        stats = corpus_stats(table, report, _median(dedup_times))
+        stats = corpus_stats(table, report, median(dedup_times))
         rows.append(BenchRow(
             size=table.size, nb_class=stats.nb_class, avg=stats.avg, max_p=stats.max_p,
             max_rate=stats.max_rate, std_dev=stats.std_dev, generate_s=generate_s,
-            index_s=_median(index_times), dedup_s=_median(dedup_times),
+            index_s=median(index_times), dedup_s=median(dedup_times),
             identify_ms_median=identify_ms, reps=reps,
         ))
     return rows

@@ -4,9 +4,8 @@ estimate, generate, bench.
 Machine-readable output goes to stdout, diagnostics to stderr. Exit
 codes: 0 success, 2 usage error, 3 data error, 4 oracle cap exceeded.
 Parameter precedence is flags > config file (JSON via --config) >
-built-in defaults; the defaults mirror the standard experiment setup
-(5x5 grid, 15/100 px edge bounds, 4 neighbors, threshold 90, minimum
-matched descriptors 0).
+built-in defaults; the defaults are those of GridParams, MatchParams
+and the exhaustive oracle's cap, and are read from there.
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import bench as bench_mod
 from .cluster import build_table, load_table, save_table
-from .dedup import (OracleCapExceededError, comparison_count, exhaustive_dedup,
-                    format_report, timed_deduplicate)
+from .dedup import (ORACLE_CAP, OracleCapExceededError, comparison_count,
+                    exhaustive_dedup, format_report, pair_relation, timed_deduplicate)
 from .grid import GridParams, compute_index
 from .identify import identify
 from .matcher import MatchParams
@@ -36,67 +35,57 @@ EXIT_DATA = 3
 EXIT_CAP = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Engine parameters shared by the subcommands."""
 
-    grid_n: int = 5
-    min_edge: float = 15.0
-    max_edge: float = 100.0
-    neighbors_k: int = 4
-    score_threshold: float = 90.0
-    min_matched_descriptors: int = 0
-    side_tolerance: float = 5.0
-    angle_tolerance: float = 0.2618
-    jobs: int = 1
-    oracle_cap: int = 5000
+    grid: GridParams
+    match: MatchParams
+    oracle_cap: int
 
-    def grid(self) -> GridParams:
-        return GridParams(self.grid_n)
 
-    def matcher_params(self) -> MatchParams:
-        return MatchParams(self.min_edge, self.max_edge, self.neighbors_k,
-                           self.score_threshold, self.min_matched_descriptors,
-                           self.side_tolerance, self.angle_tolerance)
-
+# Config keys and their defaults: grid_n, every MatchParams field, oracle_cap.
+_DEFAULTS = {"grid_n": GridParams().n, **asdict(MatchParams()), "oracle_cap": ORACLE_CAP}
 
 _PARAM_FLAGS = [
-    # (flag, config key, type, help)
-    ("--grid-n", "grid_n", int, "side of the square block matrix (default 5)"),
-    ("--min-edge", "min_edge", float, "minimum length between two minutiae in pixels (default 15)"),
-    ("--max-edge", "max_edge", float, "maximum length between two minutiae in pixels (default 100)"),
-    ("--neighbors", "neighbors_k", int, "number of closest neighbors per minutia (default 4)"),
-    ("--threshold", "score_threshold", float, "matching score threshold, inclusive (default 90)"),
-    ("--min-matched", "min_matched_descriptors", int, "minimum matched descriptors (default 0)"),
-    ("--side-tolerance", "side_tolerance", float, "per-side pairing tolerance in pixels (default 5)"),
-    ("--angle-tolerance", "angle_tolerance", float, "per-angle pairing tolerance in radians (default 0.2618)"),
-    ("--jobs", "jobs", int, "parallel workers for bucket sweeps (default 1)"),
-    ("--oracle-cap", "oracle_cap", int, "record cap for the exhaustive oracle (default 5000)"),
+    # (flag, config key, help); type and default come from _DEFAULTS
+    ("--grid-n", "grid_n", "side of the square block matrix"),
+    ("--min-edge", "min_edge", "minimum length between two minutiae in pixels"),
+    ("--max-edge", "max_edge", "maximum length between two minutiae in pixels"),
+    ("--neighbors", "neighbors_k", "number of closest neighbors per minutia"),
+    ("--threshold", "score_threshold", "matching score threshold, inclusive"),
+    ("--min-matched", "min_matched_descriptors", "minimum matched descriptors"),
+    ("--side-tolerance", "side_tolerance", "per-side pairing tolerance in pixels"),
+    ("--angle-tolerance", "angle_tolerance", "per-angle pairing tolerance in radians"),
+    ("--oracle-cap", "oracle_cap", "record cap for the exhaustive oracle"),
 ]
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file; flags override its values")
-    for flag, key, value_type, help_text in _PARAM_FLAGS:
-        parser.add_argument(flag, dest=key, type=value_type, default=None, help=help_text)
+    for flag, key, help_text in _PARAM_FLAGS:
+        default = _DEFAULTS[key]
+        parser.add_argument(flag, dest=key, type=type(default), default=None,
+                            help=f"{help_text} (default {default:g})")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file values over defaults."""
-    values: dict = {}
+    values = dict(_DEFAULTS)
     if getattr(args, "config", None) is not None:
         loaded = json.loads(Path(args.config).read_text())
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(loaded) - known
+        unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise ParseError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for _flag, key, _type, _help in _PARAM_FLAGS:
+    for _flag, key, _help in _PARAM_FLAGS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
-    return RunConfig(**values)
+    grid = GridParams(values.pop("grid_n"))
+    oracle_cap = values.pop("oracle_cap")
+    return RunConfig(grid, MatchParams(**values), oracle_cap)
 
 
 def _iter_input_corpus(args: argparse.Namespace):
@@ -114,8 +103,7 @@ def _corpus_store(args: argparse.Namespace):
 def _load_or_build_table(args: argparse.Namespace, cfg: RunConfig):
     if getattr(args, "table", None):
         return load_table(args.table)
-    grid = cfg.grid()
-    return build_table((s.record_id, compute_index(s, grid).key_text)
+    return build_table((s.record_id, compute_index(s, cfg.grid).key_text)
                        for s in _iter_input_corpus(args))
 
 
@@ -125,8 +113,7 @@ def _load_or_build_table(args: argparse.Namespace, cfg: RunConfig):
 
 def _cmd_index(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    grid = cfg.grid()
-    table = build_table((s.record_id, compute_index(s, grid).key_text)
+    table = build_table((s.record_id, compute_index(s, cfg.grid).key_text)
                         for s in _iter_input_corpus(args))
     if table.size == 0:
         print("error: empty corpus", file=sys.stderr)
@@ -142,7 +129,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     query = read_signature_file(args.query)
     table = load_table(args.table)
     store = _corpus_store(args)
-    result = identify(query, table, store, cfg.grid(), cfg.matcher_params())
+    result = identify(query, table, store, cfg.grid, cfg.match)
     matched = {rid for rid, _ in result.matches}
     for record_id, score in result.candidates:
         print(f"{record_id}\t{score:.4f}\t{'true' if record_id in matched else 'false'}")
@@ -157,7 +144,7 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
         print("error: empty corpus", file=sys.stderr)
         return EXIT_DATA
     store = _corpus_store(args)
-    report, wall = timed_deduplicate(table, store, cfg.matcher_params(), jobs=cfg.jobs)
+    report, wall = timed_deduplicate(table, store, cfg.match)
     rendered = format_report(report, wall)
     if args.out:
         Path(args.out).write_text(rendered)
@@ -174,11 +161,10 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
               f"duplicates={stats.duplicates} comparisons={report.comparisons} "
               f"wall_s={wall:.4f}", file=sys.stderr)
     if args.oracle:
-        groups = exhaustive_dedup(store, cfg.matcher_params(), cap=cfg.oracle_cap)
-        sweep_pairs = _group_pairs(g for gs in report.groups_by_key.values() for g in gs)
-        oracle_pairs = _group_pairs(groups)
-        shared = _shared_key_pairs(table)
-        agree = sweep_pairs & shared == oracle_pairs & shared
+        groups = exhaustive_dedup(store, cfg.match, cap=cfg.oracle_cap)
+        sweep_pairs = pair_relation(g for gs in report.groups_by_key.values() for g in gs)
+        shared = pair_relation(table.buckets.values())
+        agree = sweep_pairs & shared == pair_relation(groups) & shared
         print(f"oracle agreement on shared-key pairs: {'yes' if agree else 'NO'}",
               file=sys.stderr)
         if not agree:
@@ -186,28 +172,10 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _group_pairs(groups) -> set[frozenset]:
-    pairs = set()
-    for g in groups:
-        for i in range(len(g)):
-            for j in range(i + 1, len(g)):
-                pairs.add(frozenset((g[i], g[j])))
-    return pairs
-
-
-def _shared_key_pairs(table) -> set[frozenset]:
-    pairs = set()
-    for bucket in table.buckets.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                pairs.add(frozenset((bucket[i], bucket[j])))
-    return pairs
-
-
 def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     store = _corpus_store(args)
-    groups = exhaustive_dedup(store, cfg.matcher_params(), cap=cfg.oracle_cap)
+    groups = exhaustive_dedup(store, cfg.match, cap=cfg.oracle_cap)
     for group in groups:
         print(",".join(group))
     duplicates = sum(len(g) - 1 for g in groups if len(g) >= 2)
@@ -223,7 +191,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("error: empty corpus", file=sys.stderr)
         return EXIT_DATA
     store = _corpus_store(args)
-    report, wall = timed_deduplicate(table, store, cfg.matcher_params(), jobs=cfg.jobs)
+    report, wall = timed_deduplicate(table, store, cfg.match)
     stats = corpus_stats(table, report, wall)
     if args.csv:
         print(",".join(TABLE_COLUMNS))
@@ -310,8 +278,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_DATA
     spec = GenSpec(subjects=0, dup_fraction=args.dup, seed=args.seed)
-    rows = bench_mod.scaling_run(sizes, spec, cfg.grid(), cfg.matcher_params(),
-                                 reps=args.reps, jobs=cfg.jobs)
+    rows = bench_mod.scaling_run(sizes, spec, cfg.grid, cfg.match, reps=args.reps)
     sys.stdout.write(bench_mod.rows_to_csv(rows))
     return EXIT_OK
 

@@ -9,7 +9,7 @@ bucketing.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,19 +84,31 @@ def save_table(table: ClusterTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> ClusterTable:
-    """Read a table written by save_table; lossless including order."""
+    """Read a table written by save_table; lossless including order.
+
+    The records go through build_table, so a record id listed twice
+    (for example in a repeated bucket line) raises
+    DuplicateRecordIdError; an empty record id raises ValueError.
+    """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0] != TABLE_FORMAT_HEADER:
         raise ValueError(f"{path}: not a cluster table file (missing {TABLE_FORMAT_HEADER!r})")
-    table = ClusterTable()
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            key_text, joined = line.split("\t")
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: expected 'key<TAB>ids'") from None
-        for record_id in joined.split(","):
-            table.add(record_id, key_text)
-    return table
+
+    def entries() -> Iterator[tuple[str, str]]:
+        for line_no, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            try:
+                key_text, joined = line.split("\t")
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: expected 'key<TAB>ids'") from None
+            for record_id in joined.split(","):
+                if not record_id:
+                    raise ValueError(f"{path}:{line_no}: empty record id")
+                yield record_id, key_text
+
+    try:
+        return build_table(entries())
+    except DuplicateRecordIdError as exc:
+        raise DuplicateRecordIdError(f"{path}: {exc}") from None

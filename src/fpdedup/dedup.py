@@ -15,16 +15,17 @@ graph) is included for equivalence testing on small corpora.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 from .cluster import ClusterTable
-from .identify import Matcher, _resolve
-from .matcher import MatchParams, Signature, index_signature, is_match, score_indexed
+from .identify import Compare, Matcher, Prepare, _resolve, _scorer
+from .matcher import MatchParams, Signature, is_match
 
 REPORT_FORMAT_HEADER = "fpdedup-dedup-report v1"
+ORACLE_CAP = 5000  # default record cap of the exhaustive oracle
 
 
 class OracleCapExceededError(RuntimeError):
@@ -58,19 +59,10 @@ class DuplicateReport:
 def _sweep_bucket(bucket: list[str],
                   store: Mapping[str, Signature],
                   params: MatchParams,
-                  matcher: Matcher | None) -> tuple[list[list[str]], int]:
+                  prepare: Prepare,
+                  compare: Compare) -> tuple[list[list[str]], int]:
     """Sweep one bucket into groups; returns (groups, comparisons)."""
-    if matcher is None:
-        indexes = {rid: index_signature(_resolve(store, rid), params) for rid in bucket}
-
-        def matched(a: str, b: str) -> bool:
-            return is_match(score_indexed(indexes[a], indexes[b], params), params)
-    else:
-        signatures = {rid: _resolve(store, rid) for rid in bucket}
-
-        def matched(a: str, b: str) -> bool:
-            return is_match(matcher(signatures[a], signatures[b], params), params)
-
+    prepared = {rid: prepare(_resolve(store, rid), params) for rid in bucket}
     groups: list[list[str]] = []
     comparisons = 0
     worklist = list(bucket)
@@ -80,7 +72,7 @@ def _sweep_bucket(bucket: list[str],
         remaining: list[str] = []
         for other in worklist:
             comparisons += 1
-            if matched(head, other):
+            if is_match(compare(prepared[head], prepared[other], params), params):
                 group.append(other)
             else:
                 remaining.append(other)
@@ -92,34 +84,21 @@ def _sweep_bucket(bucket: list[str],
 def deduplicate(table: ClusterTable,
                 store: Mapping[str, Signature],
                 params: MatchParams = MatchParams(),
-                matcher: Matcher | None = None,
-                jobs: int = 1) -> DuplicateReport:
+                matcher: Matcher | None = None) -> DuplicateReport:
     """Run the duplicate sweep over every bucket of a loaded table.
 
     Buckets of size <= 1 are recorded as singleton groups without any
-    comparison. Buckets are independent, so ``jobs > 1`` sweeps the
-    multi-member buckets on a thread pool; results merge in bucket
-    order and are identical to a sequential run.
+    comparison; the others are swept one after another in table order.
     """
     report = DuplicateReport()
-    heavy = {key: bucket for key, bucket in table.buckets.items() if len(bucket) >= 2}
-
-    if jobs > 1 and heavy:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {key: pool.submit(_sweep_bucket, bucket, store, params, matcher)
-                       for key, bucket in heavy.items()}
-        swept = {key: future.result() for key, future in futures.items()}
-    else:
-        swept = {key: _sweep_bucket(bucket, store, params, matcher)
-                 for key, bucket in heavy.items()}
-
+    prepare, compare = _scorer(matcher)
     for key, bucket in table.buckets.items():
         if len(bucket) <= 1:
             report.groups_by_key[key] = [list(bucket)]
-        else:
-            groups, comparisons = swept[key]
-            report.groups_by_key[key] = groups
-            report.comparisons += comparisons
+            continue
+        groups, comparisons = _sweep_bucket(bucket, store, params, prepare, compare)
+        report.groups_by_key[key] = groups
+        report.comparisons += comparisons
     return report
 
 
@@ -128,13 +107,23 @@ def comparison_count(table: ClusterTable) -> int:
     return sum(c * (c - 1) // 2 for c in map(len, table.buckets.values()))
 
 
+def pair_relation(groups: Iterable[Sequence[str]]) -> set[frozenset[str]]:
+    """Every unordered pair of record ids that share a group.
+
+    ``pair_relation(table.buckets.values())`` is the set of shared-key
+    pairs, the only pairs on which the sweep and the oracle can be
+    compared.
+    """
+    return {frozenset(pair) for group in groups for pair in combinations(group, 2)}
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
 
 
 def exhaustive_dedup(store: Mapping[str, Signature],
                      params: MatchParams = MatchParams(),
-                     cap: int = 5000,
+                     cap: int = ORACLE_CAP,
                      matcher: Matcher | None = None) -> list[list[str]]:
     """All-pairs grouping: connected components of the match graph.
 
@@ -149,17 +138,8 @@ def exhaustive_dedup(store: Mapping[str, Signature],
             f"corpus has {n} records, above the exhaustive-oracle cap of {cap}"
         )
 
-    if matcher is None:
-        indexes = [index_signature(_resolve(store, rid), params) for rid in ids]
-
-        def matched(i: int, j: int) -> bool:
-            return is_match(score_indexed(indexes[i], indexes[j], params), params)
-    else:
-        signatures = [_resolve(store, rid) for rid in ids]
-
-        def matched(i: int, j: int) -> bool:
-            return is_match(matcher(signatures[i], signatures[j], params), params)
-
+    prepare, compare = _scorer(matcher)
+    prepared = [prepare(_resolve(store, rid), params) for rid in ids]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -170,7 +150,7 @@ def exhaustive_dedup(store: Mapping[str, Signature],
 
     for i in range(n - 1):
         for j in range(i + 1, n):
-            if matched(i, j):
+            if is_match(compare(prepared[i], prepared[j], params), params):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -210,9 +190,8 @@ def format_report(report: DuplicateReport, wall_seconds: float = 0.0) -> str:
 def timed_deduplicate(table: ClusterTable,
                       store: Mapping[str, Signature],
                       params: MatchParams = MatchParams(),
-                      matcher: Matcher | None = None,
-                      jobs: int = 1) -> tuple[DuplicateReport, float]:
+                      matcher: Matcher | None = None) -> tuple[DuplicateReport, float]:
     """deduplicate() plus its wall time on a monotonic clock."""
     start = time.perf_counter()
-    report = deduplicate(table, store, params, matcher=matcher, jobs=jobs)
+    report = deduplicate(table, store, params, matcher=matcher)
     return report, time.perf_counter() - start

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from typing import Any
 
 from .cluster import ClusterTable
 from .grid import GridParams, compute_index
@@ -18,6 +19,20 @@ from .matcher import (MatchParams, MatchResult, Signature, index_signature,
                       is_match, score_indexed)
 
 Matcher = Callable[[Signature, Signature, MatchParams], MatchResult]
+Prepare = Callable[[Signature, MatchParams], Any]
+Compare = Callable[[Any, Any, MatchParams], MatchResult]
+
+
+def _scorer(matcher: Matcher | None) -> tuple[Prepare, Compare]:
+    """The (prepare, compare) pair every scoring call site runs.
+
+    Each record is prepared once, then prepared forms are compared. The
+    built-in scorer prepares a signature's triplet index; a custom
+    ``matcher`` prepares nothing and compares the signatures themselves.
+    """
+    if matcher is None:
+        return index_signature, score_indexed
+    return (lambda signature, _params: signature), matcher
 
 
 @dataclass
@@ -53,18 +68,12 @@ def identify(query: Signature,
     key = compute_index(query, grid)
     bucket = table.lookup(key)
 
+    prepare, compare = _scorer(matcher)
+    prepared_query = prepare(query, params)
     scored: list[tuple[str, float, MatchResult]] = []
-    if matcher is None:
-        query_index = index_signature(query, params)
-        for record_id in bucket:
-            candidate = _resolve(store, record_id)
-            result = score_indexed(query_index, index_signature(candidate, params), params)
-            scored.append((record_id, result.score, result))
-    else:
-        for record_id in bucket:
-            candidate = _resolve(store, record_id)
-            result = matcher(query, candidate, params)
-            scored.append((record_id, result.score, result))
+    for record_id in bucket:
+        result = compare(prepared_query, prepare(_resolve(store, record_id), params), params)
+        scored.append((record_id, result.score, result))
 
     scored.sort(key=lambda item: (-item[1], item[0]))
     candidates = [(rid, score) for rid, score, _ in scored]

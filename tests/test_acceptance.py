@@ -13,7 +13,7 @@ import pytest
 
 from fpdedup.bench import materialize_corpus, median_identify_ms
 from fpdedup.cluster import build_table
-from fpdedup.dedup import comparison_count, deduplicate, exhaustive_dedup
+from fpdedup.dedup import comparison_count, deduplicate, exhaustive_dedup, pair_relation
 from fpdedup.grid import GridParams, compute_index
 from fpdedup.matcher import MatchParams, index_signature, match_score, score_indexed
 from fpdedup.signature import Signature
@@ -60,15 +60,6 @@ def table_10k():
     spec = GenSpec(subjects=10_000, dup_fraction=0.0, seed=102)
     table, store, sample, _ = materialize_corpus(spec, GRID)
     return table, store, sample
-
-
-def _pair_relation(groups):
-    pairs = set()
-    for g in groups:
-        for i in range(len(g)):
-            for j in range(i + 1, len(g)):
-                pairs.add(frozenset((g[i], g[j])))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +124,9 @@ def test_criterion_06_oracle_equivalence(planted_1k):
     assert found == expected, "sweep must find exactly the 50 planted pairs"
 
     oracle_groups = exhaustive_dedup(store, PARAMS)
-    sweep_pairs = _pair_relation(g for groups in report.groups_by_key.values() for g in groups)
-    oracle_pairs = _pair_relation(oracle_groups)
-    shared_key = set()
-    for bucket in table.buckets.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                shared_key.add(frozenset((bucket[i], bucket[j])))
+    sweep_pairs = pair_relation(g for groups in report.groups_by_key.values() for g in groups)
+    oracle_pairs = pair_relation(oracle_groups)
+    shared_key = pair_relation(table.buckets.values())
     assert sweep_pairs & shared_key == oracle_pairs & shared_key
 
     elapsed = generation_s + (time.perf_counter() - start)

@@ -133,6 +133,9 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["dedup", "--jobs", "2"])  # removed flag
+    assert exc.value.code == 2
 
 
 def test_estimate_published_forecast(capsys):
@@ -182,11 +185,12 @@ def test_config_file_and_flag_precedence(generated, tmp_path, capsys):
 def test_config_unknown_key_rejected(generated, tmp_path, capsys):
     root, corpus, table = generated
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"no_such_key": 1}))
-    rc = main(["stats", "--corpus", str(corpus), "--table", str(table),
-               "--config", str(config)])
-    assert rc == EXIT_DATA
-    assert "unknown config keys" in capsys.readouterr().err
+    for key in ("no_such_key", "jobs"):  # jobs: a removed key
+        config.write_text(json.dumps({key: 1}))
+        rc = main(["stats", "--corpus", str(corpus), "--table", str(table),
+                   "--config", str(config)])
+        assert rc == EXIT_DATA
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_help_lists_parameters(capsys):

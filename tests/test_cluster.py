@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fpdedup.cli import EXIT_DATA, main
 from fpdedup.cluster import (ClusterTable, DuplicateRecordIdError, build_table,
                              char_sum_hash, load_table, save_table)
 from fpdedup.synth import SplitMix64
@@ -124,6 +125,32 @@ def test_load_rejects_wrong_header(tmp_path):
     path.write_text("something else\nk\tA\n")
     with pytest.raises(ValueError, match="not a cluster table"):
         load_table(path)
+
+
+def _assert_cli_data_error(path, capsys, message):
+    rc = main(["stats", "--table", str(path), "--corpus", str(path.parent)])
+    assert rc == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_load_rejects_repeated_bucket_line(tmp_path, capsys):
+    # the repeated line would list each of its records twice
+    table = build_table((f"r{i:03d}", f"k{i % 200}") for i in range(210))
+    path = tmp_path / "repeated.tsv"
+    save_table(table, path)
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, first, *rest]) + "\n")
+    with pytest.raises(DuplicateRecordIdError, match="duplicate record id 'r000'"):
+        load_table(path)
+    _assert_cli_data_error(path, capsys, "duplicate record id 'r000'")
+
+
+def test_load_rejects_empty_record_id(tmp_path, capsys):
+    path = tmp_path / "empty_id.tsv"
+    path.write_text("fpdedup-cluster-table v1\nk\ta,,b\n")
+    with pytest.raises(ValueError, match="empty_id.tsv:2: empty record id"):
+        load_table(path)
+    _assert_cli_data_error(path, capsys, "empty_id.tsv:2: empty record id")
 
 
 def test_save_rejects_separator_in_id(tmp_path):

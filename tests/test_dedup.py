@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fpdedup.cluster import build_table
 from fpdedup.dedup import (DuplicateReport, OracleCapExceededError, comparison_count,
-                           deduplicate, exhaustive_dedup, format_report, save_report)
+                           deduplicate, exhaustive_dedup, format_report, pair_relation,
+                           save_report)
 from fpdedup.grid import compute_index
 from fpdedup.matcher import MatchParams, MatchResult
 from fpdedup.signature import Signature
@@ -72,48 +73,30 @@ def test_sweep_matches_oracle_on_shared_key_pairs(planted_corpus):
     table, store, truth = planted_corpus
     report = deduplicate(table, store, PARAMS)
     oracle_groups = exhaustive_dedup(store, PARAMS)
-
-    def pair_relation(groups):
-        pairs = set()
-        for g in groups:
-            for i in range(len(g)):
-                for j in range(i + 1, len(g)):
-                    pairs.add(frozenset((g[i], g[j])))
-        return pairs
-
     sweep_pairs = pair_relation(g for groups in report.groups_by_key.values() for g in groups)
     oracle_pairs = pair_relation(oracle_groups)
-    shared_key = set()
-    for bucket in table.buckets.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                shared_key.add(frozenset((bucket[i], bucket[j])))
+    shared_key = pair_relation(table.buckets.values())
     assert sweep_pairs & shared_key == oracle_pairs & shared_key
 
 
 def test_zero_cross_bucket_comparisons(planted_corpus):
     table, store, _ = planted_corpus
     counter = CountingMatcher()
-    deduplicate(table, store, PARAMS, matcher=counter)
+    custom = deduplicate(table, store, PARAMS, matcher=counter)
     key_of = {rid: key for key, bucket in table.buckets.items() for rid in bucket}
     assert counter.pairs, "multi-member buckets were expected"
     for a, b in counter.pairs:
         assert key_of[a] == key_of[b]
+    # a custom matcher and the built-in scorer take the same path
+    builtin = deduplicate(table, store, PARAMS)
+    assert custom.groups_by_key == builtin.groups_by_key
+    assert custom.comparisons == builtin.comparisons == counter.count
 
 
 def test_actual_comparisons_bounded(planted_corpus):
     table, store, _ = planted_corpus
     report = deduplicate(table, store, PARAMS)
     assert report.comparisons <= comparison_count(table)
-
-
-def test_parallel_sweep_identical(planted_corpus):
-    table, store, _ = planted_corpus
-    sequential = deduplicate(table, store, PARAMS, jobs=1)
-    parallel = deduplicate(table, store, PARAMS, jobs=4)
-    assert sequential.groups_by_key == parallel.groups_by_key
-    assert sequential.comparisons == parallel.comparisons
-    assert format_report(sequential) == format_report(parallel)
 
 
 def test_unresolvable_id_errors(planted_corpus):

@@ -59,9 +59,10 @@ def test_comparisons_equal_bucket_size(small_corpus):
         counter = CountingMatcher()
         query = Signature("query", list(s.minutiae))
         bucket = table.lookup(compute_index(query, GRID))
-        identify(query, table, store, GRID, PARAMS, matcher=counter)
+        custom = identify(query, table, store, GRID, PARAMS, matcher=counter)
         assert counter.count == len(bucket)
         assert counter.count < table.size
+        assert custom.candidates == identify(query, table, store, GRID, PARAMS).candidates
 
 
 def test_penetration_exact(small_corpus):
