@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
-from fpdedup.matcher import (MatchParams, MatchResult, build_triplets, is_match,
-                             match_score)
+from fpdedup.matcher import (MatchParams, MatchResult, build_triplets,
+                             index_signature, is_match, match_score,
+                             score_indexed)
 from fpdedup.signature import Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -169,3 +171,55 @@ def test_is_match_min_descriptors_gate():
     gated = MatchParams(min_matched_descriptors=6)
     assert is_match(MatchResult(100.0, 5), gated) is False
     assert is_match(MatchResult(100.0, 6), gated) is True
+
+
+# ---------------------------------------------------------------------------
+# Golden pin: features and scores must not drift, bit for bit
+
+GOLDEN_PARAMS = (MatchParams(), MatchParams(neighbors_k=2), MatchParams(neighbors_k=7))
+GOLDEN_FEATURES = "1868b5847a31332edefb878fe3e107fca81d2949c49d89a7ddb2279712df36c3"
+GOLDEN_SCORES = "623852f2b699344e9b6e38eaefba6e0a63c053c4815514dac18ce938d9fea6de"
+
+
+def _golden_corpus() -> tuple[list[Signature], list[tuple[str, str]]]:
+    """Seeded prints (some below 3 minutiae, jittered and dropped
+    duplicates) plus hand-built collinear, coincident and 3-point cases."""
+    signatures, truth = generate(GenSpec(
+        subjects=60, minutiae_per_print=(1, 45), dup_fraction=0.25,
+        jitter=2.0, drop_prob=0.05, seed=2003))
+    signatures += [
+        make_signature("collinear", [(0, 0), (20, 0), (40, 0), (60, 0), (80, 0)]),
+        make_signature("coincident", [(10, 10), (10, 10), (40, 10), (25, 40)]),
+        make_signature("three", [(0, 0), (50, 0), (25, 43)]),
+    ]
+    return signatures, truth
+
+
+def _feature_digest(signatures: list[Signature]) -> str:
+    h = hashlib.sha256()
+    for p in GOLDEN_PARAMS:
+        for s in signatures:
+            features = index_signature(s, p).features
+            h.update(repr(features.shape).encode())
+            h.update(features.tobytes())
+    return h.hexdigest()
+
+
+def _score_digest(signatures: list[Signature], truth: list[tuple[str, str]]) -> str:
+    by_id = {s.record_id: s for s in signatures}
+    pairs = [(a.record_id, b.record_id) for a, b in zip(signatures, signatures[1:])]
+    pairs += truth
+    results = []
+    for p in GOLDEN_PARAMS:
+        for a, b in pairs:
+            r = score_indexed(index_signature(by_id[a], p), index_signature(by_id[b], p), p)
+            results.append((r.score, r.matched_descriptors))
+    return hashlib.sha256(repr(results).encode()).hexdigest()
+
+
+def test_features_and_scores_golden():
+    signatures, truth = _golden_corpus()
+    assert any(len(s.minutiae) < 3 for s in signatures)
+    assert truth
+    assert _feature_digest(signatures) == GOLDEN_FEATURES
+    assert _score_digest(signatures, truth) == GOLDEN_SCORES
