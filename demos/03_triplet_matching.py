@@ -1,6 +1,6 @@
 """
-Triplet matching: the in-cluster comparison function
-====================================================
+Minutiae-triplet matching: the in-cluster comparison function
+=============================================================
 
 Candidate records that share a cluster key are confirmed (or rejected)
 by a minutiae-triplet matcher. Each signature is reduced to triangles
@@ -13,7 +13,8 @@ tolerances and the matched fraction gives a 0-100 score.
 
 import math
 
-from fpdedup import MatchParams, Minutia, Signature, build_triplets, is_match, match_score
+from fpdedup import MatchParams, Minutia, Signature, is_match, match_score
+from fpdedup.matcher import index_signature
 from fpdedup.signature import normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -21,11 +22,13 @@ params = MatchParams()  # 15/100 px edges, 4 neighbors, threshold 90
 signatures, _ = generate(GenSpec(subjects=2, minutiae_per_print=(30, 30), seed=12))
 probe, other = signatures
 
-triplets = build_triplets(probe, params)
-print(f"{len(probe)} minutiae -> {len(triplets)} triplet descriptors")
-t = triplets[0]
-print(f"first triplet: sides {[round(s, 1) for s in t.sides]} px, "
-      f"angles {[round(a, 2) for a in t.angles]} rad")
+# One row per triangle: 3 sides, 3 interior angles, 3 relative ridge angles;
+# rows are sorted by the largest side.
+features = index_signature(probe, params).features
+print(f"{len(probe)} minutiae -> {features.shape[0]} triplet descriptors")
+first = features[0]
+print(f"first triplet: sides {[round(s, 1) for s in first[0:3].tolist()]} px, "
+      f"angles {[round(a, 2) for a in first[3:6].tolist()]} rad")
 
 # Identity scores 100 by construction.
 print("\nscore(probe, probe):", match_score(probe, probe, params).score)

@@ -2,13 +2,12 @@
 deduplication for minutiae fingerprint signatures."""
 
 from .cluster import (ClusterTable, DuplicateRecordIdError, build_table,
-                      char_sum_hash, load_table, save_table)
+                      load_table, save_table)
 from .dedup import (DuplicateReport, OracleCapExceededError, comparison_count,
                     deduplicate, exhaustive_dedup, save_report)
 from .grid import GridParams, IndexKey, block_of, bounding_box, compute_index
 from .identify import IdentificationResult, identify
-from .matcher import (MatchParams, MatchResult, Triplet, build_triplets,
-                      is_match, match_score)
+from .matcher import MatchParams, MatchResult, is_match, match_score
 from .signature import (DirectoryStore, Minutia, ParseError, SerializedStore,
                         Signature, load_corpus_dir, load_manifest,
                         parse_signature, serialize_signature, write_corpus_dir)
@@ -22,11 +21,10 @@ __all__ = [
     "ClusterTable", "CorpusStats", "DirectoryStore", "DuplicateRecordIdError",
     "DuplicateReport", "GenSpec", "GridParams", "IdentificationResult", "IndexKey",
     "MatchParams", "MatchResult", "Minutia", "OracleCapExceededError", "ParseError",
-    "RegressionFit", "SerializedStore", "Signature", "SplitMix64", "Triplet",
-    "WorkloadEstimate", "block_of", "bounding_box", "build_table", "build_triplets",
-    "char_sum_hash", "comparison_count", "compute_index", "corpus_stats", "deduplicate",
-    "estimate_workload", "exhaustive_dedup", "fit_regression", "generate", "identify",
-    "is_match", "iter_records", "load_corpus_dir", "load_manifest", "load_table",
-    "match_score", "parse_signature", "predict_avg", "save_report", "save_table",
-    "serialize_signature", "write_corpus_dir",
+    "RegressionFit", "SerializedStore", "Signature", "SplitMix64", "WorkloadEstimate",
+    "block_of", "bounding_box", "build_table", "comparison_count", "compute_index",
+    "corpus_stats", "deduplicate", "estimate_workload", "exhaustive_dedup",
+    "fit_regression", "generate", "identify", "is_match", "iter_records",
+    "load_corpus_dir", "load_manifest", "load_table", "match_score", "parse_signature",
+    "predict_avg", "save_report", "save_table", "serialize_signature", "write_corpus_dir",
 ]

@@ -75,9 +75,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     values = dict(_DEFAULTS)
     if getattr(args, "config", None) is not None:
         loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ParseError("config file must hold a JSON object")
         unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise ParseError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            # A float key also takes an int (JSON may write 15.0 as 15); bool is an int subclass.
+            expected = type(_DEFAULTS[key])
+            allowed = (int, float) if expected is float else int
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ParseError(
+                    f"config key {key!r} must be {expected.__name__}, got {value!r}")
         values.update(loaded)
     for _flag, key, _help in _PARAM_FLAGS:
         flag_value = getattr(args, key, None)

@@ -2,9 +2,6 @@
 
 Built in a single pass over (record_id, key) pairs; lookup is expected
 constant time. Bucketing relies on Python's built-in string-keyed dict.
-The additive character-code hash is also provided: it demonstrates why
-buckets must hold lists (anagram keys collide), but it is not used for
-bucketing.
 """
 
 from __future__ import annotations
@@ -20,15 +17,6 @@ TABLE_FORMAT_HEADER = "fpdedup-cluster-table v1"
 
 class DuplicateRecordIdError(ValueError):
     """A record id appeared more than once while building a table."""
-
-
-def char_sum_hash(s: str) -> int:
-    """Sum of the character codes of a string.
-
-    Collision-heavy by construction: any two keys with the same multiset
-    of characters (for example ``"1-0"`` and ``"0-1"``) hash alike.
-    """
-    return sum(map(ord, s))
 
 
 @dataclass

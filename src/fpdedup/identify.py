@@ -67,6 +67,8 @@ def identify(query: Signature,
         raise ValueError(f"query signature {query.record_id!r} is empty")
     key = compute_index(query, grid)
     bucket = table.lookup(key)
+    if not bucket:
+        return IdentificationResult(key.key_text, [], [], 0.0)
 
     prepare, compare = _scorer(matcher)
     prepared_query = prepare(query, params)
@@ -78,7 +80,7 @@ def identify(query: Signature,
     scored.sort(key=lambda item: (-item[1], item[0]))
     candidates = [(rid, score) for rid, score, _ in scored]
     matches = [(rid, score) for rid, score, result in scored if is_match(result, params)]
-    penetration = len(bucket) / table.size if table.size else 0.0
+    penetration = len(bucket) / table.size
     return IdentificationResult(key.key_text, candidates, matches, penetration)
 
 

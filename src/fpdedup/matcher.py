@@ -6,7 +6,8 @@ keep all edges within [min_edge, max_edge]. A triplet is described by
 nine translation- and rotation-invariant features: the three side
 lengths (ascending), the three interior angles (matching order), and
 the three minutiae ridge angles expressed relative to the triangle's
-own frame (direction from each vertex to the centroid).
+own frame (direction from each vertex to the next one in that order).
+A signature's features are built as one (nt, 9) array.
 
 Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
@@ -54,99 +55,45 @@ class MatchParams:
 
 
 @dataclass(frozen=True)
-class Triplet:
-    """One local descriptor: a triangle of three minutiae.
-
-    Vertices are ordered by their opposite side length, so ``sides`` is
-    ascending and ``angles`` lists the interior angle at each ordered
-    vertex (also ascending, by the law of sines). ``orientations`` holds
-    each ordered vertex's ridge angle minus the direction toward the
-    next ordered vertex, reduced into [0, 2*pi); vertices are at least
-    min_edge apart, so the reference direction is always well defined
-    (a centroid reference would degenerate on collinear triples).
-    """
-
-    indices: tuple[int, int, int]
-    sides: tuple[float, float, float]
-    angles: tuple[float, float, float]
-    orientations: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class MatchResult:
     score: float                # 0-100
     matched_descriptors: int    # paired triplet count
 
 
 # ---------------------------------------------------------------------------
-# Triplet construction
+# Triangle construction
 
 
-def _interior_angle(opposite: float, adj1: float, adj2: float) -> float:
-    cos_a = (adj1 * adj1 + adj2 * adj2 - opposite * opposite) / (2.0 * adj1 * adj2)
-    return math.acos(min(1.0, max(-1.0, cos_a)))
-
-
-def _make_triplet(s: Signature, i: int, j: int, k: int) -> Triplet:
-    idx = (i, j, k)
-    pts = [(float(s.minutiae[v].x), float(s.minutiae[v].y)) for v in idx]
-    thetas = [s.minutiae[v].theta for v in idx]
-    d01 = math.dist(pts[0], pts[1])
-    d12 = math.dist(pts[1], pts[2])
-    d02 = math.dist(pts[0], pts[2])
-    opposite = (d12, d02, d01)  # side opposite each vertex
-    order = sorted(range(3), key=lambda v: (opposite[v], v))
-    sides = tuple(opposite[v] for v in order)
-    adjacent = ((d01, d02), (d01, d12), (d02, d12))
-    angles = tuple(_interior_angle(opposite[v], *adjacent[v]) for v in order)
-    orientations = []
-    for pos in range(3):
-        v, nxt = order[pos], order[(pos + 1) % 3]
-        reference = math.atan2(pts[nxt][1] - pts[v][1], pts[nxt][0] - pts[v][0])
-        orientations.append(normalize_angle(thetas[v] - reference))
-    return Triplet(idx, sides, angles, tuple(orientations))
-
-
-def build_triplets(s: Signature, p: MatchParams = MatchParams()) -> list[Triplet]:
-    """Build the triplet descriptors of a signature.
+def _triangles(coords: np.ndarray, p: MatchParams) -> np.ndarray:
+    """Vertex index triples of a signature's triangles, shape (nt, 3).
 
     For each minutia, triangles are formed with every pair of its
-    ``neighbors_k`` nearest neighbors; triangles sharing the same
-    minutia index set are kept once, and any triangle with a side
-    outside [min_edge, max_edge] is discarded. The count stays
-    O(N * k^2) rather than O(N^3). Signatures with fewer than three
-    minutiae yield an empty list.
+    ``neighbors_k`` nearest neighbors, anchor by anchor; a triangle
+    whose index set was already seen is dropped, so rows keep their
+    first-seen order, and any triangle with a side outside
+    [min_edge, max_edge] is discarded. The count stays O(N * k^2)
+    rather than O(N^3). Each row is sorted ascending; fewer than three
+    minutiae yield no rows.
     """
-    n = len(s.minutiae)
-    if n < 3:
-        return []
-    coords = np.array([(m.x, m.y) for m in s.minutiae], dtype=np.float64)
+    n = coords.shape[0]
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
     k = min(p.neighbors_k, n - 1)
     # Stable sort keeps neighbor order deterministic under distance ties.
-    neighbor_order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-
-    triplets: list[Triplet] = []
-    seen: set[tuple[int, int, int]] = set()
-    lo, hi = p.min_edge, p.max_edge
-    for anchor in range(n):
-        neighbors = neighbor_order[anchor]
-        for a_pos in range(k - 1):
-            for b_pos in range(a_pos + 1, k):
-                na, nb = int(neighbors[a_pos]), int(neighbors[b_pos])
-                idx = tuple(sorted((anchor, na, nb)))
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                e1 = dist[anchor, na]
-                e2 = dist[anchor, nb]
-                e3 = dist[na, nb]
-                if not (lo <= e1 <= hi and lo <= e2 <= hi and lo <= e3 <= hi):
-                    continue
-                triplets.append(_make_triplet(s, *idx))
-    return triplets
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    a_pos, b_pos = np.triu_indices(k, 1)
+    tri = np.empty((n, a_pos.size, 3), dtype=np.int64)
+    tri[:, :, 0] = np.arange(n)[:, None]
+    tri[:, :, 1] = neighbors[:, a_pos]
+    tri[:, :, 2] = neighbors[:, b_pos]
+    tri = np.sort(tri.reshape(-1, 3), axis=1)
+    _, first = np.unique((tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2], return_index=True)
+    tri = tri[np.sort(first)]
+    i, j, l = tri.T
+    edges = np.stack((dist[i, j], dist[i, l], dist[j, l]))
+    keep = ((p.min_edge <= edges) & (edges <= p.max_edge)).all(axis=0)
+    return tri[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +117,43 @@ class TripletIndex:
 
 
 def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletIndex:
-    """Precompute a signature's matchable triplet features."""
+    """Precompute a signature's matchable triplet features, one row per triangle.
+
+    A triangle's vertices are ordered by their opposite side length
+    (ties to the lower minutia index), so the sides are ascending and
+    the interior angles, listed per ordered vertex, ascend too (law of
+    sines). Each orientation is the ordered vertex's ridge angle minus
+    the direction toward the next ordered vertex, reduced into
+    [0, 2*pi); vertices are at least min_edge apart, so that direction
+    is always defined (a centroid reference would degenerate on
+    collinear triples). ``math.acos`` and ``math.atan2`` are applied
+    element by element because numpy's versions can differ from them in
+    the last bit.
+    """
     if not s.minutiae:
         raise ValueError(f"signature {s.record_id!r} is empty")
-    triplets = build_triplets(s, p)
-    features = np.array(
-        [t.sides + t.angles + t.orientations for t in triplets], dtype=np.float64
-    ).reshape(len(triplets), 9)
-    if features.shape[0] > 1:
-        order = np.lexsort((np.arange(features.shape[0]), features[:, 2]))
-        features = features[order]
+    coords = np.array([(m.x, m.y) for m in s.minutiae], dtype=np.float64)
+    tri = _triangles(coords, p)
+    nt = tri.shape[0]
+    pts = coords[tri]  # (nt, 3, 2), vertices in index order
+    edge = pts[:, [1, 0, 0]] - pts[:, [2, 2, 1]]
+    opposite = np.sqrt((edge * edge).sum(axis=2))  # side opposite each vertex
+    adj1, adj2 = opposite[:, [2, 2, 1]], opposite[:, [1, 0, 0]]
+    cos = (adj1 * adj1 + adj2 * adj2 - opposite * opposite) / (2.0 * adj1 * adj2)
+    order = np.argsort(opposite, axis=1, kind="stable")
+    sides = np.take_along_axis(opposite, order, axis=1)
+    cos = np.clip(np.take_along_axis(cos, order, axis=1), -1.0, 1.0)
+    angles = np.array(list(map(math.acos, cos.ravel().tolist()))).reshape(nt, 3)
+    ordered = np.take_along_axis(pts, order[:, :, None], axis=1)
+    step = np.roll(ordered, -1, axis=1) - ordered
+    thetas = np.array([m.theta for m in s.minutiae], dtype=np.float64)
+    ridge = np.take_along_axis(thetas[tri], order, axis=1)
+    orientations = np.array([
+        normalize_angle(theta - math.atan2(dy, dx)) for theta, dy, dx in zip(
+            ridge.ravel().tolist(), step[:, :, 1].ravel().tolist(), step[:, :, 0].ravel().tolist())
+    ]).reshape(nt, 3)
+    features = np.concatenate((sides, angles, orientations), axis=1)
+    features = features[np.lexsort((np.arange(nt), features[:, 2]))]
     key = tuple(sorted((m.x, m.y, m.theta, m.type_code) for m in s.minutiae))
     return TripletIndex(features, np.ascontiguousarray(features.T), key)
 

@@ -193,6 +193,27 @@ def test_config_unknown_key_rejected(generated, tmp_path, capsys):
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
+def test_config_wrong_value_type_rejected(generated, tmp_path, capsys):
+    root, corpus, table = generated
+    config = tmp_path / "cfg.json"
+    for values in ({"grid_n": "5"}, {"neighbors_k": 4.5}, {"grid_n": True},
+                   {"min_edge": "15"}, {"max_edge": False}):
+        config.write_text(json.dumps(values))
+        rc = main(["stats", "--corpus", str(corpus), "--table", str(table),
+                   "--config", str(config)])
+        assert rc == EXIT_DATA
+        (key,) = values
+        assert f"config key '{key}' must be" in capsys.readouterr().err
+    config.write_text("5")
+    assert main(["stats", "--corpus", str(corpus), "--table", str(table),
+                 "--config", str(config)]) == EXIT_DATA
+    assert "must hold a JSON object" in capsys.readouterr().err
+    # an int is a valid value for a float key
+    config.write_text(json.dumps({"min_edge": 15, "grid_n": 5}))
+    assert main(["stats", "--corpus", str(corpus), "--table", str(table),
+                 "--config", str(config)]) == EXIT_OK
+
+
 def test_help_lists_parameters(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["index", "--help"])

@@ -1,4 +1,4 @@
-"""Cluster table: hash fidelity, single-pass load, lookup, persistence."""
+"""Cluster table: single-pass load, lookup, persistence."""
 
 from __future__ import annotations
 
@@ -8,21 +8,8 @@ from hypothesis import strategies as st
 
 from fpdedup.cli import EXIT_DATA, main
 from fpdedup.cluster import (ClusterTable, DuplicateRecordIdError, build_table,
-                             char_sum_hash, load_table, save_table)
+                             load_table, save_table)
 from fpdedup.synth import SplitMix64
-
-
-def test_char_sum_hash_empty():
-    assert char_sum_hash("") == 0
-
-
-def test_char_sum_hash_worked_value():
-    # '1' + '-' + '0' = 49 + 45 + 48
-    assert char_sum_hash("1-0") == 142
-
-
-def test_char_sum_hash_anagram_collision():
-    assert char_sum_hash("0-1") == char_sum_hash("1-0") == 142
 
 
 def test_build_table_basic():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from fpdedup.cluster import build_table
 from fpdedup.grid import GridParams, compute_index
 from fpdedup.identify import identify
-from fpdedup.matcher import MatchParams, is_match, match_score
+from fpdedup.matcher import MatchParams, index_signature, is_match, match_score
 from fpdedup.signature import Signature
 from fpdedup.synth import GenSpec, generate
 
@@ -35,6 +37,25 @@ def test_absent_key_empty_result(small_corpus):
     assert result.candidates == []
     assert result.matches == []
     assert result.penetration == 0.0
+
+
+def test_miss_builds_no_query_features(small_corpus, monkeypatch):
+    table, store, signatures, _ = small_corpus
+    calls = []
+
+    def counting_index(s, p):
+        calls.append(s.record_id)
+        return index_signature(s, p)
+
+    # The package re-exports the function ``identify``, which shadows the
+    # module of the same name on attribute lookup.
+    module = importlib.import_module("fpdedup.identify")
+    monkeypatch.setattr(module, "index_signature", counting_index)
+    result = identify(Signature("q", [signatures[0].minutiae[0]]), table, store, GRID, PARAMS)
+    assert result.candidates == [] and result.penetration == 0.0
+    assert calls == []
+    identify(signatures[0], table, store, GRID, PARAMS)
+    assert calls[0] == signatures[0].record_id
 
 
 def test_enrolled_query_matches_itself(small_corpus):

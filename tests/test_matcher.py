@@ -1,15 +1,15 @@
-"""Triplet construction and pair scoring invariants."""
+"""Minutiae-triplet features and pair scoring invariants."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from fpdedup.matcher import (MatchParams, MatchResult, build_triplets,
-                             index_signature, is_match, match_score,
-                             score_indexed)
+from fpdedup.matcher import (MatchParams, MatchResult, _triangles, index_signature,
+                             is_match, match_score, score_indexed)
 from fpdedup.signature import Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -33,42 +33,52 @@ def random_suite() -> list[Signature]:
 
 
 # ---------------------------------------------------------------------------
-# Triplet construction
+# Triangle construction
+
+
+def triangles(s: Signature) -> list[tuple[int, int, int]]:
+    coords = np.array([(m.x, m.y) for m in s.minutiae], dtype=np.float64)
+    return [tuple(row) for row in _triangles(coords, PARAMS).tolist()]
 
 
 def test_two_minutiae_no_triplets():
-    assert build_triplets(make_signature("s", [(0, 0), (50, 50)]), PARAMS) == []
+    s = make_signature("s", [(0, 0), (50, 50)])
+    assert triangles(s) == []
+    assert index_signature(s, PARAMS).features.shape == (0, 9)
 
 
 def test_three_minutiae_within_bounds_single_triplet():
     # roughly equilateral, sides ~50 px
-    triplets = build_triplets(make_signature("s", [(0, 0), (50, 0), (25, 43)]), PARAMS)
-    assert len(triplets) == 1
-    assert triplets[0].indices == (0, 1, 2)
+    s = make_signature("s", [(0, 0), (50, 0), (25, 43)])
+    assert triangles(s) == [(0, 1, 2)]
+    assert index_signature(s, PARAMS).features.shape == (1, 9)
 
 
 def test_three_distant_minutiae_filtered_out():
     # sides ~200 px, all beyond max_edge
-    triplets = build_triplets(make_signature("s", [(0, 0), (200, 0), (100, 173)]), PARAMS)
-    assert triplets == []
+    s = make_signature("s", [(0, 0), (200, 0), (100, 173)])
+    assert triangles(s) == []
+    assert index_signature(s, PARAMS).features.shape == (0, 9)
 
 
 def test_edge_filter_and_count_bound(random_suite):
     k = PARAMS.neighbors_k
     for s in random_suite[:15]:
-        triplets = build_triplets(s, PARAMS)
-        assert len(triplets) <= len(s.minutiae) * k * (k - 1) // 2
-        for t in triplets:
-            assert all(PARAMS.min_edge <= side <= PARAMS.max_edge for side in t.sides)
-            assert t.sides[0] <= t.sides[1] <= t.sides[2]
-            assert math.isclose(sum(t.angles), math.pi, abs_tol=1e-6)
-            assert len(set(t.indices)) == 3
+        features = index_signature(s, PARAMS).features
+        assert features.shape[0] == len(triangles(s))
+        assert features.shape[0] <= len(s.minutiae) * k * (k - 1) // 2
+        sides, angles = features[:, 0:3], features[:, 3:6]
+        assert ((PARAMS.min_edge <= sides) & (sides <= PARAMS.max_edge)).all()
+        assert (sides[:, 0] <= sides[:, 1]).all() and (sides[:, 1] <= sides[:, 2]).all()
+        assert np.allclose(angles.sum(axis=1), math.pi, rtol=0.0, atol=1e-6)
+        assert ((0.0 <= features[:, 6:9]) & (features[:, 6:9] < 2.0 * math.pi)).all()
 
 
 def test_triplet_sets_deduplicated(random_suite):
     for s in random_suite[:10]:
-        index_sets = [t.indices for t in build_triplets(s, PARAMS)]
+        index_sets = triangles(s)
         assert len(index_sets) == len(set(index_sets))
+        assert all(i < j < l for i, j, l in index_sets)
 
 
 def test_match_params_validation():
