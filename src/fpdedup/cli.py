@@ -13,19 +13,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cluster import build_table, load_table, save_table
-from .dedup import (ORACLE_CAP, OracleCapExceededError, comparison_count,
-                    exhaustive_dedup, format_report, pair_relation, timed_deduplicate)
+from .cluster import ClusterTable, build_table, load_table, save_table
+from .dedup import (ORACLE_CAP, DuplicateReport, OracleCapExceededError, comparison_count,
+                    deduplicate, exhaustive_dedup, format_report, pair_relation)
 from .grid import GridParams, compute_index
 from .identify import identify
 from .matcher import MatchParams
-from .signature import (DirectoryStore, ParseError, iter_corpus_dir, iter_manifest,
+from .signature import (DirectoryStore, ParseError, Signature, load_manifest,
                         read_signature_file, write_corpus_dir)
-from .stats import (REFERENCE_SIZE_AVG_PAIRS, TABLE_COLUMNS, corpus_stats,
+from .stats import (REFERENCE_SIZE_AVG_PAIRS, TABLE_COLUMNS, CorpusStats, corpus_stats,
                     estimate_workload, fit_regression, format_rate, predict_avg)
 from .synth import GenSpec, generate, write_ground_truth
 
@@ -97,23 +99,50 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(grid, MatchParams(**values), oracle_cap)
 
 
-def _iter_input_corpus(args: argparse.Namespace):
-    if getattr(args, "manifest", None):
-        return iter_manifest(args.manifest)
-    return iter_corpus_dir(args.corpus)
-
-
-def _corpus_store(args: argparse.Namespace):
-    if getattr(args, "manifest", None):
-        return {s.record_id: s for s in iter_manifest(args.manifest)}
+def _corpus_store(args: argparse.Namespace) -> Mapping[str, Signature]:
+    """The corpus as one mapping: a parsed --manifest, else a lazy --corpus directory."""
+    if args.manifest is not None:
+        return load_manifest(args.manifest)
     return DirectoryStore(args.corpus)
 
 
-def _load_or_build_table(args: argparse.Namespace, cfg: RunConfig):
-    if getattr(args, "table", None):
-        return load_table(args.table)
-    return build_table((s.record_id, compute_index(s, cfg.grid).key_text)
-                       for s in _iter_input_corpus(args))
+def _table(args: argparse.Namespace, cfg: RunConfig,
+           store: Mapping[str, Signature]) -> ClusterTable:
+    """Load --table, checked against the grid, or else build the table from the store.
+
+    A loaded key must hold grid_n**2 counts; otherwise every lookup with
+    this grid would miss and report nothing found.
+    """
+    if getattr(args, "table", None) is not None:
+        table = load_table(args.table)
+        cells = cfg.grid.n ** 2
+        for key in table.buckets:
+            if len(key.split("-")) != cells:
+                raise ParseError(f"{args.table}: key {key!r} does not have {cells} counts "
+                                 f"(grid_n={cfg.grid.n})")
+    else:
+        table = build_table((rid, compute_index(store[rid], cfg.grid).key_text)
+                            for rid in store)
+    if table.size == 0:
+        raise ParseError("empty corpus")
+    return table
+
+
+def _sweep(args: argparse.Namespace) -> tuple[RunConfig, Mapping[str, Signature],
+                                              ClusterTable, DuplicateReport, CorpusStats]:
+    """Resolve config, store and table, then time one deduplicate pass over them."""
+    cfg = _resolve_config(args)
+    store = _corpus_store(args)
+    table = _table(args, cfg, store)
+    start = time.perf_counter()
+    report = deduplicate(table, store, cfg.match)
+    stats = corpus_stats(table, report, time.perf_counter() - start)
+    return cfg, store, table, report, stats
+
+
+def _print_csv(stats: CorpusStats, name: str) -> None:
+    print(",".join(TABLE_COLUMNS))
+    print(stats.csv_row(name))
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +151,7 @@ def _load_or_build_table(args: argparse.Namespace, cfg: RunConfig):
 
 def _cmd_index(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    table = build_table((s.record_id, compute_index(s, cfg.grid).key_text)
-                        for s in _iter_input_corpus(args))
-    if table.size == 0:
-        print("error: empty corpus", file=sys.stderr)
-        return EXIT_DATA
+    table = _table(args, cfg, _corpus_store(args))
     save_table(table, args.out)
     print(f"indexed {table.size} records into {len(table.buckets)} clusters "
           f"-> {args.out}", file=sys.stderr)
@@ -136,9 +161,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_identify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     query = read_signature_file(args.query)
-    table = load_table(args.table)
     store = _corpus_store(args)
-    result = identify(query, table, store, cfg.grid, cfg.match)
+    result = identify(query, _table(args, cfg, store), store, cfg.grid, cfg.match)
     matched = {rid for rid, _ in result.matches}
     for record_id, score in result.candidates:
         print(f"{record_id}\t{score:.4f}\t{'true' if record_id in matched else 'false'}")
@@ -147,28 +171,20 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _cmd_dedup(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    table = _load_or_build_table(args, cfg)
-    if table.size == 0:
-        print("error: empty corpus", file=sys.stderr)
-        return EXIT_DATA
-    store = _corpus_store(args)
-    report, wall = timed_deduplicate(table, store, cfg.match)
-    rendered = format_report(report, wall)
+    cfg, store, table, report, stats = _sweep(args)
+    rendered = format_report(report, stats.duration_s)
     if args.out:
         Path(args.out).write_text(rendered)
         print(f"report written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(rendered)
-    stats = corpus_stats(table, report, wall)
     if args.csv:
-        print(",".join(TABLE_COLUMNS))
-        print(stats.csv_row(args.name))
+        _print_csv(stats, args.name)
     else:
         print(f"n={stats.size} classes={stats.nb_class} avg={stats.avg:.4f} "
               f"max_p={stats.max_p} max_rate={format_rate(stats.max_rate)} "
               f"duplicates={stats.duplicates} comparisons={report.comparisons} "
-              f"wall_s={wall:.4f}", file=sys.stderr)
+              f"wall_s={stats.duration_s:.4f}", file=sys.stderr)
     if args.oracle:
         groups = exhaustive_dedup(store, cfg.match, cap=cfg.oracle_cap)
         sweep_pairs = pair_relation(g for gs in report.groups_by_key.values() for g in gs)
@@ -194,17 +210,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    table = _load_or_build_table(args, cfg)
-    if table.size == 0:
-        print("error: empty corpus", file=sys.stderr)
-        return EXIT_DATA
-    store = _corpus_store(args)
-    report, wall = timed_deduplicate(table, store, cfg.match)
-    stats = corpus_stats(table, report, wall)
+    _cfg, _store, table, _report, stats = _sweep(args)
     if args.csv:
-        print(",".join(TABLE_COLUMNS))
-        print(stats.csv_row(args.name))
+        _print_csv(stats, args.name)
     else:
         print(f"name\t{args.name}")
         print(f"size\t{stats.size}")
@@ -304,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def corpus_flags(p: argparse.ArgumentParser, table_optional: bool = True) -> None:
-        p.add_argument("--corpus", type=Path, help="corpus directory, one file per record")
-        p.add_argument("--manifest", type=Path, help="manifest of record_id<TAB>path lines")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--corpus", type=Path, help="corpus directory, one file per record")
+        source.add_argument("--manifest", type=Path, help="manifest of record_id<TAB>path lines")
         if table_optional:
             p.add_argument("--table", type=Path, help="prebuilt cluster table file")
 
@@ -378,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3, help="repetitions per timing (default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dup", type=float, default=0.0, help="duplicate fraction (default 0)")
-    p.add_argument("--csv", action="store_true", help="CSV output (always CSV; flag accepted)")
     _add_param_flags(p)
     p.set_defaults(func=_cmd_bench)
 

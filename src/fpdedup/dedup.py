@@ -14,7 +14,6 @@ graph) is included for equivalence testing on small corpora.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -186,12 +185,3 @@ def format_report(report: DuplicateReport, wall_seconds: float = 0.0) -> str:
     )
     return "\n".join(lines) + "\n"
 
-
-def timed_deduplicate(table: ClusterTable,
-                      store: Mapping[str, Signature],
-                      params: MatchParams = MatchParams(),
-                      matcher: Matcher | None = None) -> tuple[DuplicateReport, float]:
-    """deduplicate() plus its wall time on a monotonic clock."""
-    start = time.perf_counter()
-    report = deduplicate(table, store, params, matcher=matcher)
-    return report, time.perf_counter() - start

@@ -158,36 +158,26 @@ def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletInde
     return TripletIndex(features, np.ascontiguousarray(features.T), key)
 
 
-def _mutual_best_count(dist: list[float], ii: list[int], jj: list[int]) -> int:
-    """Rounds of mutual-best pairing over sparse candidate pairs.
+def _greedy_pair_count(dist: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> int:
+    """Size of the greedy one-to-one pairing of sparse candidate pairs.
 
-    Each round pairs every (i, j) where j is i's best candidate and i is
-    j's best (ties going to the lower index, which keeps the outcome
-    deterministic and symmetric in the two sides); paired rows and
-    columns leave the pool. The globally closest surviving pair is
-    always mutual, so every round makes progress.
+    Pairs are taken in ``(dist, i, j)`` order and a pair is kept when
+    its row ``i`` and column ``j`` are both still free. This equals
+    rounds of mutual-best pairing with ties to the lower index: under
+    that strict order a pair is mutual-best exactly when no pair sharing
+    its row or column precedes it, and removing such locally dominant
+    pairs round after round yields the greedy matching (Preis, STACS
+    1999). ``ii`` and ``jj`` arrive sorted by ``(i, j)``, so a stable
+    sort on ``dist`` gives the full order.
     """
-    candidates = list(zip(dist, ii, jj))
-    matched = 0
-    while candidates:
-        row_best: dict[int, tuple[float, int]] = {}
-        col_best: dict[int, tuple[float, int]] = {}
-        for d, i, j in candidates:
-            key = (d, j)
-            if i not in row_best or key < row_best[i]:
-                row_best[i] = key
-            key = (d, i)
-            if j not in col_best or key < col_best[j]:
-                col_best[j] = key
-        used_i: set[int] = set()
-        used_j: set[int] = set()
-        for i, (_, j) in row_best.items():
-            if col_best[j][1] == i:
-                used_i.add(i)
-                used_j.add(j)
-                matched += 1
-        candidates = [c for c in candidates if c[1] not in used_i and c[2] not in used_j]
-    return matched
+    order = np.argsort(dist, kind="stable")
+    used_i: set[int] = set()
+    used_j: set[int] = set()
+    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+    return len(used_i)
 
 
 def score_indexed(a: TripletIndex, b: TripletIndex, p: MatchParams = MatchParams()) -> MatchResult:
@@ -236,7 +226,7 @@ def score_indexed(a: TripletIndex, b: TripletIndex, p: MatchParams = MatchParams
     combined = (diff[:, 0:3].sum(axis=1) / side_tol
                 + diff[:, 3:6].sum(axis=1) / angle_tol
                 + orient_d.sum(axis=1) / angle_tol)
-    matched = _mutual_best_count(combined.tolist(), ii.tolist(), jj.tolist())
+    matched = _greedy_pair_count(combined, ii, jj)
     return MatchResult(100.0 * matched / min(na, nb), matched)
 
 

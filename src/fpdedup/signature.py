@@ -138,35 +138,20 @@ def write_signature_file(s: Signature, path: str | Path) -> None:
     Path(path).write_text(serialize_signature(s) + "\n")
 
 
-def iter_corpus_dir(directory: str | Path) -> Iterator[Signature]:
-    """Yield every signature in a one-file-per-record corpus directory.
-
-    Files are visited in sorted name order; hidden files are skipped.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise ParseError(f"corpus directory not found: {directory}")
-    seen: set[str] = set()
-    for path in sorted(directory.iterdir()):
-        if not path.is_file() or path.name.startswith("."):
-            continue
-        if path.stem in seen:
-            raise ParseError(f"duplicate record id {path.stem!r} in corpus directory")
-        seen.add(path.stem)
-        yield read_signature_file(path)
-
-
 def load_corpus_dir(directory: str | Path) -> dict[str, Signature]:
-    return {s.record_id: s for s in iter_corpus_dir(directory)}
+    """Parse every record of a one-file-per-record corpus directory."""
+    return dict(DirectoryStore(directory))
 
 
-def iter_manifest(path: str | Path) -> Iterator[Signature]:
-    """Yield signatures from a ``record_id<TAB>path`` manifest.
+def load_manifest(path: str | Path) -> dict[str, Signature]:
+    """Parse every record of a ``record_id<TAB>path`` manifest, in file order.
 
-    Relative paths resolve against the manifest's directory.
+    Relative paths resolve against the manifest's directory. A record id
+    listed twice raises ParseError naming the id and the repeated line.
     """
     path = Path(path)
     base = path.parent
+    records: dict[str, Signature] = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -175,11 +160,10 @@ def iter_manifest(path: str | Path) -> Iterator[Signature]:
         if len(parts) != 2:
             raise ParseError(f"manifest line {line_no}: expected 'record_id<TAB>path'")
         record_id, rel = parts
-        yield read_signature_file(base / rel, record_id)
-
-
-def load_manifest(path: str | Path) -> dict[str, Signature]:
-    return {s.record_id: s for s in iter_manifest(path)}
+        if record_id in records:
+            raise ParseError(f"manifest line {line_no}: duplicate record id {record_id!r}")
+        records[record_id] = read_signature_file(base / rel, record_id)
+    return records
 
 
 def write_corpus_dir(signatures: Iterator[Signature] | list[Signature],
@@ -198,7 +182,9 @@ def write_corpus_dir(signatures: Iterator[Signature] | list[Signature],
 class DirectoryStore(Mapping):
     """Lazy record_id -> Signature mapping over a corpus directory.
 
-    Scans filenames once; parses each file on first access and caches it.
+    Scans filenames once, in sorted order, skipping hidden files; a
+    repeated filename stem raises ParseError. Each access parses its
+    file anew, so memory stays flat however many records are resolved.
     """
 
     def __init__(self, directory: str | Path):
@@ -211,12 +197,9 @@ class DirectoryStore(Mapping):
                 if path.stem in self._paths:
                     raise ParseError(f"duplicate record id {path.stem!r} in corpus directory")
                 self._paths[path.stem] = path
-        self._cache: dict[str, Signature] = {}
 
     def __getitem__(self, record_id: str) -> Signature:
-        if record_id not in self._cache:
-            self._cache[record_id] = read_signature_file(self._paths[record_id], record_id)
-        return self._cache[record_id]
+        return read_signature_file(self._paths[record_id], record_id)
 
     def __iter__(self):
         return iter(self._paths)

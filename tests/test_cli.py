@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -46,6 +47,72 @@ def test_identify_finds_enrolled_record(generated, capsys):
     assert out[0].split("\t") == [query.stem, "100.0000", "true"]
     assert out[-1].startswith("penetration\t")
     assert float(out[-1].split("\t")[1]) > 0.0
+
+
+@pytest.fixture(scope="module")
+def manifest(generated):
+    """A manifest listing the generated corpus, in the directory's order."""
+    root, corpus, _ = generated
+    path = root / "manifest.tsv"
+    path.write_text("".join(f"{f.stem}\tcorpus/{f.name}\n" for f in sorted(corpus.iterdir())))
+    return path
+
+
+def _without_wall(text: str) -> str:
+    return re.sub(r"wall_s=[0-9.]+", "wall_s=", text)
+
+
+def test_manifest_and_directory_agree(generated, manifest, tmp_path, capsys):
+    root, corpus, table = generated
+    rebuilt = tmp_path / "t.tsv"
+    assert main(["index", "--manifest", str(manifest), "--out", str(rebuilt)]) == EXIT_OK
+    assert rebuilt.read_bytes() == table.read_bytes()
+    capsys.readouterr()
+    for command in (["dedup", "--table", str(table)], ["oracle"]):
+        outputs = []
+        for source in (["--corpus", str(corpus)], ["--manifest", str(manifest)]):
+            assert main(command + source) == EXIT_OK
+            captured = capsys.readouterr()
+            outputs.append((_without_wall(captured.out), _without_wall(captured.err)))
+        assert outputs[0] == outputs[1]
+
+
+def test_dedup_builds_table_like_index(generated, capsys):
+    root, corpus, table = generated
+    outputs = []
+    for extra in ([], ["--table", str(table)]):
+        assert main(["dedup", "--corpus", str(corpus)] + extra) == EXIT_OK
+        captured = capsys.readouterr()
+        outputs.append((_without_wall(captured.out), _without_wall(captured.err)))
+    assert outputs[0] == outputs[1]
+    assert "# summary: n=132" in outputs[0][0]
+
+
+def test_manifest_repeated_id_data_error(generated, tmp_path, capsys):
+    root, corpus, _ = generated
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"S00000\t{corpus}/S00000.sig\nS00001\t{corpus}/S00001.sig\n"
+                        f"S00000\t{corpus}/S00002.sig\n")
+    assert main(["oracle", "--manifest", str(manifest)]) == EXIT_DATA
+    assert "manifest line 3: duplicate record id 'S00000'" in capsys.readouterr().err
+
+
+def test_table_of_another_grid_data_error(generated, tmp_path, capsys):
+    root, corpus, _ = generated
+    table6 = tmp_path / "t6.tsv"
+    assert main(["index", "--corpus", str(corpus), "--out", str(table6),
+                 "--grid-n", "6"]) == EXIT_OK
+    query = sorted(corpus.iterdir())[0]
+    for command in (["identify", "--query", str(query)], ["stats"]):
+        capsys.readouterr()
+        rc = main(command + ["--table", str(table6), "--corpus", str(corpus)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(table6) in err and "does not have 25 counts (grid_n=5)" in err
+    # the same table with its own grid is fine
+    assert main(["identify", "--query", str(query), "--table", str(table6),
+                 "--corpus", str(corpus), "--grid-n", "6"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0].split("\t") == [query.stem, "100.0000", "true"]
 
 
 def test_dedup_report_and_stats(generated, capsys, tmp_path):
@@ -136,6 +203,12 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["dedup", "--jobs", "2"])  # removed flag
     assert exc.value.code == 2
+    # exactly one corpus source is required
+    for argv in (["index", "--out", "t.tsv"], ["oracle"],
+                 ["dedup", "--corpus", "c", "--manifest", "m.tsv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_estimate_published_forecast(capsys):

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from fpdedup.matcher import (MatchParams, MatchResult, _triangles, index_signature,
-                             is_match, match_score, score_indexed)
+from fpdedup.matcher import (MatchParams, MatchResult, _greedy_pair_count, _triangles,
+                             index_signature, is_match, match_score, score_indexed)
 from fpdedup.signature import Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -181,6 +181,19 @@ def test_is_match_min_descriptors_gate():
     gated = MatchParams(min_matched_descriptors=6)
     assert is_match(MatchResult(100.0, 5), gated) is False
     assert is_match(MatchResult(100.0, 6), gated) is True
+
+
+@pytest.mark.parametrize("dist, pairs, expected", [
+    # three pairs tied at distance 1: (0, 0) comes first and blocks the other two
+    ([1, 1, 1], [(0, 0), (0, 1), (1, 0)], 1),
+    # ... and (1, 1) at distance 2 is still free afterwards
+    ([1, 1, 1, 2], [(0, 0), (0, 1), (1, 0), (1, 1)], 2),
+    # (0, 0) is the farthest now: the tie (0, 1), (1, 0) pairs both rows
+    ([2, 1, 1], [(0, 0), (0, 1), (1, 0)], 2),
+])
+def test_greedy_pairing_ties(dist, pairs, expected):
+    ii, jj = (np.array(side) for side in zip(*pairs))
+    assert _greedy_pair_count(np.array(dist, dtype=float), ii, jj) == expected
 
 
 # ---------------------------------------------------------------------------

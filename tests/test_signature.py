@@ -157,12 +157,21 @@ def test_manifest_malformed_line(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_duplicate_record_id(tmp_path):
+    write_corpus_dir(_tiny_corpus(), tmp_path / "c")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\tc/a.sig\nb\tc/b.sig\na\tc/b.sig\n")
+    with pytest.raises(ParseError, match="manifest line 3: duplicate record id 'a'"):
+        load_manifest(manifest)
+
+
 def test_directory_store_lazy_lookup(tmp_path):
     corpus = _tiny_corpus()
     write_corpus_dir(corpus, tmp_path / "c")
     store = DirectoryStore(tmp_path / "c")
     assert len(store) == 2
     assert store["b"] == corpus[1]
+    assert store["b"] is not store["b"]  # parsed on each access, nothing cached
     with pytest.raises(KeyError):
         store["missing"]
 
