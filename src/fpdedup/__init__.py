@@ -8,7 +8,7 @@ from .dedup import (DuplicateReport, OracleCapExceededError, comparison_count,
 from .grid import GridParams, IndexKey, block_of, bounding_box, compute_index
 from .identify import IdentificationResult, identify
 from .matcher import MatchParams, MatchResult, is_match, match_score
-from .signature import (DirectoryStore, Minutia, ParseError, SerializedStore,
+from .signature import (FileStore, Minutia, ParseError, SerializedStore,
                         Signature, load_corpus_dir, load_manifest,
                         parse_signature, serialize_signature, write_corpus_dir)
 from .stats import (CorpusStats, RegressionFit, WorkloadEstimate, corpus_stats,
@@ -18,8 +18,8 @@ from .synth import GenSpec, SplitMix64, generate, iter_records
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterTable", "CorpusStats", "DirectoryStore", "DuplicateRecordIdError",
-    "DuplicateReport", "GenSpec", "GridParams", "IdentificationResult", "IndexKey",
+    "ClusterTable", "CorpusStats", "DuplicateRecordIdError", "DuplicateReport",
+    "FileStore", "GenSpec", "GridParams", "IdentificationResult", "IndexKey",
     "MatchParams", "MatchResult", "Minutia", "OracleCapExceededError", "ParseError",
     "RegressionFit", "SerializedStore", "Signature", "SplitMix64", "WorkloadEstimate",
     "block_of", "bounding_box", "build_table", "comparison_count", "compute_index",

@@ -25,8 +25,8 @@ from .dedup import (ORACLE_CAP, DuplicateReport, OracleCapExceededError, compari
 from .grid import GridParams, compute_index
 from .identify import identify
 from .matcher import MatchParams
-from .signature import (DirectoryStore, ParseError, Signature, load_manifest,
-                        read_signature_file, write_corpus_dir)
+from .signature import (FileStore, ParseError, Signature, read_signature_file,
+                        write_corpus_dir)
 from .stats import (REFERENCE_SIZE_AVG_PAIRS, TABLE_COLUMNS, CorpusStats, corpus_stats,
                     estimate_workload, fit_regression, format_rate, predict_avg)
 from .synth import GenSpec, generate, write_ground_truth
@@ -100,10 +100,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _corpus_store(args: argparse.Namespace) -> Mapping[str, Signature]:
-    """The corpus as one mapping: a parsed --manifest, else a lazy --corpus directory."""
+    """The corpus as one lazy mapping over the --manifest or the --corpus directory."""
     if args.manifest is not None:
-        return load_manifest(args.manifest)
-    return DirectoryStore(args.corpus)
+        return FileStore.from_manifest(args.manifest)
+    return FileStore.from_directory(args.corpus)
 
 
 def _table(args: argparse.Namespace, cfg: RunConfig,

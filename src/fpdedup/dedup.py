@@ -20,7 +20,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .cluster import ClusterTable
-from .identify import Compare, Matcher, Prepare, _resolve, _scorer
+from .identify import CompareMany, Matcher, Prepare, _resolve, _scorer
 from .matcher import MatchParams, Signature, is_match
 
 REPORT_FORMAT_HEADER = "fpdedup-dedup-report v1"
@@ -59,8 +59,11 @@ def _sweep_bucket(bucket: list[str],
                   store: Mapping[str, Signature],
                   params: MatchParams,
                   prepare: Prepare,
-                  compare: Compare) -> tuple[list[list[str]], int]:
-    """Sweep one bucket into groups; returns (groups, comparisons)."""
+                  compare_many: CompareMany) -> tuple[list[list[str]], int]:
+    """Sweep one bucket into groups; returns (groups, comparisons).
+
+    Each head is scored against its whole remaining worklist in one call.
+    """
     prepared = {rid: prepare(_resolve(store, rid), params) for rid in bucket}
     groups: list[list[str]] = []
     comparisons = 0
@@ -69,12 +72,10 @@ def _sweep_bucket(bucket: list[str],
         head = worklist.pop(0)
         group = [head]
         remaining: list[str] = []
-        for other in worklist:
-            comparisons += 1
-            if is_match(compare(prepared[head], prepared[other], params), params):
-                group.append(other)
-            else:
-                remaining.append(other)
+        results = compare_many(prepared[head], [prepared[other] for other in worklist], params)
+        comparisons += len(worklist)
+        for other, result in zip(worklist, results):
+            (group if is_match(result, params) else remaining).append(other)
         worklist = remaining
         groups.append(group)
     return groups, comparisons
@@ -90,12 +91,12 @@ def deduplicate(table: ClusterTable,
     comparison; the others are swept one after another in table order.
     """
     report = DuplicateReport()
-    prepare, compare = _scorer(matcher)
+    prepare, compare_many = _scorer(matcher)
     for key, bucket in table.buckets.items():
         if len(bucket) <= 1:
             report.groups_by_key[key] = [list(bucket)]
             continue
-        groups, comparisons = _sweep_bucket(bucket, store, params, prepare, compare)
+        groups, comparisons = _sweep_bucket(bucket, store, params, prepare, compare_many)
         report.groups_by_key[key] = groups
         report.comparisons += comparisons
     return report
@@ -137,7 +138,7 @@ def exhaustive_dedup(store: Mapping[str, Signature],
             f"corpus has {n} records, above the exhaustive-oracle cap of {cap}"
         )
 
-    prepare, compare = _scorer(matcher)
+    prepare, compare_many = _scorer(matcher)
     prepared = [prepare(_resolve(store, rid), params) for rid in ids]
     parent = list(range(n))
 
@@ -148,8 +149,9 @@ def exhaustive_dedup(store: Mapping[str, Signature],
         return i
 
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            if is_match(compare(prepared[i], prepared[j], params), params):
+        results = compare_many(prepared[i], prepared[i + 1:], params)
+        for j, result in enumerate(results, start=i + 1):
+            if is_match(result, params):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)

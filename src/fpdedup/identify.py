@@ -16,23 +16,26 @@ from typing import Any
 from .cluster import ClusterTable
 from .grid import GridParams, compute_index
 from .matcher import (MatchParams, MatchResult, Signature, index_signature,
-                      is_match, score_indexed)
+                      is_match, score_many)
 
 Matcher = Callable[[Signature, Signature, MatchParams], MatchResult]
 Prepare = Callable[[Signature, MatchParams], Any]
-Compare = Callable[[Any, Any, MatchParams], MatchResult]
+CompareMany = Callable[[Any, list[Any], MatchParams], list[MatchResult]]
 
 
-def _scorer(matcher: Matcher | None) -> tuple[Prepare, Compare]:
-    """The (prepare, compare) pair every scoring call site runs.
+def _scorer(matcher: Matcher | None) -> tuple[Prepare, CompareMany]:
+    """The (prepare, compare_many) pair every scoring call site runs.
 
-    Each record is prepared once, then prepared forms are compared. The
-    built-in scorer prepares a signature's triplet index; a custom
-    ``matcher`` prepares nothing and compares the signatures themselves.
+    Each record is prepared once, then one prepared form is compared
+    with a list of others, one result per other. The built-in scorer
+    prepares a signature's triplet index and scores the list in one
+    pass; a custom ``matcher`` prepares nothing and is called on each
+    pair of signatures in list order.
     """
     if matcher is None:
-        return index_signature, score_indexed
-    return (lambda signature, _params: signature), matcher
+        return index_signature, score_many
+    return ((lambda signature, _params: signature),
+            (lambda a, others, params: [matcher(a, b, params) for b in others]))
 
 
 @dataclass
@@ -70,12 +73,11 @@ def identify(query: Signature,
     if not bucket:
         return IdentificationResult(key.key_text, [], [], 0.0)
 
-    prepare, compare = _scorer(matcher)
+    prepare, compare_many = _scorer(matcher)
     prepared_query = prepare(query, params)
-    scored: list[tuple[str, float, MatchResult]] = []
-    for record_id in bucket:
-        result = compare(prepared_query, prepare(_resolve(store, record_id), params), params)
-        scored.append((record_id, result.score, result))
+    members = [prepare(_resolve(store, record_id), params) for record_id in bucket]
+    scored = [(record_id, result.score, result) for record_id, result
+              in zip(bucket, compare_many(prepared_query, members, params))]
 
     scored.sort(key=lambda item: (-item[1], item[0]))
     candidates = [(rid, score) for rid, score, _ in scored]

@@ -11,7 +11,14 @@ A signature's features are built as one (nt, 9) array.
 
 Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
-normalized by the smaller triplet-set size, gives a 0-100 score. The
+normalized by the smaller triplet-set size, gives a 0-100 score.
+``score_many`` scores one signature against a whole list in one numpy
+pass: the others' rows are concatenated with segment offsets, one join
+finds every candidate triplet pair (on the largest side for a few
+others; on the key (s3 cell, s1 cell, s2) for many, a cell being
+``floor(side / side_tolerance)``), the screens run once over all
+segments, and pairing runs per segment. Each result equals that pair
+scored alone; ``score_indexed`` is a one-element ``score_many``. The
 scorer is deliberately pluggable: anything with the
 ``(Signature, Signature, MatchParams) -> MatchResult`` shape can stand
 in for the built-in implementation.
@@ -20,6 +27,7 @@ in for the built-in implementation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,9 @@ import numpy as np
 from .signature import Signature, normalize_angle
 
 TWO_PI = 2.0 * math.pi
+# Rows of the others per row of the scored index above which the cell
+# join beats the largest-side window (both cost alike at 10 to 14).
+_CELL_JOIN_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -105,14 +116,13 @@ class TripletIndex:
     """Matchable form of one signature: its triplet features as arrays.
 
     ``features`` columns: sides (0-2), interior angles (3-5), relative
-    orientations (6-8). Rows are sorted by the largest side (column 2)
-    so scoring can window side-compatible candidates directly.
-    ``minutiae_key`` backs the degenerate case where no triplets exist
-    and only exact minutiae equality can score.
+    orientations (6-8). Rows are sorted by the largest side (column 2);
+    row numbers break ties when triplets are paired. ``minutiae_key``
+    backs the degenerate case where no triplets exist and only exact
+    minutiae equality can score.
     """
 
     features: np.ndarray  # (nt, 9) float64, sorted by column 2
-    columns: np.ndarray   # (9, nt) contiguous transpose, for cheap column gathers
     minutiae_key: tuple
 
 
@@ -155,79 +165,146 @@ def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletInde
     features = np.concatenate((sides, angles, orientations), axis=1)
     features = features[np.lexsort((np.arange(nt), features[:, 2]))]
     key = tuple(sorted((m.x, m.y, m.theta, m.type_code) for m in s.minutiae))
-    return TripletIndex(features, np.ascontiguousarray(features.T), key)
+    return TripletIndex(features, key)
 
 
-def _greedy_pair_count(dist: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> int:
-    """Size of the greedy one-to-one pairing of sparse candidate pairs.
+def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
+                        jj: np.ndarray, segments: int) -> list[int]:
+    """Per segment, the size of the greedy one-to-one pairing of candidate pairs.
 
-    Pairs are taken in ``(dist, i, j)`` order and a pair is kept when
-    its row ``i`` and column ``j`` are both still free. This equals
-    rounds of mutual-best pairing with ties to the lower index: under
-    that strict order a pair is mutual-best exactly when no pair sharing
-    its row or column precedes it, and removing such locally dominant
-    pairs round after round yields the greedy matching (Preis, STACS
-    1999). ``ii`` and ``jj`` arrive sorted by ``(i, j)``, so a stable
-    sort on ``dist`` gives the full order.
+    Within a segment, pairs are taken in ``(dist, i, j)`` order and a
+    pair is kept when its row ``i`` and column ``j`` are both still
+    free. This equals rounds of mutual-best pairing with ties to the
+    lower index: under that strict order a pair is mutual-best exactly
+    when no pair sharing its row or column precedes it, and removing
+    such locally dominant pairs round after round yields the greedy
+    matching (Preis, STACS 1999). Segments never share a column, so
+    only rows need the segment in their key.
     """
-    order = np.argsort(dist, kind="stable")
-    used_i: set[int] = set()
-    used_j: set[int] = set()
-    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
-        if i not in used_i and j not in used_j:
-            used_i.add(i)
-            used_j.add(j)
-    return len(used_i)
+    order = np.lexsort((jj, ii, dist, seg))
+    rows = (seg * (int(ii.max()) + 1 if ii.size else 0) + ii)[order].tolist()
+    counts = [0] * segments
+    used_rows: set[int] = set()
+    used_cols: set[int] = set()
+    for s, r, j in zip(seg[order].tolist(), rows, jj[order].tolist()):
+        if r not in used_rows and j not in used_cols:
+            used_rows.add(r)
+            used_cols.add(j)
+            counts[s] += 1
+    return counts
+
+
+def _pair_counts(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
+    """Paired-triplet count of ``fa`` against each non-empty matrix of ``fbs``.
+
+    The others' rows are concatenated, segment after segment, into one
+    column-major copy, and candidate pairs come from one join over it.
+    A few others are joined on the largest side alone: each row of
+    ``fa`` takes the rows within its window ``s3 -/+ side_tolerance``.
+    Many others are joined on the key (s3 cell, s1 cell, s2), a cell
+    being ``floor(side / side_tolerance)``: each row of ``fa`` probes
+    every s3 cell between its window thresholds and every s1 cell
+    within the tolerance, and there the s2 values within the
+    tolerance; s1 and s2 are widened by a margin far above rounding
+    error. Either way every pair that passes the screens is a
+    candidate; the screens then decide exactly as for a single pair:
+    the largest-side window, each side, each interior angle and each
+    orientation (on the circle) within tolerance, and the pairing
+    order uses the same combined distance.
+    """
+    tol, angle_tol = p.side_tolerance, p.angle_tolerance
+    cols = np.concatenate([f.T for f in fbs], axis=1)  # (9, rows of all segments)
+    seg_of = np.repeat(np.arange(len(fbs)), [f.shape[0] for f in fbs])
+    s1a, s2a, s3a = fa[:, 0], fa[:, 1], fa[:, 2]
+    s1b, s2b, s3b = cols[0], cols[1], cols[2]
+    lo3, hi3 = s3a - tol, s3a + tol
+
+    if s3b.size <= _CELL_JOIN_ROWS * fa.shape[0]:
+        order = np.argsort(s3b, kind="stable")
+        key = s3b[order]
+        start = np.searchsorted(key, lo3, side="left")
+        stop = np.searchsorted(key, hi3, side="right")
+        row = np.arange(fa.shape[0])
+    else:
+        # |s1a - s1b| <= tol as computed puts s1b within this margin of
+        # s1a, which exceeds the rounding error of the subtraction and of
+        # the thresholds many times over (sides ascend, so s3a bounds s1a
+        # and s2a); likewise s2.
+        margin = tol + (tol + s3a) * 2.0 ** -48
+        # Key of each other row: its (s3 cell, s1 cell) as one integer
+        # times `width`, a power of two above every s2 (so exact), plus
+        # s2. Each cell pair owns its own range of keys, and as rounding
+        # is monotone a row in cell C with s2 in [low, high] keys into
+        # [C * width + low, C * width + high].
+        c1b = np.floor(s1b / tol)
+        n1 = float(c1b.max()) + 1.0
+        width = 2.0 ** math.frexp(float(s2b.max()))[1]
+        key = (np.floor(s3b / tol) * n1 + c1b) * width + s2b
+        order = np.argsort(key)
+        key = key[order]
+        # Probes: each row of fa with each cell pair its windows reach,
+        # laid out as (row, extra s3 cell, extra s1 cell) and masked.
+        c3 = np.floor(lo3 / tol)
+        n3 = np.floor(hi3 / tol) - c3
+        c1 = np.floor((s1a - margin) / tol)
+        m1 = np.floor((s1a + margin) / tol) - c1
+        d3 = np.arange(n3.max() + 1)[:, None]
+        d1 = np.arange(m1.max() + 1)
+        reach = (d3 <= n3[:, None, None]) & (d1 <= m1[:, None, None])
+        base = ((c3[:, None, None] + d3) * n1 + (c1[:, None, None] + d1)) * width
+        start = np.searchsorted(key, (base + (s2a - margin)[:, None, None])[reach], side="left")
+        stop = np.searchsorted(key, (base + (s2a + margin)[:, None, None])[reach], side="right")
+        row = np.nonzero(reach)[0]
+    counts = stop - start
+    ii = np.repeat(row, counts)
+    jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
+
+    s3 = s3b[jj]
+    keep = ((s3 >= lo3[ii]) & (s3 <= hi3[ii])
+            & (np.abs(s1a[ii] - s1b[jj]) <= tol) & (np.abs(s2a[ii] - s2b[jj]) <= tol))
+    ii, jj = ii[keep], jj[keep]
+    # One orientation alone before touching full rows: it rejects most pairs.
+    diff = np.abs(fa[:, 6][ii] - cols[6][jj])
+    keep = np.minimum(diff, TWO_PI - diff) <= angle_tol
+    ii, jj = ii[keep], jj[keep]
+    diff = np.abs(fa[ii].T - cols[:, jj])  # (9, candidates)
+    orient_d = np.minimum(diff[6:9], TWO_PI - diff[6:9])
+    keep = ((diff[3] <= angle_tol) & (diff[4] <= angle_tol) & (diff[5] <= angle_tol)
+            & (orient_d <= angle_tol).all(axis=0))
+    diff, orient_d, ii, jj = diff[:, keep], orient_d[:, keep], ii[keep], jj[keep]
+
+    combined = ((diff[0] + diff[1] + diff[2]) / tol
+                + (diff[3] + diff[4] + diff[5]) / angle_tol
+                + (orient_d[0] + orient_d[1] + orient_d[2]) / angle_tol)
+    return _greedy_pair_counts(combined, seg_of[jj], ii, jj, len(fbs))
+
+
+def score_many(a: TripletIndex, others: Sequence[TripletIndex],
+               p: MatchParams = MatchParams()) -> list[MatchResult]:
+    """Score one triplet index against each of ``others``, in one pass.
+
+    Each result is the pair's own: triplets are paired one-to-one
+    within a pair only, and the score is the paired count over the
+    smaller triplet count, times 100.
+    """
+    na = a.features.shape[0]
+    scored = [b.features for b in others if b.features.shape[0]] if na else []
+    matched = iter(_pair_counts(a.features, scored, p) if scored else [])
+    results = []
+    for b in others:
+        nb = b.features.shape[0]
+        if na == 0 or nb == 0:
+            # No geometry to compare; only exact minutiae equality counts.
+            results.append(MatchResult(100.0 if a.minutiae_key == b.minutiae_key else 0.0, 0))
+        else:
+            m = next(matched)
+            results.append(MatchResult(100.0 * m / min(na, nb), m))
+    return results
 
 
 def score_indexed(a: TripletIndex, b: TripletIndex, p: MatchParams = MatchParams()) -> MatchResult:
     """Score two precomputed triplet indexes."""
-    na, nb = a.features.shape[0], b.features.shape[0]
-    if na == 0 or nb == 0:
-        # No geometry to compare; only exact minutiae equality counts.
-        score = 100.0 if a.minutiae_key == b.minutiae_key else 0.0
-        return MatchResult(score, 0)
-
-    fa, fb = a.features, b.features
-    side_tol, angle_tol = p.side_tolerance, p.angle_tolerance
-
-    # Window on the largest side: only b-rows within +/- side_tol of
-    # each a-row can be compatible, and column 2 is sorted.
-    s3a, s3b = a.columns[2], b.columns[2]
-    lo = np.searchsorted(s3b, s3a - side_tol, side="left")
-    hi = np.searchsorted(s3b, s3a + side_tol, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return MatchResult(0.0, 0)
-    ii = np.repeat(np.arange(na), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    jj = np.arange(total) - np.repeat(offsets - lo, counts)
-
-    # Second screen on the smallest side alone before touching full rows.
-    keep = np.abs(a.columns[0][ii] - b.columns[0][jj]) <= side_tol
-    if not keep.any():
-        return MatchResult(0.0, 0)
-    ii, jj = ii[keep], jj[keep]
-
-    diff = np.abs(fa[ii] - fb[jj])
-    keep = ((diff[:, 1] <= side_tol)
-            & (diff[:, 3] <= angle_tol) & (diff[:, 4] <= angle_tol)
-            & (diff[:, 5] <= angle_tol))
-    if not keep.any():
-        return MatchResult(0.0, 0)
-    diff, ii, jj = diff[keep], ii[keep], jj[keep]
-    orient_d = np.minimum(diff[:, 6:9], TWO_PI - diff[:, 6:9])
-    keep = (orient_d <= angle_tol).all(axis=1)
-    if not keep.any():
-        return MatchResult(0.0, 0)
-    diff, orient_d, ii, jj = diff[keep], orient_d[keep], ii[keep], jj[keep]
-
-    combined = (diff[:, 0:3].sum(axis=1) / side_tol
-                + diff[:, 3:6].sum(axis=1) / angle_tol
-                + orient_d.sum(axis=1) / angle_tol)
-    matched = _greedy_pair_count(combined, ii, jj)
-    return MatchResult(100.0 * matched / min(na, nb), matched)
+    return score_many(a, [b], p)[0]
 
 
 def match_score(a: Signature, b: Signature, p: MatchParams = MatchParams()) -> MatchResult:

@@ -140,30 +140,12 @@ def write_signature_file(s: Signature, path: str | Path) -> None:
 
 def load_corpus_dir(directory: str | Path) -> dict[str, Signature]:
     """Parse every record of a one-file-per-record corpus directory."""
-    return dict(DirectoryStore(directory))
+    return dict(FileStore.from_directory(directory))
 
 
 def load_manifest(path: str | Path) -> dict[str, Signature]:
-    """Parse every record of a ``record_id<TAB>path`` manifest, in file order.
-
-    Relative paths resolve against the manifest's directory. A record id
-    listed twice raises ParseError naming the id and the repeated line.
-    """
-    path = Path(path)
-    base = path.parent
-    records: dict[str, Signature] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"manifest line {line_no}: expected 'record_id<TAB>path'")
-        record_id, rel = parts
-        if record_id in records:
-            raise ParseError(f"manifest line {line_no}: duplicate record id {record_id!r}")
-        records[record_id] = read_signature_file(base / rel, record_id)
-    return records
+    """Parse every record of a ``record_id<TAB>path`` manifest, in file order."""
+    return dict(FileStore.from_manifest(path))
 
 
 def write_corpus_dir(signatures: Iterator[Signature] | list[Signature],
@@ -179,24 +161,57 @@ def write_corpus_dir(signatures: Iterator[Signature] | list[Signature],
     return count
 
 
-class DirectoryStore(Mapping):
-    """Lazy record_id -> Signature mapping over a corpus directory.
+class FileStore(Mapping):
+    """Lazy record_id -> Signature mapping over one signature file per record.
 
-    Scans filenames once, in sorted order, skipping hidden files; a
-    repeated filename stem raises ParseError. Each access parses its
-    file anew, so memory stays flat however many records are resolved.
+    Only record ids and file paths are read up front, from a corpus
+    directory or a manifest. Each access parses its file anew, so
+    memory stays flat however many records are resolved.
     """
 
-    def __init__(self, directory: str | Path):
+    def __init__(self, paths: dict[str, Path]):
+        self._paths = paths
+
+    @classmethod
+    def from_directory(cls, directory: str | Path) -> FileStore:
+        """Scan filenames once, in sorted order, skipping hidden files.
+
+        The filename stem is the record id; a repeated stem raises ParseError.
+        """
         directory = Path(directory)
         if not directory.is_dir():
             raise ParseError(f"corpus directory not found: {directory}")
-        self._paths: dict[str, Path] = {}
+        paths: dict[str, Path] = {}
         for path in sorted(directory.iterdir()):
             if path.is_file() and not path.name.startswith("."):
-                if path.stem in self._paths:
+                if path.stem in paths:
                     raise ParseError(f"duplicate record id {path.stem!r} in corpus directory")
-                self._paths[path.stem] = path
+                paths[path.stem] = path
+        return cls(paths)
+
+    @classmethod
+    def from_manifest(cls, manifest: str | Path) -> FileStore:
+        """Read ``record_id<TAB>path`` lines, in file order.
+
+        Relative paths resolve against the manifest's directory. A line
+        that is not two tab-separated fields, or a record id listed
+        twice, raises ParseError naming the line.
+        """
+        manifest = Path(manifest)
+        base = manifest.parent
+        paths: dict[str, Path] = {}
+        for line_no, raw in enumerate(manifest.read_text().splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"manifest line {line_no}: expected 'record_id<TAB>path'")
+            record_id, rel = parts
+            if record_id in paths:
+                raise ParseError(f"manifest line {line_no}: duplicate record id {record_id!r}")
+            paths[record_id] = base / rel
+        return cls(paths)
 
     def __getitem__(self, record_id: str) -> Signature:
         return read_signature_file(self._paths[record_id], record_id)

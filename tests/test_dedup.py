@@ -147,6 +147,27 @@ def test_sweep_partitions_bucket(size, raw_pairs):
     assert all(g for g in groups)
 
 
+def test_custom_matcher_pair_order():
+    """A custom matcher is called pair by pair, heads in sweep order, others in list order."""
+    a = make_signature("A", [(10, 10), (40, 20), (25, 45), (60, 60)])
+    b = Signature("B", list(a.minutiae))  # matches A
+    c = make_signature("C", [(0, 0), (90, 0), (0, 90), (45, 45), (90, 90)])
+    d = make_signature("D", [(5, 80), (30, 10), (70, 40), (50, 90)])
+    store = {s.record_id: s for s in (a, c, b, d)}
+    table = build_table((rid, "shared-key") for rid in store)
+
+    counter = CountingMatcher()
+    report = deduplicate(table, store, PARAMS, matcher=counter)
+    assert report.groups_by_key["shared-key"] == [["A", "B"], ["C"], ["D"]]
+    assert counter.pairs == [("A", "C"), ("A", "B"), ("A", "D"), ("C", "D")]
+    assert report.comparisons == 4
+
+    counter = CountingMatcher()
+    exhaustive_dedup(store, PARAMS, matcher=counter)
+    assert counter.pairs == [("A", "C"), ("A", "B"), ("A", "D"),
+                             ("C", "B"), ("C", "D"), ("B", "D")]
+
+
 def test_perturbed_corpus_recall_reported(capsys):
     """Jittered/dropped duplicates: measure and report, don't assert recall.
 

@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from fpdedup.matcher import (MatchParams, MatchResult, _greedy_pair_count, _triangles,
-                             index_signature, is_match, match_score, score_indexed)
+from fpdedup import matcher as matcher_module
+from fpdedup.matcher import (MatchParams, MatchResult, TripletIndex, _greedy_pair_counts,
+                             _pair_counts, _triangles, index_signature, is_match, match_score,
+                             score_indexed, score_many)
 from fpdedup.signature import Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -193,7 +195,91 @@ def test_is_match_min_descriptors_gate():
 ])
 def test_greedy_pairing_ties(dist, pairs, expected):
     ii, jj = (np.array(side) for side in zip(*pairs))
-    assert _greedy_pair_count(np.array(dist, dtype=float), ii, jj) == expected
+    seg = np.zeros_like(ii)
+    assert _greedy_pair_counts(np.array(dist, dtype=float), seg, ii, jj, 1) == [expected]
+
+
+def test_greedy_pairing_segments_independent():
+    # segment 0 repeats the first tie case; segment 1 (columns 2, 3) reuses
+    # row 0 and is not blocked by it; segment 2 has no candidates
+    dist = np.array([1, 1, 1, 1, 3], dtype=float)
+    seg = np.array([0, 0, 0, 1, 1])
+    ii = np.array([0, 0, 1, 0, 1])
+    jj = np.array([0, 1, 0, 2, 3])
+    assert _greedy_pair_counts(dist, seg, ii, jj, 3) == [1, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# Batch scoring: one index against many
+
+
+def test_score_many_equals_pairwise(random_suite):
+    p = MatchParams()
+    indexes = [index_signature(s, p) for s in random_suite[:12]]
+    assert indexes[0].features.shape[0] > 0
+    empty = index_signature(make_signature("two", [(10, 20), (40, 60)]), p)
+    same_empty = index_signature(make_signature("two-again", [(10, 20), (40, 60)]), p)
+    assert empty.features.shape[0] == 0
+    # empty-triplet members mixed in, and the same index repeated
+    others = indexes[1:6] + [empty, indexes[0], indexes[3]] + indexes[6:] + [same_empty, indexes[0]]
+    for head in (indexes[0], indexes[5]):
+        assert score_many(head, others, p) == [score_indexed(head, b, p) for b in others]
+    # a head with no triplets scores by exact minutiae equality alone
+    expected = [MatchResult(100.0 if b is same_empty or b is empty else 0.0, 0) for b in others]
+    assert score_many(empty, others, p) == expected
+    assert score_many(indexes[0], [], p) == []
+
+
+def _brute_counts(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
+    """Screen every row pair one by one, then pair greedily in (dist, i, j) order."""
+    tol, angle_tol = p.side_tolerance, p.angle_tolerance
+    candidates = []
+    for i, a in enumerate(fa.tolist()):
+        for j, b in enumerate(fb.tolist()):
+            if not (a[2] - tol <= b[2] <= a[2] + tol):
+                continue
+            d = [abs(x - y) for x, y in zip(a, b)]
+            o = [min(x, 2.0 * math.pi - x) for x in d[6:9]]
+            if max(d[0:2]) <= tol and max(d[3:6]) <= angle_tol and max(o) <= angle_tol:
+                dist = ((d[0] + d[1] + d[2]) / tol + (d[3] + d[4] + d[5]) / angle_tol
+                        + (o[0] + o[1] + o[2]) / angle_tol)
+                candidates.append((dist, i, j))
+    rows, cols = set(), set()
+    for _, i, j in sorted(candidates):
+        if i not in rows and j not in cols:
+            rows.add(i)
+            cols.add(j)
+    return len(rows)
+
+
+def _edge_features(rng: np.random.Generator, n: int, p: MatchParams) -> np.ndarray:
+    """Rows on a lattice of half tolerances, some moved 1 ulp either way.
+
+    Sides land on cell edges (multiples of side_tolerance) and side
+    differences land exactly on the tolerance; orientations straddle 0
+    and 2*pi.
+    """
+    tol, angle_tol = p.side_tolerance, p.angle_tolerance
+    sides = np.sort(rng.integers(2, 14, size=(n, 3)) * (tol / 2.0), axis=1)
+    nudge = rng.integers(-1, 2, size=sides.shape)
+    sides = np.where(nudge < 0, np.nextafter(sides, 0.0),
+                     np.where(nudge > 0, np.nextafter(sides, np.inf), sides))
+    angles = rng.integers(0, 6, size=(n, 3)) * (angle_tol / 2.0)
+    orientations = np.mod(rng.integers(-3, 4, size=(n, 3)) * (angle_tol / 2.0), 2.0 * math.pi)
+    return np.concatenate((np.sort(sides, axis=1), angles, orientations), axis=1)
+
+
+@pytest.mark.parametrize("cell_join_rows", [0, 10**9], ids=["cell-join", "window-join"])
+@pytest.mark.parametrize("p", [MatchParams(), MatchParams(side_tolerance=0.75, angle_tolerance=0.5)],
+                         ids=["default", "narrow"])
+def test_join_matches_brute_force(monkeypatch, cell_join_rows, p):
+    monkeypatch.setattr(matcher_module, "_CELL_JOIN_ROWS", cell_join_rows)
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        fa = _edge_features(rng, int(rng.integers(1, 12)), p)
+        fbs = [_edge_features(rng, int(rng.integers(1, 12)), p)
+               for _ in range(int(rng.integers(1, 5)))]
+        assert _pair_counts(fa, fbs, p) == [_brute_counts(fa, fb, p) for fb in fbs]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fpdedup.signature import (DirectoryStore, Minutia, ParseError, SerializedStore,
+from fpdedup import signature as signature_module
+from fpdedup.signature import (FileStore, Minutia, ParseError, SerializedStore,
                                Signature, load_corpus_dir, load_manifest,
                                normalize_angle, parse_signature, serialize_signature,
                                write_corpus_dir)
@@ -168,12 +169,32 @@ def test_manifest_duplicate_record_id(tmp_path):
 def test_directory_store_lazy_lookup(tmp_path):
     corpus = _tiny_corpus()
     write_corpus_dir(corpus, tmp_path / "c")
-    store = DirectoryStore(tmp_path / "c")
+    store = FileStore.from_directory(tmp_path / "c")
     assert len(store) == 2
     assert store["b"] == corpus[1]
     assert store["b"] is not store["b"]  # parsed on each access, nothing cached
     with pytest.raises(KeyError):
         store["missing"]
+
+
+def test_manifest_store_lazy_lookup(tmp_path, monkeypatch):
+    corpus = _tiny_corpus()
+    write_corpus_dir(corpus, tmp_path / "c")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("first\tc/a.sig\nsecond\tc/b.sig\nmissing\tc/none.sig\n")
+    parsed: list[str] = []
+    real_parse = signature_module.parse_signature
+    monkeypatch.setattr(signature_module, "parse_signature",
+                        lambda text, rid: parsed.append(rid) or real_parse(text, rid))
+    store = FileStore.from_manifest(manifest)
+    assert list(store) == ["first", "second", "missing"]
+    assert parsed == []  # only ids and paths are read up front
+    assert [(m.x, m.y) for m in store["second"].minutiae] == [(5, 6)]
+    assert parsed == ["second"]
+    store["second"]
+    assert parsed == ["second", "second"]  # parsed on each access, nothing cached
+    with pytest.raises(OSError):
+        store["missing"]  # a listed file that does not exist fails on access
 
 
 def test_serialized_store_round_trip():
