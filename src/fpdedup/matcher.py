@@ -14,9 +14,8 @@ triplets under per-feature tolerances; the matched-pair count,
 normalized by the smaller triplet-set size, gives a 0-100 score.
 ``score_many`` scores one signature against a whole list in one numpy
 pass: the others' rows are concatenated with segment offsets, one join
-finds every candidate triplet pair (on the largest side for a few
-others; on the key (s3 cell, s1 cell, s2) for many, a cell being
-``floor(side / side_tolerance)``), the screens run once over all
+on the key (s3 cell, s1), a cell being ``floor(s3 / side_tolerance)``,
+finds every candidate triplet pair, the screens run once over all
 segments, and pairing runs per segment. Each result equals that pair
 scored alone; ``score_indexed`` is a one-element ``score_many``. The
 scorer is deliberately pluggable: anything with the
@@ -35,9 +34,6 @@ import numpy as np
 from .signature import Signature, normalize_angle
 
 TWO_PI = 2.0 * math.pi
-# Rows of the others per row of the scored index above which the cell
-# join beats the largest-side window (both cost alike at 10 to 14).
-_CELL_JOIN_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -198,16 +194,13 @@ def _pair_counts(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[
     """Paired-triplet count of ``fa`` against each non-empty matrix of ``fbs``.
 
     The others' rows are concatenated, segment after segment, into one
-    column-major copy, and candidate pairs come from one join over it.
-    A few others are joined on the largest side alone: each row of
-    ``fa`` takes the rows within its window ``s3 -/+ side_tolerance``.
-    Many others are joined on the key (s3 cell, s1 cell, s2), a cell
-    being ``floor(side / side_tolerance)``: each row of ``fa`` probes
-    every s3 cell between its window thresholds and every s1 cell
-    within the tolerance, and there the s2 values within the
-    tolerance; s1 and s2 are widened by a margin far above rounding
-    error. Either way every pair that passes the screens is a
-    candidate; the screens then decide exactly as for a single pair:
+    column-major copy, and candidate pairs come from one join over it,
+    on the key (s3 cell, s1), a cell being ``floor(s3 / side_tolerance)``:
+    each row of ``fa`` probes every cell between its window thresholds
+    ``s3 -/+ side_tolerance`` and, within each, the s1 values within the
+    tolerance, widened by a margin far above rounding error. So every
+    pair that passes the screens is a candidate; the screens then decide
+    exactly as for a single pair:
     the largest-side window, each side, each interior angle and each
     orientation (on the circle) within tolerance, and the pairing
     order uses the same combined distance.
@@ -219,42 +212,30 @@ def _pair_counts(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[
     s1b, s2b, s3b = cols[0], cols[1], cols[2]
     lo3, hi3 = s3a - tol, s3a + tol
 
-    if s3b.size <= _CELL_JOIN_ROWS * fa.shape[0]:
-        order = np.argsort(s3b, kind="stable")
-        key = s3b[order]
-        start = np.searchsorted(key, lo3, side="left")
-        stop = np.searchsorted(key, hi3, side="right")
-        row = np.arange(fa.shape[0])
-    else:
-        # |s1a - s1b| <= tol as computed puts s1b within this margin of
-        # s1a, which exceeds the rounding error of the subtraction and of
-        # the thresholds many times over (sides ascend, so s3a bounds s1a
-        # and s2a); likewise s2.
-        margin = tol + (tol + s3a) * 2.0 ** -48
-        # Key of each other row: its (s3 cell, s1 cell) as one integer
-        # times `width`, a power of two above every s2 (so exact), plus
-        # s2. Each cell pair owns its own range of keys, and as rounding
-        # is monotone a row in cell C with s2 in [low, high] keys into
-        # [C * width + low, C * width + high].
-        c1b = np.floor(s1b / tol)
-        n1 = float(c1b.max()) + 1.0
-        width = 2.0 ** math.frexp(float(s2b.max()))[1]
-        key = (np.floor(s3b / tol) * n1 + c1b) * width + s2b
-        order = np.argsort(key)
-        key = key[order]
-        # Probes: each row of fa with each cell pair its windows reach,
-        # laid out as (row, extra s3 cell, extra s1 cell) and masked.
-        c3 = np.floor(lo3 / tol)
-        n3 = np.floor(hi3 / tol) - c3
-        c1 = np.floor((s1a - margin) / tol)
-        m1 = np.floor((s1a + margin) / tol) - c1
-        d3 = np.arange(n3.max() + 1)[:, None]
-        d1 = np.arange(m1.max() + 1)
-        reach = (d3 <= n3[:, None, None]) & (d1 <= m1[:, None, None])
-        base = ((c3[:, None, None] + d3) * n1 + (c1[:, None, None] + d1)) * width
-        start = np.searchsorted(key, (base + (s2a - margin)[:, None, None])[reach], side="left")
-        stop = np.searchsorted(key, (base + (s2a + margin)[:, None, None])[reach], side="right")
-        row = np.nonzero(reach)[0]
+    # A cell is side_tolerance wide, or wider where the tolerance is below
+    # float resolution at the longest side, so that cell numbers stay
+    # integers of at most 2**50; a wider cell only adds candidates.
+    cell = max(tol, float(max(s3a.max(), s3b.max())) * 2.0 ** -50)
+    # Key of each other row: its s3 cell times `width`, a power of two
+    # above every s1, plus s1. As rounding is monotone, a row in cell C
+    # with s1 in [low, high] keys into [C * width + low, C * width + high].
+    width = 2.0 ** math.frexp(float(s1b.max()))[1]
+    key = np.floor(s3b / cell) * width + s1b
+    order = np.argsort(key)
+    key = key[order]
+    # |s1a - s1b| <= tol as computed puts s1b within this margin of s1a,
+    # which exceeds the rounding error of the subtraction and of the
+    # thresholds many times over (sides ascend, so s3a bounds s1a).
+    margin = tol + (tol + s3a) * 2.0 ** -48
+    # Probes: each row of fa with each s3 cell its window reaches.
+    c3 = np.floor(lo3 / cell)
+    n3 = np.floor(hi3 / cell) - c3
+    d3 = np.arange(n3.max() + 1)
+    reach = d3 <= n3[:, None]
+    base = (c3[:, None] + d3) * width
+    start = np.searchsorted(key, (base + (s1a - margin)[:, None])[reach], side="left")
+    stop = np.searchsorted(key, (base + (s1a + margin)[:, None])[reach], side="right")
+    row = np.nonzero(reach)[0]
     counts = stop - start
     ii = np.repeat(row, counts)
     jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from fpdedup import matcher as matcher_module
 from fpdedup.matcher import (MatchParams, MatchResult, TripletIndex, _greedy_pair_counts,
                              _pair_counts, _triangles, index_signature, is_match, match_score,
                              score_indexed, score_many)
@@ -269,17 +268,43 @@ def _edge_features(rng: np.random.Generator, n: int, p: MatchParams) -> np.ndarr
     return np.concatenate((np.sort(sides, axis=1), angles, orientations), axis=1)
 
 
-@pytest.mark.parametrize("cell_join_rows", [0, 10**9], ids=["cell-join", "window-join"])
 @pytest.mark.parametrize("p", [MatchParams(), MatchParams(side_tolerance=0.75, angle_tolerance=0.5)],
                          ids=["default", "narrow"])
-def test_join_matches_brute_force(monkeypatch, cell_join_rows, p):
-    monkeypatch.setattr(matcher_module, "_CELL_JOIN_ROWS", cell_join_rows)
+def test_join_matches_brute_force(p):
     rng = np.random.default_rng(2024)
-    for _ in range(40):
+    for _ in range(80):
         fa = _edge_features(rng, int(rng.integers(1, 12)), p)
         fbs = [_edge_features(rng, int(rng.integers(1, 12)), p)
                for _ in range(int(rng.integers(1, 5)))]
         assert _pair_counts(fa, fbs, p) == [_brute_counts(fa, fb, p) for fb in fbs]
+
+
+def test_join_keeps_pair_past_rounded_bound():
+    # |s1a - s1b| rounds down to the tolerance although s1b lies above
+    # s1a + tol as computed; the far row widens the key's s1 range
+    p = MatchParams(side_tolerance=1.078628066597612)
+    s1a, s1b, s3 = 0.5662739630985573, 1.6449020296961694, 3.0935121026603496
+    assert abs(s1a - s1b) <= p.side_tolerance and s1a + p.side_tolerance < s1b
+
+    def row(s1: float, s: float) -> np.ndarray:
+        return np.array([[s1, s, s, 0.5, 1.0, 1.5, 1.0, 2.0, 3.0]])
+
+    fa, fbs = row(s1a, s3), [row(s1b, s3), row(100.0, 100.0)]
+    assert _pair_counts(fa, fbs, p) == [_brute_counts(fa, fb, p) for fb in fbs] == [1, 0]
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-20, 5e-324], ids=["ulp", "tiny", "subnormal"])
+def test_join_tiny_side_tolerance(random_suite, tol):
+    # tolerances near and far below the float resolution of 15-100 px
+    # sides; a copy with every side 1 ulp longer matches under the first
+    p = MatchParams(side_tolerance=tol)
+    fa = index_signature(random_suite[0], p).features
+    longer = np.concatenate((np.nextafter(fa[:, :3], np.inf), fa[:, 3:]), axis=1)
+    fbs = [fa, longer, index_signature(random_suite[1], p).features, fa]
+    counts = _pair_counts(fa, fbs, p)
+    assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
+    assert counts[0] == counts[3] > 0
+    assert (counts[1] > 0) == (tol == 1e-13)
 
 
 # ---------------------------------------------------------------------------
