@@ -351,6 +351,49 @@ def _score_digest(signatures: list[Signature], truth: list[tuple[str, str]]) -> 
     return hashlib.sha256(repr(results).encode()).hexdigest()
 
 
+# Lattice prints with repeated coincident points: distance ties decide the
+# neighbour order and many anchors see the same triangle, so this pins the
+# stable tie order and the first-seen triangle order as well.
+GOLDEN_TIES_K = (2, 3, 4, 7, 12)
+GOLDEN_FEATURES_TIES = "32b117ac599e62f5e23e989c8f680cf4182f357331cd8d3391bb29e241ab9408"
+
+
+def _lattice_corpus() -> list[Signature]:
+    """Seeded integer-lattice prints (15-30 px pitch), up to 120 minutiae,
+    some points repeated; ridge angles on multiples of pi/4 and a few
+    random ones, so orientations land on 0 and 2*pi."""
+    rng = np.random.default_rng(7011)
+    angles = [q * math.pi / 4.0 for q in range(8)]
+    signatures = []
+    for i in range(48):
+        pitch = int(rng.integers(15, 31))
+        side = int(rng.integers(2, 14))
+        n = int(rng.integers(1, min(side * side, 110) + 1))
+        cells = rng.choice(side * side, size=n, replace=False)
+        points = [(int(c % side) * pitch, int(c // side) * pitch) for c in cells]
+        repeats = int(rng.integers(0, n // 4 + 2))
+        points += [points[int(j)] for j in rng.integers(0, n, size=repeats)]
+        signatures.append(Signature(f"lattice{i}", [
+            Minutia(x, y, angles[int(rng.integers(0, 8))] if rng.random() < 0.8
+                    else float(rng.uniform(0.0, 2.0 * math.pi)), 1)
+            for x, y in points[:120]]))
+    return signatures
+
+
+def test_features_golden_ties():
+    signatures = _lattice_corpus()
+    assert max(len(s.minutiae) for s in signatures) > 100
+    assert any(len(s.minutiae) < 3 for s in signatures)
+    h = hashlib.sha256()
+    for k in GOLDEN_TIES_K:
+        p = MatchParams(neighbors_k=k)
+        for s in signatures:
+            features = index_signature(s, p).features
+            h.update(repr(features.shape).encode())
+            h.update(features.tobytes())
+    assert h.hexdigest() == GOLDEN_FEATURES_TIES
+
+
 def test_features_and_scores_golden():
     signatures, truth = _golden_corpus()
     assert any(len(s.minutiae) < 3 for s in signatures)
