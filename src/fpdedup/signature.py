@@ -15,6 +15,8 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -29,6 +31,14 @@ def normalize_angle(theta: float) -> float:
         r += TWO_PI
     if r >= TWO_PI:  # fmod rounding can land exactly on 2*pi
         r = 0.0
+    return r
+
+
+def normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """``normalize_angle`` applied to each element of a float64 array, bit for bit."""
+    r = np.fmod(theta, TWO_PI)
+    r[r < 0.0] += TWO_PI
+    r[r >= TWO_PI] = 0.0
     return r
 
 

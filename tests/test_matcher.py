@@ -38,8 +38,8 @@ def random_suite() -> list[Signature]:
 
 
 def triangles(s: Signature) -> list[tuple[int, int, int]]:
-    coords = np.array([(m.x, m.y) for m in s.minutiae], dtype=np.float64)
-    return [tuple(row) for row in _triangles(coords, PARAMS).tolist()]
+    x, y = np.array([(m.x, m.y) for m in s.minutiae], dtype=np.float64).T
+    return [tuple(row) for row in _triangles(x, y, PARAMS)[0].tolist()]
 
 
 def test_two_minutiae_no_triplets():
@@ -149,6 +149,24 @@ def test_below_three_minutiae_identical_sets_score_100():
     assert match_score(a, b, PARAMS).score == 100.0
     c = make_signature("c", [(10, 20), (41, 60)])
     assert match_score(a, c, PARAMS).score == 0.0
+
+
+def test_triplet_less_prints_score_by_minutiae_equality():
+    # sides of 5-10 px: every triangle falls below min_edge
+    a = index_signature(make_signature("a", [(0, 0), (5, 0), (0, 8), (6, 6)]), PARAMS)
+    same = index_signature(make_signature("same", [(6, 6), (0, 8), (0, 0), (5, 0)]), PARAMS)
+    other = index_signature(make_signature("other", [(0, 0), (5, 0), (0, 8), (6, 7)]), PARAMS)
+    assert a.features.shape[0] == same.features.shape[0] == other.features.shape[0] == 0
+    assert score_many(a, [same, other], PARAMS) == [MatchResult(100.0, 0), MatchResult(0.0, 0)]
+
+
+def test_minutiae_key_built_only_for_triplet_less_sides(random_suite):
+    full = [index_signature(s, PARAMS) for s in random_suite[:3]]
+    empty = index_signature(make_signature("two", [(10, 20), (40, 60)]), PARAMS)
+    score_many(full[0], full[1:], PARAMS)
+    assert not any("minutiae_key" in vars(index) for index in full)
+    score_many(full[0], [empty], PARAMS)
+    assert "minutiae_key" in vars(full[0]) and "minutiae_key" in vars(empty)
 
 
 def test_removal_never_beats_intact_copy(random_suite):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from fpdedup import signature as signature_module
 from fpdedup.signature import (FileStore, Minutia, ParseError, SerializedStore,
                                Signature, load_corpus_dir, load_manifest,
-                               normalize_angle, parse_signature, serialize_signature,
+                               normalize_angle, normalize_angles, parse_signature, serialize_signature,
                                write_corpus_dir)
 
 TWO_PI = 2.0 * math.pi
@@ -119,6 +120,22 @@ def test_round_trip_property(rows):
 @given(st.floats(-1000.0, 1000.0, allow_nan=False, allow_infinity=False))
 def test_normalize_angle_range(theta):
     assert 0.0 <= normalize_angle(theta) < TWO_PI
+
+
+ANGLE_EDGES = [0.0, -0.0, TWO_PI, -TWO_PI, math.nextafter(TWO_PI, 0.0),
+               -math.nextafter(TWO_PI, 0.0), math.nextafter(TWO_PI, math.inf), 5e-324, -5e-324,
+               2.2250738585072014e-308, -1e-310, 1e6, -1e6, 1e6 * TWO_PI, -1e6 * TWO_PI,
+               math.nextafter(-0.0, -1.0), math.pi, -math.pi]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(-1e6 * TWO_PI, 1e6 * TWO_PI) | st.sampled_from(ANGLE_EDGES),
+                max_size=50))
+def test_normalize_angles_equals_scalar(values):
+    # bit for bit, so the sign of a zero counts too
+    reduced = normalize_angles(np.array(values + ANGLE_EDGES, dtype=np.float64))
+    expected = [normalize_angle(v) for v in values + ANGLE_EDGES]
+    assert reduced.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 # ---------------------------------------------------------------------------
