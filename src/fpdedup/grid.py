@@ -11,6 +11,7 @@ format and must not change.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .signature import Minutia, Signature
@@ -59,16 +60,21 @@ def _block_sizes(box: BoundingBox, n: int) -> tuple[float, float]:
     return (x_max - x_min + 1) / n, (y_max - y_min + 1) / n
 
 
+def _cells(minutiae: Sequence[Minutia], box: BoundingBox, n: int) -> list[int]:
+    """Cell number ``x_block * n + y_block`` of each minutia inside ``box``."""
+    l_block, h_block = _block_sizes(box, n)
+    x_min, y_min, last = box[0], box[1], n - 1
+    # Clamp guards against float quotients landing exactly on n.
+    return [min(math.floor((m.x - x_min) / l_block), last) * n
+            + min(math.floor((m.y - y_min) / h_block), last) for m in minutiae]
+
+
 def block_of(m: Minutia, box: BoundingBox, p: GridParams = GridParams()) -> tuple[int, int]:
     """Grid cell (x_block, y_block) of one minutia, both in [0, n-1]."""
     x_min, y_min, x_max, y_max = box
     if not (x_min <= m.x <= x_max and y_min <= m.y <= y_max):
         raise ValueError(f"minutia ({m.x}, {m.y}) lies outside box {box}")
-    l_block, h_block = _block_sizes(box, p.n)
-    # Clamp guards against float quotients landing exactly on n.
-    xb = min(math.floor((m.x - x_min) / l_block), p.n - 1)
-    yb = min(math.floor((m.y - y_min) / h_block), p.n - 1)
-    return xb, yb
+    return divmod(_cells([m], box, p.n)[0], p.n)
 
 
 def compute_index(s: Signature, p: GridParams = GridParams()) -> IndexKey:
@@ -77,13 +83,7 @@ def compute_index(s: Signature, p: GridParams = GridParams()) -> IndexKey:
     The counts conserve the minutiae total and are invariant under any
     constant translation of the whole signature.
     """
-    box = bounding_box(s)
-    n = p.n
-    counts = [0] * (n * n)
-    l_block, h_block = _block_sizes(box, n)
-    x_min, y_min = box[0], box[1]
-    for m in s.minutiae:
-        xb = min(math.floor((m.x - x_min) / l_block), n - 1)
-        yb = min(math.floor((m.y - y_min) / h_block), n - 1)
-        counts[xb * n + yb] += 1
+    counts = [0] * (p.n * p.n)
+    for cell in _cells(s.minutiae, bounding_box(s), p.n):
+        counts[cell] += 1
     return IndexKey.from_counts(counts)

@@ -115,6 +115,17 @@ def test_blocks_in_range_property(points, n):
         assert 0 <= xb < n and 0 <= yb < n
 
 
+@given(points_strategy, st.integers(1, 9))
+def test_key_counts_agree_with_block_of(points, n):
+    s = make_signature("h", points)
+    box, p = bounding_box(s), GridParams(n)
+    counts = [0] * (n * n)
+    for m in s.minutiae:
+        xb, yb = block_of(m, box, p)
+        counts[xb * n + yb] += 1
+    assert compute_index(s, p).counts == tuple(counts)
+
+
 @given(points_strategy)
 def test_determinism_property(points):
     s = make_signature("h", points)
