@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fpdedup.grid import GridParams, IndexKey, block_of, bounding_box, compute_index
 from fpdedup.signature import Minutia, Signature
+from fpdedup.synth import GenSpec, generate
 
 from .conftest import REFERENCE_KEY, make_signature, translate
 
@@ -144,3 +147,47 @@ def test_degenerate_box_all_share_x():
     key = compute_index(s, GridParams(5))
     assert sum(key.counts) == 3
     assert all(c == 0 for c in key.counts[5:])  # only x-block 0 occupied
+
+
+# ---------------------------------------------------------------------------
+# Golden pin: keys must not drift, bit for bit
+
+GOLDEN_GRID_NS = (1, 2, 3, 5, 7)
+GOLDEN_KEYS = "54cb07967495598b9e34cc39e51c3259af9d54ce4b010fef51e52ad7836f4c89"
+BIG = 2 ** 53  # the largest coordinate the parser accepts
+
+
+def _golden_key_corpus() -> list[Signature]:
+    """Seeded prints of 1-90 minutiae plus hand-made degenerate boxes:
+    one point, one shared x or y, sides that are multiples of n (points
+    exactly on block edges) and coordinates near 2**53, where float
+    quotients round up onto n and the clamp decides the block."""
+    signatures, _ = generate(GenSpec(subjects=300, minutiae_per_print=(1, 90),
+                                     dup_fraction=0.2, jitter=1.5, seed=7013))
+    signatures += [
+        make_signature("single", [(123, 456)]),
+        make_signature("origin", [(0, 0)]),
+        make_signature("one-x", [(50, 0), (50, 10), (50, 99), (50, 400)]),
+        make_signature("one-y", [(0, 77), (13, 77), (350, 77)]),
+        make_signature("big-diagonal", [(0, 0), (BIG - 1, BIG - 1)]),
+        make_signature("big-square", [(0, 0), (BIG, BIG), (BIG // 3, 2 * (BIG // 3) + 1)]),
+        make_signature("big-offset", [(1, 1), (BIG, BIG - 1), (BIG - 2, BIG // 2)]),
+        make_signature("big-top", [(BIG - 5, 3), (BIG, 0), (BIG - 2, 2 ** 52)]),
+    ]
+    for n in GOLDEN_GRID_NS:
+        for k in (1, 2, 3, 30):
+            edges = [j * k for j in range(n)] + [n * k - 1]
+            points = [(e, edges[-1 - i]) for i, e in enumerate(edges)]
+            signatures.append(make_signature(f"edges-{n}-{k}", points))
+            signatures.append(translate(signatures[-1], 1000, 7, f"edges-{n}-{k}-moved"))
+    return signatures
+
+
+def test_keys_golden():
+    signatures = _golden_key_corpus()
+    assert min(map(len, signatures)) == 1 and max(map(len, signatures)) > 80
+    h = hashlib.sha256()
+    for n in GOLDEN_GRID_NS:
+        for s in signatures:
+            h.update(f"{n}:{compute_index(s, GridParams(n)).key_text}\n".encode())
+    assert h.hexdigest() == GOLDEN_KEYS
