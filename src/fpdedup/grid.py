@@ -38,7 +38,7 @@ class IndexKey:
     @classmethod
     def from_counts(cls, counts: list[int] | tuple[int, ...]) -> "IndexKey":
         counts = tuple(counts)
-        return cls(counts, "-".join(str(c) for c in counts))
+        return cls(counts, "-".join(map(str, counts)))
 
 
 BoundingBox = tuple[int, int, int, int]  # (x_min, y_min, x_max, y_max)
@@ -64,9 +64,11 @@ def _cells(minutiae: Sequence[Minutia], box: BoundingBox, n: int) -> list[int]:
     """Cell number ``x_block * n + y_block`` of each minutia inside ``box``."""
     l_block, h_block = _block_sizes(box, n)
     x_min, y_min, last = box[0], box[1], n - 1
+    floor = math.floor
     # Clamp guards against float quotients landing exactly on n.
-    return [min(math.floor((m.x - x_min) / l_block), last) * n
-            + min(math.floor((m.y - y_min) / h_block), last) for m in minutiae]
+    return [(bx if (bx := floor((m.x - x_min) / l_block)) < last else last) * n
+            + (by if (by := floor((m.y - y_min) / h_block)) < last else last)
+            for m in minutiae]
 
 
 def block_of(m: Minutia, box: BoundingBox, p: GridParams = GridParams()) -> tuple[int, int]:

@@ -42,11 +42,12 @@ def normalize_angles(theta: np.ndarray) -> np.ndarray:
     return r
 
 
-@dataclass
+@dataclass(slots=True)
 class Minutia:
     """One feature point: pixel position, ridge angle, raw type code.
 
     The type code is stored as read from the file and never interpreted.
+    Slotted, so an instance is smaller and takes no new attributes.
     """
 
     x: int
@@ -74,21 +75,21 @@ class Signature:
 # Parsing and serialization
 
 
-def _parse_int(text: str, line_no: int, what: str) -> int:
-    try:
-        value = int(text.strip())
-    except ValueError:
-        raise ParseError(f"line {line_no}: {what} {text!r} is not an integer") from None
-    if value < 0:
-        raise ParseError(f"line {line_no}: {what} {text!r} is negative")
-    return value
+# The largest integer a float64 holds exactly; the grid and the matcher
+# compute in float64, so larger coordinates are rejected on input.
+_MAX_COORD = 2 ** 53
+
+
+def _coordinate_error(line_no: int, what: str, text: str, value: int) -> ParseError:
+    problem = "is negative" if value < 0 else "is too large"
+    return ParseError(f"line {line_no}: {what} {text!r} {problem}")
 
 
 def parse_signature(text: str, record_id: str) -> Signature:
     """Parse a signature file body into a Signature.
 
     Each non-empty line must have exactly four ``;``-separated fields:
-    ``x;y;theta;type``. Coordinates must be non-negative integers; the
+    ``x;y;theta;type``. Coordinates must be integers in [0, 2**53]; the
     angle may use ``,`` or ``.`` as decimal separator and is normalized
     into [0, 2*pi). Blank lines and surrounding whitespace are ignored.
 
@@ -97,26 +98,44 @@ def parse_signature(text: str, record_id: str) -> Signature:
             the text contains no minutiae at all.
     """
     minutiae: list[Minutia] = []
+    append = minutiae.append
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = line.split(";")
-        if len(fields) != 4:
-            raise ParseError(f"line {line_no}: expected 4 ';'-separated fields, got {len(fields)}")
-        x = _parse_int(fields[0], line_no, "x coordinate")
-        y = _parse_int(fields[1], line_no, "y coordinate")
         try:
-            theta = float(fields[2].strip().replace(",", "."))
+            fx, fy, ft, fc = line.split(";")
         except ValueError:
-            raise ParseError(f"line {line_no}: angle {fields[2]!r} is not a number") from None
-        if not math.isfinite(theta):
-            raise ParseError(f"line {line_no}: angle {fields[2]!r} is not finite")
+            raise ParseError(f"line {line_no}: expected 4 ';'-separated fields, "
+                             f"got {line.count(';') + 1}") from None
+        # int() and float() ignore surrounding whitespace themselves.
         try:
-            type_code = int(fields[3].strip())
+            x = int(fx)
         except ValueError:
-            raise ParseError(f"line {line_no}: type code {fields[3]!r} is not an integer") from None
-        minutiae.append(Minutia(x, y, normalize_angle(theta), type_code))
+            raise ParseError(f"line {line_no}: x coordinate {fx!r} is not an integer") from None
+        if not 0 <= x <= _MAX_COORD:
+            raise _coordinate_error(line_no, "x coordinate", fx, x)
+        try:
+            y = int(fy)
+        except ValueError:
+            raise ParseError(f"line {line_no}: y coordinate {fy!r} is not an integer") from None
+        if not 0 <= y <= _MAX_COORD:
+            raise _coordinate_error(line_no, "y coordinate", fy, y)
+        try:
+            theta = float(ft.replace(",", "."))
+        except ValueError:
+            raise ParseError(f"line {line_no}: angle {ft!r} is not a number") from None
+        # normalize_angle is the identity on [0, 2*pi), -0.0 included;
+        # NaN and +-inf fail the range test and reach the finite check.
+        if not 0.0 <= theta < TWO_PI:
+            if not math.isfinite(theta):
+                raise ParseError(f"line {line_no}: angle {ft!r} is not finite")
+            theta = normalize_angle(theta)
+        try:
+            type_code = int(fc)
+        except ValueError:
+            raise ParseError(f"line {line_no}: type code {fc!r} is not an integer") from None
+        append(Minutia(x, y, theta, type_code))
     if not minutiae:
         raise ParseError(f"signature {record_id!r} has no minutiae")
     return Signature(record_id, minutiae)

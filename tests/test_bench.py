@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from fpdedup import bench
 from fpdedup.bench import BENCH_CSV_COLUMNS, rows_to_csv, scaling_run
+from fpdedup.grid import compute_index
 from fpdedup.synth import GenSpec
 
 SPEC = GenSpec(subjects=0, minutiae_per_print=(20, 30), seed=55)
@@ -24,6 +26,20 @@ def test_single_size_row_populated():
     assert row.index_s > 0.0
     assert row.dedup_s >= 0.0
     assert row.identify_ms_median > 0.0
+
+
+def test_index_time_covers_parse_and_key(monkeypatch):
+    # index_s times the whole index pass: every rep parses and keys each record again
+    keyed = []
+
+    def counting_compute_index(s, grid):
+        keyed.append(s.record_id)
+        return compute_index(s, grid)
+
+    monkeypatch.setattr(bench, "compute_index", counting_compute_index)
+    rows = scaling_run([150], SPEC, reps=3)
+    generated = keyed[:rows[0].size]
+    assert keyed == generated * 4  # once to generate, then once per rep
 
 
 def test_class_count_grows_with_size():

@@ -187,6 +187,15 @@ def test_index_empty_corpus_data_error(tmp_path, capsys):
     assert "empty corpus" in capsys.readouterr().err
 
 
+def test_huge_coordinate_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.sig").write_text("1;2;0.5;1\n" + "9" * 401 + ";5;0.5;1\n")
+    rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "t.tsv")])
+    assert rc == EXIT_DATA
+    assert "line 2: x coordinate '999" in capsys.readouterr().err
+
+
 def test_missing_file_data_error(tmp_path, capsys):
     rc = main(["identify", "--query", str(tmp_path / "nope.sig"),
                "--table", str(tmp_path / "nope.tsv"), "--corpus", str(tmp_path)])

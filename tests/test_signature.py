@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpdedup import signature as signature_module
@@ -136,6 +138,154 @@ def test_normalize_angles_equals_scalar(values):
     reduced = normalize_angles(np.array(values + ANGLE_EDGES, dtype=np.float64))
     expected = [normalize_angle(v) for v in values + ANGLE_EDGES]
     assert reduced.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+def test_minutia_is_slotted():
+    m = Minutia(1, 2, 0.5, 1)
+    with pytest.raises(AttributeError):
+        m.extra = 3
+
+
+@pytest.mark.parametrize("line, message", [
+    ("9" * 401 + ";5;0.5;1", f"line 1: x coordinate '{'9' * 401}' is too large"),
+    (f"1;{2 ** 53 + 1};0.5;1", f"line 1: y coordinate '{2 ** 53 + 1}' is too large"),
+    (f"1;2;0.5;1\n3; {2 ** 60} ;0.5;1", f"line 2: y coordinate ' {2 ** 60} ' is too large"),
+    (f"{2 ** 53 + 1};-1;0.5;x", f"line 1: x coordinate '{2 ** 53 + 1}' is too large"),
+], ids=["401-digit x", "y above 2**53", "padded y on line 2", "x checked first"])
+def test_coordinate_above_2_53_rejected(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_signature(line, "A")
+    assert str(exc.value) == message
+
+
+def test_coordinate_2_53_accepted():
+    m = parse_signature(f"{2 ** 53};{2 ** 53};0.5;1", "A").minutiae[0]
+    assert (m.x, m.y) == (2 ** 53, 2 ** 53)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the parser against the previous, field-by-field parser
+
+
+def _reference_parse_int(text: str, line_no: int, what: str) -> int:
+    try:
+        value = int(text.strip())
+    except ValueError:
+        raise ParseError(f"line {line_no}: {what} {text!r} is not an integer") from None
+    if value < 0:
+        raise ParseError(f"line {line_no}: {what} {text!r} is negative")
+    return value
+
+
+def _reference_parse_signature(text: str, record_id: str) -> Signature:
+    """The parser before the one-loop rewrite, which had no coordinate bound."""
+    minutiae: list[Minutia] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(";")
+        if len(fields) != 4:
+            raise ParseError(f"line {line_no}: expected 4 ';'-separated fields, got {len(fields)}")
+        x = _reference_parse_int(fields[0], line_no, "x coordinate")
+        y = _reference_parse_int(fields[1], line_no, "y coordinate")
+        try:
+            theta = float(fields[2].strip().replace(",", "."))
+        except ValueError:
+            raise ParseError(f"line {line_no}: angle {fields[2]!r} is not a number") from None
+        if not math.isfinite(theta):
+            raise ParseError(f"line {line_no}: angle {fields[2]!r} is not finite")
+        try:
+            type_code = int(fields[3].strip())
+        except ValueError:
+            raise ParseError(f"line {line_no}: type code {fields[3]!r} is not an integer") from None
+        minutiae.append(Minutia(x, y, normalize_angle(theta), type_code))
+    if not minutiae:
+        raise ParseError(f"signature {record_id!r} has no minutiae")
+    return Signature(record_id, minutiae)
+
+
+_PADDING = st.sampled_from(["", "", " ", "\t", "  ", "\u00a0", "\u2003"])
+_INTS = st.one_of(
+    st.integers(0, 5000).map(str),
+    st.integers(0, 2 ** 53).map(str),
+    st.sampled_from([str(2 ** 53), "-0", "+7", "00012", "1_000", "\u0663\u0664", "\uff11\uff12"]),
+)
+_BAD_INTS = st.one_of(
+    st.integers(-(2 ** 54), -1).map(str),
+    st.integers(2 ** 53 + 1, 2 ** 54).map(str),
+    st.sampled_from(["9" * 401, str(2 ** 53 + 1), "1__0", "_1", "1e3", "1.0", "0x10", "", "-", "+"]),
+)
+_ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-20.0, 20.0).map(repr).map(lambda s: s.replace(".", ",")),
+    st.sampled_from([repr(v) for v in ANGLE_EDGES]),
+    st.sampled_from(["0", "-0", "+3.1", "3.", ".5", ",5", "1,5", "1,0e2", "2,5E-3", "1_0.5",
+                     "\u0663.5", "1e-400"]),
+)
+_BAD_ANGLES = st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400",
+                               "1,5,", "1.5.", "1e", "", "x"])
+
+
+@st.composite
+def _signature_texts(draw) -> str:
+    """Lines of mostly valid fields; about one line in five has one bad
+    field, or 3 or 5 fields, and about one in six is blank."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(_PADDING))
+            continue
+        bad = draw(st.integers(0, 29))
+        fields = [draw(_BAD_INTS if bad == i else _INTS) for i in range(2)]
+        fields.append(draw(_BAD_ANGLES if bad == 2 else _ANGLES))
+        fields.append(draw(_BAD_INTS if bad == 3 else _INTS))
+        if bad == 4:
+            fields.pop()
+        elif bad == 5:
+            fields.append(draw(_INTS))
+        lines.append(draw(_PADDING) + ";".join(draw(_PADDING) + f + draw(_PADDING)
+                                              for f in fields) + draw(_PADDING))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+def _outcome(parse, text: str):
+    """Minutiae with theta as bytes, or the ParseError message."""
+    try:
+        s = parse(text, "r")
+    except ParseError as exc:
+        return str(exc)
+    return [(m.x, m.y, struct.pack("<d", m.theta), m.type_code) for m in s.minutiae]
+
+
+@settings(max_examples=500)
+@given(_signature_texts())
+def test_parser_matches_reference_parser(text):
+    got = _outcome(parse_signature, text)
+    lines = text.splitlines()
+    named = re.match(r"line (\d+): ", got) if isinstance(got, str) else None
+    line_no = int(named.group(1)) if named else len(lines) + 1
+    # Every line before the one that failed (or every line) was accepted
+    # by the reference parser, within the coordinate bound.
+    before = _outcome(_reference_parse_signature, "\n".join(lines[:line_no - 1]))
+    if isinstance(before, list):
+        assert all(x <= 2 ** 53 and y <= 2 ** 53 for x, y, _, _ in before)
+    else:
+        assert before == "signature 'r' has no minutiae"
+    want = _outcome(_reference_parse_signature, text)
+    if got == want:
+        return
+    # The one intended difference: the reference accepted a coordinate
+    # above 2**53 on the named line, and failed, if at all, on a later field.
+    bound = re.fullmatch(r"line \d+: ([xy]) coordinate (.*) is too large", got)
+    assert bound, (got, want)
+    axis = bound.group(1)
+    field = lines[line_no - 1].strip().split(";")["xy".index(axis)]
+    assert repr(field) == bound.group(2) and int(field) > 2 ** 53
+    through = _outcome(_reference_parse_signature, "\n".join(lines[:line_no]))
+    later = ("y coordinate", "angle", "type code")["xy".index(axis):]
+    assert isinstance(through, list) or through.startswith(
+        tuple(f"line {line_no}: {what} " for what in later))
 
 
 # ---------------------------------------------------------------------------
