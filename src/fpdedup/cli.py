@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,14 +20,14 @@ from pathlib import Path
 from . import bench as bench_mod
 from .cluster import ClusterTable, build_table, load_table, save_table
 from .dedup import (ORACLE_CAP, DuplicateReport, OracleCapExceededError, comparison_count,
-                    deduplicate, exhaustive_dedup, format_report, pair_relation)
+                    exhaustive_dedup, format_report, pair_relation)
 from .grid import GridParams, compute_index
 from .identify import identify
 from .matcher import MatchParams
 from .signature import (FileStore, ParseError, Signature, read_signature_file,
                         write_corpus_dir)
-from .stats import (REFERENCE_SIZE_AVG_PAIRS, TABLE_COLUMNS, CorpusStats, corpus_stats,
-                    estimate_workload, fit_regression, format_rate, predict_avg)
+from .stats import (REFERENCE_SIZE_AVG_PAIRS, TABLE_COLUMNS, CorpusStats, estimate_workload,
+                    fit_regression, format_rate, predict_avg, sweep_stats)
 from .synth import GenSpec, generate, write_ground_truth
 
 EXIT_OK = 0
@@ -134,15 +133,15 @@ def _sweep(args: argparse.Namespace) -> tuple[RunConfig, Mapping[str, Signature]
     cfg = _resolve_config(args)
     store = _corpus_store(args)
     table = _table(args, cfg, store)
-    start = time.perf_counter()
-    report = deduplicate(table, store, cfg.match)
-    stats = corpus_stats(table, report, time.perf_counter() - start)
+    report, stats = sweep_stats(table, store, cfg.match)
     return cfg, store, table, report, stats
 
 
-def _print_csv(stats: CorpusStats, name: str) -> None:
+def _print_csv(rows: list[tuple[str, CorpusStats]]) -> None:
+    """The standard table: its header line, then one row per (name, stats)."""
     print(",".join(TABLE_COLUMNS))
-    print(stats.csv_row(name))
+    for name, stats in rows:
+        print(stats.csv_row(name))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(rendered)
     if args.csv:
-        _print_csv(stats, args.name)
+        _print_csv([(args.name, stats)])
     else:
         print(f"n={stats.size} classes={stats.nb_class} avg={stats.avg:.4f} "
               f"max_p={stats.max_p} max_rate={format_rate(stats.max_rate)} "
@@ -212,7 +211,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     _cfg, _store, table, _report, stats = _sweep(args)
     if args.csv:
-        _print_csv(stats, args.name)
+        _print_csv([(args.name, stats)])
     else:
         print(f"name\t{args.name}")
         print(f"size\t{stats.size}")
@@ -240,8 +239,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
                 x_text, y_text = line.split(",")
                 points.append((float(x_text), float(y_text)))
             except ValueError:
-                print(f"error: {args.points}:{line_no}: expected 'size,avg'", file=sys.stderr)
-                return EXIT_DATA
+                raise ParseError(f"{args.points}:{line_no}: expected 'size,avg'") from None
     else:
         points = list(REFERENCE_SIZE_AVG_PAIRS)
     fit = fit_regression(points)
@@ -291,12 +289,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = [int(token) for token in args.sizes.split(",") if token]
     except ValueError:
-        print(f"error: --sizes expects comma-separated integers, got {args.sizes!r}",
-              file=sys.stderr)
-        return EXIT_DATA
+        raise ParseError(
+            f"--sizes expects comma-separated integers, got {args.sizes!r}") from None
     spec = GenSpec(subjects=0, dup_fraction=args.dup, seed=args.seed)
-    rows = bench_mod.scaling_run(sizes, spec, cfg.grid, cfg.match, reps=args.reps)
-    sys.stdout.write(bench_mod.rows_to_csv(rows))
+    rows = bench_mod.scaling_run(sizes, spec, cfg.grid, cfg.match)
+    _print_csv([(f"synth-{size}", stats) for size, stats in zip(sizes, rows)])
     return EXIT_OK
 
 
@@ -367,26 +364,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="milliseconds per comparison (default 1)")
     p.set_defaults(func=_cmd_estimate)
 
+    gen = GenSpec(subjects=0)  # the generator's defaults, read from one place
+
     p = sub.add_parser("generate", help="generate a synthetic corpus with ground truth")
     p.add_argument("--subjects", type=int, required=True)
-    p.add_argument("--dup", type=float, default=0.0, help="duplicate fraction (default 0)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dup", type=float, default=gen.dup_fraction,
+                   help=f"duplicate fraction (default {gen.dup_fraction:g})")
+    p.add_argument("--seed", type=int, default=gen.seed)
     p.add_argument("--out", type=Path, required=True, help="output corpus directory")
     p.add_argument("--truth", type=Path, help="ground-truth file (default: <out>.truth.tsv)")
-    p.add_argument("--jitter", type=float, default=0.0, help="positional noise sigma, px")
-    p.add_argument("--offset", type=int, default=30, help="max duplicate translation, px")
-    p.add_argument("--drop", type=float, default=0.0, help="per-minutia drop probability")
-    p.add_argument("--minutiae-min", type=int, default=20)
-    p.add_argument("--minutiae-max", type=int, default=60)
-    p.add_argument("--extent", type=int, default=350, help="square image extent, px")
-    p.add_argument("--spacing", type=float, default=15.0, help="min inter-minutia spacing, px")
+    p.add_argument("--jitter", type=float, default=gen.jitter, help="positional noise sigma, px")
+    p.add_argument("--offset", type=int, default=gen.global_offset,
+                   help="max duplicate translation, px")
+    p.add_argument("--drop", type=float, default=gen.drop_prob,
+                   help="per-minutia drop probability")
+    p.add_argument("--minutiae-min", type=int, default=gen.minutiae_per_print[0])
+    p.add_argument("--minutiae-max", type=int, default=gen.minutiae_per_print[1])
+    p.add_argument("--extent", type=int, default=gen.image_extent[0],
+                   help="square image extent, px")
+    p.add_argument("--spacing", type=float, default=gen.min_spacing,
+                   help="min inter-minutia spacing, px")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("bench", help="scaling curves over synthetic corpora")
+    p = sub.add_parser("bench", help="statistics rows of synthetic corpora by size")
     p.add_argument("--sizes", required=True, help="comma-separated corpus sizes, ascending")
-    p.add_argument("--reps", type=int, default=3, help="repetitions per timing (default 3)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dup", type=float, default=0.0, help="duplicate fraction (default 0)")
+    p.add_argument("--seed", type=int, default=gen.seed)
+    p.add_argument("--dup", type=float, default=gen.dup_fraction,
+                   help=f"duplicate fraction (default {gen.dup_fraction:g})")
     _add_param_flags(p)
     p.set_defaults(func=_cmd_bench)
 

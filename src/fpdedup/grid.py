@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .signature import Minutia, Signature
+from .signature import _MAX_COORD, Minutia, Signature
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,19 @@ BoundingBox = tuple[int, int, int, int]  # (x_min, y_min, x_max, y_max)
 
 
 def bounding_box(s: Signature) -> BoundingBox:
-    """Componentwise min/max over the signature's minutiae coordinates."""
+    """Componentwise min/max over the signature's minutiae coordinates.
+
+    Raises ValueError on an empty signature, or on a coordinate beyond
+    +-2**53 that float64 arithmetic would round or overflow on.
+    """
     if not s.minutiae:
         raise ValueError(f"signature {s.record_id!r} is empty")
     xs = [m.x for m in s.minutiae]
     ys = [m.y for m in s.minutiae]
-    return min(xs), min(ys), max(xs), max(ys)
+    box = min(xs), min(ys), max(xs), max(ys)
+    if max(box) > _MAX_COORD or min(box) < -_MAX_COORD:
+        raise ValueError(f"signature {s.record_id!r} has a coordinate beyond +-2**53")
+    return box
 
 
 def _block_sizes(box: BoundingBox, n: int) -> tuple[float, float]:

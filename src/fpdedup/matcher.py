@@ -32,6 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .grid import bounding_box
 from .signature import Minutia, Signature, normalize_angles
 
 TWO_PI = 2.0 * math.pi
@@ -149,8 +150,7 @@ def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletInde
     because numpy's versions can differ from them in the last bit. A
     40-minutia print takes about 320-440 us on a 2-vCPU host.
     """
-    if not s.minutiae:
-        raise ValueError(f"signature {s.record_id!r} is empty")
+    bounding_box(s)  # rejects an empty signature or an out-of-range coordinate
     x, y, theta = np.array([(m.x, m.y, m.theta) for m in s.minutiae], dtype=np.float64).T
     tri, opposite = _triangles(x, y, p)
     nt = tri.shape[0]

@@ -2,7 +2,8 @@
 
 `corpus_stats` condenses one indexed corpus into the standard row:
 size, class count, mean/min/max bucket occupancy, dispersion,
-penetration rates, detected duplicates, and wall time.
+penetration rates, detected duplicates, and wall time; `sweep_stats`
+runs and times the sweep that fills the last two.
 `fit_regression` / `predict_avg` model how the mean occupancy grows
 with database size, and `estimate_workload` turns a size and mean
 occupancy into expected comparison counts and wall time.
@@ -14,12 +15,16 @@ columns of those rows are the standard regression input.
 
 from __future__ import annotations
 
+import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cluster import ClusterTable
-from .dedup import DuplicateReport
+from .dedup import DuplicateReport, deduplicate
+from .matcher import MatchParams
+from .signature import Signature
 
 TABLE_COLUMNS = ["FBD", "Size", "Nb class", "Avg.", "Min P.", "Max P.", "Std dev",
                  "Min P. Rate", "Max P. Rate", "Duplicates", "Duration deduplication (s)"]
@@ -52,6 +57,18 @@ class CorpusStats:
 def format_rate(rate: float) -> str:
     """Percentage with 4 decimals, e.g. 0.003125 -> '0.3125%'."""
     return f"{100.0 * rate:.4f}%"
+
+
+def sweep_stats(table: ClusterTable,
+                store: Mapping[str, Signature],
+                params: MatchParams = MatchParams()) -> tuple[DuplicateReport, CorpusStats]:
+    """Run one duplicate sweep, timed on a monotonic clock, and its statistics row.
+
+    The row's ``duration_s`` is the sweep's wall time alone.
+    """
+    start = time.perf_counter()
+    report = deduplicate(table, store, params)
+    return report, corpus_stats(table, report, time.perf_counter() - start)
 
 
 def corpus_stats(table: ClusterTable,
@@ -187,9 +204,9 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 )
 
 # The ten distinct (size, mean occupancy) pairs used for the regression
-# study; NIST14 shares its size with NIST09 and FVC2002 with FVC2000, so
-# each size appears once.
-REFERENCE_SIZE_AVG_PAIRS: tuple[tuple[float, float], ...] = (
-    (320, 1.0), (1011, 1.002), (4001, 1.0025), (10000, 1.0014), (20000, 1.0033),
-    (30000, 1.0059), (40000, 1.0053), (50000, 1.0049), (54000, 1.0053), (113609, 1.0086),
+# study: the first row of each size, as NIST14 shares its size with
+# NIST09 and FVC2002 with FVC2000.
+REFERENCE_SIZE_AVG_PAIRS: tuple[tuple[float, float], ...] = tuple(
+    (row.size, row.avg) for i, row in enumerate(REFERENCE_ROWS)
+    if all(row.size != earlier.size for earlier in REFERENCE_ROWS[:i])
 )

@@ -82,11 +82,12 @@ class SplitMix64:
 
 
 def derive_seed(seed: int, salt: int) -> int:
-    """A decorrelated child seed, for independent corpora per bench size."""
-    z = (seed + (salt + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    """A decorrelated child seed, for independent corpora per bench size.
+
+    It is the first output of a splitmix64 stream seeded ``salt`` gammas
+    past ``seed``.
+    """
+    return SplitMix64(seed + salt * _GAMMA).next_u64()
 
 
 @dataclass(frozen=True)

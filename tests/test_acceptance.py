@@ -51,15 +51,13 @@ def planted_1k():
 @pytest.fixture(scope="module")
 def table_100k():
     spec = GenSpec(subjects=100_000, dup_fraction=0.0, seed=101)
-    table, store, sample, _ = materialize_corpus(spec, GRID)
-    return table, store, sample
+    return materialize_corpus(spec, GRID)
 
 
 @pytest.fixture(scope="module")
 def table_10k():
     spec = GenSpec(subjects=10_000, dup_fraction=0.0, seed=102)
-    table, store, sample, _ = materialize_corpus(spec, GRID)
-    return table, store, sample
+    return materialize_corpus(spec, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,7 @@ def test_criterion_09_dedup_scaling():
     for size, seed in ((25_000, 901), (50_000, 902)):
         spec = GenSpec(subjects=size, dup_fraction=0.01, jitter=0.0,
                        drop_prob=0.0, seed=seed)
-        table, store, _, _ = materialize_corpus(spec, GRID)
+        table, store, _ = materialize_corpus(spec, GRID)
         runs = []
         for _ in range(3):
             start = time.perf_counter()

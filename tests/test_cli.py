@@ -8,7 +8,9 @@ import re
 import pytest
 
 from fpdedup.cli import EXIT_CAP, EXIT_DATA, EXIT_OK, main
-from fpdedup.signature import load_corpus_dir
+from fpdedup.signature import load_corpus_dir, write_corpus_dir
+from fpdedup.stats import TABLE_COLUMNS
+from fpdedup.synth import GenSpec, generate, write_ground_truth
 
 from .conftest import REFERENCE_SIGNATURE_PATH
 
@@ -209,9 +211,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["dedup", "--jobs", "2"])  # removed flag
-    assert exc.value.code == 2
+    for argv in (["dedup", "--jobs", "2"], ["bench", "--sizes", "120", "--reps", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)  # removed flags
+        assert exc.value.code == 2
     # exactly one corpus source is required
     for argv in (["index", "--out", "t.tsv"], ["oracle"],
                  ["dedup", "--corpus", "c", "--manifest", "m.tsv"]):
@@ -248,6 +251,14 @@ def test_regress_custom_points(tmp_path, capsys):
     values = dict(ln.split("\t")[:2] for ln in capsys.readouterr().out.splitlines())
     assert float(values["slope"]) == pytest.approx(0.1)
     assert float(values["intercept"]) == pytest.approx(1.0)
+
+
+def test_regress_bad_points_line_data_error(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text("# size,avg\n0,1.0\n10;2.0\n")
+    rc = main(["regress", "--points", str(points)])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {points}:3: expected 'size,avg'\n"
 
 
 def test_config_file_and_flag_precedence(generated, tmp_path, capsys):
@@ -318,10 +329,39 @@ def test_identify_query_from_reference_file(generated, capsys):
 
 
 def test_bench_csv(capsys):
-    rc = main(["bench", "--sizes", "120,240", "--reps", "1", "--seed", "33"])
+    rc = main(["bench", "--sizes", "120,240", "--seed", "33"])
     assert rc == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("size,nb_class,avg")
+    assert lines[0] == ",".join(TABLE_COLUMNS)
     assert len(lines) == 3
-    assert lines[1].split(",")[0] == "120"
-    assert lines[2].split(",")[0] == "240"
+    assert lines[1].split(",")[:2] == ["synth-120", "120"]
+    assert lines[2].split(",")[:2] == ["synth-240", "240"]
+
+
+def test_bench_header_is_stats_csv_header(generated, capsys):
+    root, corpus, table = generated
+    assert main(["stats", "--corpus", str(corpus), "--table", str(table), "--csv"]) == EXIT_OK
+    stats_header = capsys.readouterr().out.splitlines()[0]
+    assert main(["bench", "--sizes", "50"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == stats_header
+
+
+def test_bench_bad_sizes_data_error(capsys):
+    rc = main(["bench", "--sizes", "100,x"])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: --sizes expects comma-separated integers, got '100,x'\n")
+
+
+def test_generate_defaults_are_genspec_defaults(tmp_path):
+    rc = main(["generate", "--subjects", "25", "--out", str(tmp_path / "cli")])
+    assert rc == EXIT_OK
+    signatures, truth = generate(GenSpec(subjects=25))
+    write_corpus_dir(signatures, tmp_path / "lib")
+    write_ground_truth(truth, tmp_path / "lib.truth.tsv")
+    names = sorted(path.name for path in (tmp_path / "lib").iterdir())
+    assert sorted(path.name for path in (tmp_path / "cli").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    assert ((tmp_path / "cli.truth.tsv").read_bytes()
+            == (tmp_path / "lib.truth.tsv").read_bytes())

@@ -37,6 +37,19 @@ def test_bounding_box_empty_errors():
         bounding_box(Signature("s", []))
 
 
+@pytest.mark.parametrize("big", [2 ** 53 + 1, 10 ** 400, -(10 ** 400)],
+                         ids=["2**53+1", "10**400", "-10**400"])
+def test_coordinate_beyond_float_range_errors(big):
+    # a Signature built in code skips the parser's range check
+    for x, y in ((big, 0), (0, big)):
+        s = Signature("big", [Minutia(0, 0, 0.0, 1), Minutia(x, y, 0.0, 1),
+                              Minutia(5, 9, 0.1, 1)])
+        with pytest.raises(ValueError, match="'big' has a coordinate beyond"):
+            compute_index(s)
+    edge = Signature("edge", [Minutia(0, 0, 0.0, 1), Minutia(2 ** 53, 2 ** 53, 0.0, 1)])
+    assert bounding_box(edge) == (0, 0, 2 ** 53, 2 ** 53)
+
+
 def test_compute_index_reference_golden(reference_signature):
     assert compute_index(reference_signature, GridParams(5)).key_text == REFERENCE_KEY
 

@@ -62,6 +62,15 @@ def test_three_distant_minutiae_filtered_out():
     assert index_signature(s, PARAMS).features.shape == (0, 9)
 
 
+def test_coordinate_beyond_float_range_errors():
+    s = Signature("big", [Minutia(0, 0, 0.0, 1), Minutia(10 ** 400, 0, 0.0, 1),
+                          Minutia(5, 9, 0.1, 1)])
+    with pytest.raises(ValueError, match="'big' has a coordinate beyond"):
+        index_signature(s, PARAMS)
+    with pytest.raises(ValueError, match="'empty' is empty"):
+        index_signature(Signature("empty", []), PARAMS)
+
+
 def test_edge_filter_and_count_bound(random_suite):
     k = PARAMS.neighbors_k
     for s in random_suite[:15]:

@@ -75,6 +75,21 @@ def test_derive_seed_decorrelates():
     assert len(children) == 64
 
 
+def test_derive_seed_equals_mixer_written_out():
+    mask = (1 << 64) - 1
+
+    def mixed(seed: int, salt: int) -> int:
+        z = (seed + (salt + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1E4B7287) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    rng = SplitMix64(7)
+    pairs = [(0, 0), (2 ** 64 - 1, 2 ** 40), (-5, 3)]
+    pairs += [(rng.next_u64(), rng.randint(0, 1 << 20)) for _ in range(1000)]
+    assert [derive_seed(*pair) for pair in pairs] == [mixed(*pair) for pair in pairs]
+
+
 # ---------------------------------------------------------------------------
 # Corpus generation
 
