@@ -8,9 +8,9 @@ Fitting a line through (size, mean occupancy) lets us extrapolate to
 national-scale databases and forecast the deduplication workload.
 """
 
-from fpdedup import build_table, compute_index, corpus_stats, deduplicate, estimate_workload
+from fpdedup import build_table, compute_index, estimate_workload
 from fpdedup.stats import (REFERENCE_ROWS, REFERENCE_SIZE_AVG_PAIRS, fit_regression,
-                           format_rate, predict_avg)
+                           format_rate, predict_avg, sweep_stats)
 from fpdedup.synth import GenSpec, generate
 
 print("published reference measurements:")
@@ -30,16 +30,12 @@ estimate = estimate_workload(10_000_000, 2.0, ms_per_comparison=1.0)
 print(f"\n10M-record forecast: {estimate.classes:,.0f} classes, "
       f"{estimate.comparisons:,.0f} comparisons, {estimate.wall_time_human()}")
 
-# The same statistics for a synthetic corpus of our own.
-import time
-
+# The same statistics for a synthetic corpus of our own, from one timed sweep.
 signatures, _ = generate(GenSpec(subjects=5000, dup_fraction=0.01,
                                  minutiae_per_print=(20, 35), seed=7))
 store = {s.record_id: s for s in signatures}
 table = build_table((s.record_id, compute_index(s).key_text) for s in signatures)
-start = time.perf_counter()
-report = deduplicate(table, store)
-stats = corpus_stats(table, report, time.perf_counter() - start)
+_, stats = sweep_stats(table, store)
 print(f"\nsynthetic corpus: size {stats.size}, classes {stats.nb_class}, "
       f"avg {stats.avg:.4f}, max penetration {format_rate(stats.max_rate)}, "
       f"{stats.duplicates} duplicates")

@@ -105,12 +105,18 @@ def _corpus_store(args: argparse.Namespace) -> Mapping[str, Signature]:
     return FileStore.from_directory(args.corpus)
 
 
+def _count_and_example(ids: set[str]) -> str:
+    return f"{len(ids)} (e.g. {min(ids)!r})" if ids else "0"
+
+
 def _table(args: argparse.Namespace, cfg: RunConfig,
            store: Mapping[str, Signature]) -> ClusterTable:
-    """Load --table, checked against the grid, or else build the table from the store.
+    """Load --table, checked against the grid and the store, or else build it from the store.
 
     A loaded key must hold grid_n**2 counts; otherwise every lookup with
-    this grid would miss and report nothing found.
+    this grid would miss and report nothing found. A loaded table must
+    list exactly the store's record ids; otherwise new records would go
+    unseen and removed ones would still be reported.
     """
     if getattr(args, "table", None) is not None:
         table = load_table(args.table)
@@ -119,6 +125,13 @@ def _table(args: argparse.Namespace, cfg: RunConfig,
             if len(key.split("-")) != cells:
                 raise ParseError(f"{args.table}: key {key!r} does not have {cells} counts "
                                  f"(grid_n={cfg.grid.n})")
+        table_ids = {rid for bucket in table.buckets.values() for rid in bucket}
+        store_ids = set(store)
+        if table_ids != store_ids:
+            raise ParseError(
+                f"{args.table}: table does not match the corpus; corpus records missing "
+                f"from the table: {_count_and_example(store_ids - table_ids)}; table "
+                f"records missing from the corpus: {_count_and_example(table_ids - store_ids)}")
     else:
         table = build_table((rid, compute_index(store[rid], cfg.grid).key_text)
                             for rid in store)

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .grid import IndexKey
+from .signature import check_record_ids
 
 TABLE_FORMAT_HEADER = "fpdedup-cluster-table v1"
 
@@ -31,11 +33,6 @@ class ClusterTable:
         key_text = key.key_text if isinstance(key, IndexKey) else key
         return self.buckets.get(key_text, [])
 
-    def add(self, record_id: str, key: IndexKey | str) -> None:
-        key_text = key.key_text if isinstance(key, IndexKey) else key
-        self.buckets.setdefault(key_text, []).append(record_id)
-        self.size += 1
-
     def max_bucket_size(self) -> int:
         return max(map(len, self.buckets.values()), default=0)
 
@@ -46,14 +43,15 @@ def build_table(entries: Iterable[tuple[str, IndexKey | str]]) -> ClusterTable:
     Bucket lists preserve input order. Raises DuplicateRecordIdError,
     naming the offending id, if a record id repeats.
     """
-    table = ClusterTable()
+    buckets: dict[str, list[str]] = {}
     seen: set[str] = set()
     for record_id, key in entries:
         if record_id in seen:
             raise DuplicateRecordIdError(f"duplicate record id {record_id!r}")
         seen.add(record_id)
-        table.add(record_id, key)
-    return table
+        buckets.setdefault(key.key_text if isinstance(key, IndexKey) else key,
+                           []).append(record_id)
+    return ClusterTable(buckets, len(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +60,9 @@ def build_table(entries: Iterable[tuple[str, IndexKey | str]]) -> ClusterTable:
 
 def save_table(table: ClusterTable, path: str | Path) -> None:
     """Write ``key_text<TAB>id1,id2,...`` lines under a version header."""
+    check_record_ids(chain.from_iterable(table.buckets.values()))
     lines = [TABLE_FORMAT_HEADER]
     for key_text, ids in table.buckets.items():
-        for record_id in ids:
-            if "\t" in record_id or "," in record_id or "\n" in record_id:
-                raise ValueError(f"record id {record_id!r} contains a separator character")
         lines.append(f"{key_text}\t{','.join(ids)}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 
 from .cluster import ClusterTable
 from .identify import CompareMany, Matcher, Prepare, _resolve, _scorer
@@ -166,14 +165,8 @@ def exhaustive_dedup(store: Mapping[str, Signature],
 # Report persistence
 
 
-def save_report(report: DuplicateReport,
-                path: str | Path,
-                wall_seconds: float = 0.0) -> None:
-    """Write ``key<TAB>rep_id<TAB>member1,member2,...`` lines plus a summary."""
-    Path(path).write_text(format_report(report, wall_seconds))
-
-
 def format_report(report: DuplicateReport, wall_seconds: float = 0.0) -> str:
+    """Render ``key<TAB>rep_id<TAB>member1,member2,...`` lines plus a summary."""
     lines = [REPORT_FORMAT_HEADER]
     buckets = 0
     for key, groups in report.groups_by_key.items():

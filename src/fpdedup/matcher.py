@@ -33,9 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grid import bounding_box
-from .signature import Minutia, Signature, normalize_angles
-
-TWO_PI = 2.0 * math.pi
+from .signature import TWO_PI, Minutia, Signature, normalize_angles
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,9 @@ class MatchParams:
             raise ValueError("score_threshold must be within [0, 100]")
         if self.min_matched_descriptors < 0:
             raise ValueError("min_matched_descriptors must be >= 0")
-        if self.side_tolerance <= 0 or self.angle_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        # Written as range tests so that NaN, which fails every comparison, is rejected.
+        if not (0 < self.side_tolerance < math.inf and 0 < self.angle_tolerance < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)

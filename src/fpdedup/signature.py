@@ -11,7 +11,8 @@ one file per record (filename stem = record id) or a manifest file of
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+import re
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,6 +157,23 @@ def serialize_signature(s: Signature) -> str:
 # Corpus layouts
 
 
+# Tables and reports separate record ids with tabs, commas and line breaks;
+# the class holds both separators and every str.splitlines boundary.
+_ID_SEPARATORS = re.compile(r"[\t,\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def check_record_ids(ids: Iterable[str]) -> None:
+    """Raise ParseError naming the first id that holds a tab, a comma or a line boundary.
+
+    Such an id would be written to a table or report as two ids, or
+    split its line, and be read back as something else.
+    """
+    search = _ID_SEPARATORS.search
+    for record_id in ids:
+        if search(record_id):
+            raise ParseError(f"record id {record_id!r} contains a separator character")
+
+
 def read_signature_file(path: str | Path, record_id: str | None = None) -> Signature:
     """Read one signature file; record id defaults to the filename stem."""
     path = Path(path)
@@ -163,29 +181,14 @@ def read_signature_file(path: str | Path, record_id: str | None = None) -> Signa
     return parse_signature(path.read_text(), rid)
 
 
-def write_signature_file(s: Signature, path: str | Path) -> None:
-    Path(path).write_text(serialize_signature(s) + "\n")
-
-
-def load_corpus_dir(directory: str | Path) -> dict[str, Signature]:
-    """Parse every record of a one-file-per-record corpus directory."""
-    return dict(FileStore.from_directory(directory))
-
-
-def load_manifest(path: str | Path) -> dict[str, Signature]:
-    """Parse every record of a ``record_id<TAB>path`` manifest, in file order."""
-    return dict(FileStore.from_manifest(path))
-
-
 def write_corpus_dir(signatures: Iterator[Signature] | list[Signature],
-                     directory: str | Path,
-                     extension: str = ".sig") -> int:
-    """Write signatures as one file per record; returns the record count."""
+                     directory: str | Path) -> int:
+    """Write signatures as one ``<record_id>.sig`` file per record; returns the count."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     count = 0
     for s in signatures:
-        write_signature_file(s, directory / f"{s.record_id}{extension}")
+        (directory / f"{s.record_id}.sig").write_text(serialize_signature(s) + "\n")
         count += 1
     return count
 
@@ -199,6 +202,7 @@ class FileStore(Mapping):
     """
 
     def __init__(self, paths: dict[str, Path]):
+        check_record_ids(paths)
         self._paths = paths
 
     @classmethod

@@ -116,8 +116,11 @@ class GenSpec:
             raise ValueError("dup_fraction must be within [0, 1]")
         if not (0.0 <= self.drop_prob < 1.0):
             raise ValueError("drop_prob must be within [0, 1)")
-        if self.jitter < 0 or self.global_offset < 0 or self.min_spacing < 0:
-            raise ValueError("jitter, global_offset and min_spacing must be >= 0")
+        if self.global_offset < 0:
+            raise ValueError("global_offset must be >= 0")
+        # Range tests, so that NaN, which fails every comparison, is rejected too.
+        if not (0 <= self.jitter < math.inf and 0 <= self.min_spacing < math.inf):
+            raise ValueError("jitter and min_spacing must be finite and >= 0")
 
     @property
     def duplicate_count(self) -> int:

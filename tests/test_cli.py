@@ -8,7 +8,7 @@ import re
 import pytest
 
 from fpdedup.cli import EXIT_CAP, EXIT_DATA, EXIT_OK, main
-from fpdedup.signature import load_corpus_dir, write_corpus_dir
+from fpdedup.signature import FileStore, write_corpus_dir
 from fpdedup.stats import TABLE_COLUMNS
 from fpdedup.synth import GenSpec, generate, write_ground_truth
 
@@ -31,7 +31,7 @@ def generated(tmp_path_factory):
 
 def test_generate_writes_corpus_and_truth(generated):
     root, corpus, _ = generated
-    records = load_corpus_dir(corpus)
+    records = dict(FileStore.from_directory(corpus))
     assert len(records) == 132
     truth = (corpus.parent / "corpus.truth.tsv").read_text().splitlines()
     assert len(truth) == 12
@@ -115,6 +115,39 @@ def test_table_of_another_grid_data_error(generated, tmp_path, capsys):
     assert main(["identify", "--query", str(query), "--table", str(table6),
                  "--corpus", str(corpus), "--grid-n", "6"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0].split("\t") == [query.stem, "100.0000", "true"]
+
+
+def test_table_and_corpus_record_ids_must_agree(generated, tmp_path, capsys):
+    root, corpus, table = generated
+    query = sorted(corpus.iterdir())[0]
+    added = tmp_path / "added"
+    added.mkdir()
+    for f in corpus.iterdir():
+        (added / f.name).write_bytes(f.read_bytes())
+    (added / "NEW.sig").write_bytes((corpus / "S00005.sig").read_bytes())
+    removed = tmp_path / "removed"
+    removed.mkdir()
+    for f in corpus.iterdir():
+        if f.name != "S00003.sig":
+            (removed / f.name).write_bytes(f.read_bytes())
+    for source, missing in ((added, "from the table: 1 (e.g. 'NEW'); table records "
+                                    "missing from the corpus: 0"),
+                            (removed, "from the table: 0; table records missing from the "
+                                      "corpus: 1 (e.g. 'S00003')")):
+        for command in (["dedup"], ["stats"], ["identify", "--query", str(query)]):
+            capsys.readouterr()
+            rc = main(command + ["--table", str(table), "--corpus", str(source)])
+            assert rc == EXIT_DATA
+            err = capsys.readouterr().err
+            assert str(table) in err and missing in err
+
+
+def test_separator_in_record_id_data_error(generated, tmp_path, capsys):
+    root, corpus, _ = generated
+    for name in ("a,b.sig", "a.sig", "b.sig"):
+        (tmp_path / name).write_bytes((corpus / "S00000.sig").read_bytes())
+    assert main(["dedup", "--corpus", str(tmp_path)]) == EXIT_DATA
+    assert "record id 'a,b' contains a separator" in capsys.readouterr().err
 
 
 def test_dedup_report_and_stats(generated, capsys, tmp_path):
@@ -273,6 +306,24 @@ def test_config_file_and_flag_precedence(generated, tmp_path, capsys):
     rc = main(["stats", "--corpus", str(corpus), "--table", str(table),
                "--config", str(config), "--threshold", "90"])
     assert rc == EXIT_OK
+
+
+def test_non_finite_tolerance_rejected(generated, tmp_path, capsys):
+    root, corpus, table = generated
+    query = sorted(corpus.iterdir())[0]
+    for flag in ("--angle-tolerance", "--side-tolerance"):
+        for value in ("nan", "inf"):
+            for command in (["dedup"], ["identify", "--query", str(query)]):
+                capsys.readouterr()
+                rc = main(command + ["--corpus", str(corpus), "--table", str(table),
+                                     flag, value])
+                assert rc == EXIT_DATA
+                assert "tolerances must be positive and finite" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text('{"angle_tolerance": NaN}')  # Python's JSON reader takes NaN
+    rc = main(["dedup", "--corpus", str(corpus), "--config", str(config)])
+    assert rc == EXIT_DATA
+    assert "tolerances must be positive and finite" in capsys.readouterr().err
 
 
 def test_config_unknown_key_rejected(generated, tmp_path, capsys):

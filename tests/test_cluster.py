@@ -141,6 +141,8 @@ def test_load_rejects_empty_record_id(tmp_path, capsys):
 
 
 def test_save_rejects_separator_in_id(tmp_path):
-    table = build_table([("A,B", "1-0")])
-    with pytest.raises(ValueError, match="separator"):
-        save_table(table, tmp_path / "t.tsv")
+    # every character that would split the id or its line on reload
+    for record_id in ("A,B", "A\tB", "A\nB", "A\rB", "A\vB", "A\x85B", "A\u2028B"):
+        table = build_table([(record_id, "1-0")])
+        with pytest.raises(ValueError, match="separator"):
+            save_table(table, tmp_path / "t.tsv")

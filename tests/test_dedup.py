@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from fpdedup.cluster import build_table
 from fpdedup.dedup import (DuplicateReport, OracleCapExceededError, comparison_count,
-                           deduplicate, exhaustive_dedup, format_report, pair_relation,
-                           save_report)
+                           deduplicate, exhaustive_dedup, format_report, pair_relation)
 from fpdedup.grid import compute_index
 from fpdedup.matcher import MatchParams, MatchResult
 from fpdedup.signature import Signature
@@ -258,5 +257,5 @@ def test_report_format_and_save(tmp_path):
     assert "1-0\tC\tC" in lines
     assert "2-2\tD\tD" in lines
     assert lines[-1].startswith("# summary: n=4 buckets=2 duplicate_groups=1 comparisons=2")
-    save_report(report, tmp_path / "report.tsv")
+    (tmp_path / "report.tsv").write_text(format_report(report))
     assert (tmp_path / "report.tsv").read_text().splitlines()[0] == "fpdedup-dedup-report v1"

@@ -98,6 +98,11 @@ def test_match_params_validation():
         MatchParams(neighbors_k=1)
     with pytest.raises(ValueError):
         MatchParams(score_threshold=101)
+    for bad in (float("nan"), float("inf"), 0.0):
+        for field in ("side_tolerance", "angle_tolerance"):
+            with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+                MatchParams(**{field: bad})
+    assert MatchParams(max_edge=float("inf")).max_edge == float("inf")
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from fpdedup import signature as signature_module
 from fpdedup.signature import (FileStore, Minutia, ParseError, SerializedStore,
-                               Signature, load_corpus_dir, load_manifest,
-                               normalize_angle, normalize_angles, parse_signature,
-                               serialize_signature, write_corpus_dir)
+                               Signature, check_record_ids, normalize_angle,
+                               normalize_angles, parse_signature, serialize_signature,
+                               write_corpus_dir)
 
 TWO_PI = 2.0 * math.pi
 
@@ -302,7 +302,7 @@ def _tiny_corpus() -> list[Signature]:
 def test_corpus_dir_round_trip(tmp_path):
     corpus = _tiny_corpus()
     assert write_corpus_dir(corpus, tmp_path / "c") == 2
-    loaded = load_corpus_dir(tmp_path / "c")
+    loaded = dict(FileStore.from_directory(tmp_path / "c"))
     assert set(loaded) == {"a", "b"}
     assert loaded["a"] == corpus[0]
     assert loaded["b"] == corpus[1]
@@ -313,7 +313,7 @@ def test_manifest_round_trip(tmp_path):
     write_corpus_dir(corpus, tmp_path / "c")
     manifest = tmp_path / "m.tsv"
     manifest.write_text("first\tc/a.sig\nsecond\tc/b.sig\n")
-    loaded = load_manifest(manifest)
+    loaded = dict(FileStore.from_manifest(manifest))
     assert set(loaded) == {"first", "second"}
     assert [(m.x, m.y) for m in loaded["first"].minutiae] == [(1, 2), (30, 40)]
 
@@ -322,7 +322,7 @@ def test_manifest_malformed_line(tmp_path):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("only-one-field\n")
     with pytest.raises(ParseError, match="manifest line 1"):
-        load_manifest(manifest)
+        FileStore.from_manifest(manifest)
 
 
 def test_manifest_duplicate_record_id(tmp_path):
@@ -330,7 +330,32 @@ def test_manifest_duplicate_record_id(tmp_path):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("a\tc/a.sig\nb\tc/b.sig\na\tc/b.sig\n")
     with pytest.raises(ParseError, match="manifest line 3: duplicate record id 'a'"):
-        load_manifest(manifest)
+        FileStore.from_manifest(manifest)
+
+
+def test_record_id_rule_is_separators_and_line_boundaries():
+    rejected = set()
+    for code in range(0x110000):
+        c = chr(code)
+        try:
+            check_record_ids(["a", f"x{c}y"])
+        except ParseError as exc:
+            assert repr(f"x{c}y") in str(exc) and "separator" in str(exc)
+            rejected.add(c)
+    assert rejected == {"\t", ","} | {c for c in map(chr, range(0x110000))
+                                      if len(f"x{c}y".splitlines()) > 1}
+
+
+def test_store_rejects_separator_in_record_id(tmp_path):
+    corpus = tmp_path / "c"
+    write_corpus_dir(_tiny_corpus(), corpus)
+    (corpus / "a,b.sig").write_text((corpus / "a.sig").read_text())
+    with pytest.raises(ParseError, match="record id 'a,b' contains a separator"):
+        FileStore.from_directory(corpus)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\tc/a.sig\nb,c\tc/b.sig\n")
+    with pytest.raises(ParseError, match="record id 'b,c' contains a separator"):
+        FileStore.from_manifest(manifest)
 
 
 def test_directory_store_lazy_lookup(tmp_path):

@@ -175,6 +175,10 @@ def test_streaming_matches_materialized():
     dict(subjects=5, dup_fraction=1.5),
     dict(subjects=5, drop_prob=-0.1),
     dict(subjects=5, jitter=-1.0),
+    dict(subjects=5, jitter=float("nan")),
+    dict(subjects=5, jitter=float("inf")),
+    dict(subjects=5, min_spacing=float("nan")),
+    dict(subjects=5, min_spacing=float("inf")),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValueError):
