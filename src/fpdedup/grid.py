@@ -50,10 +50,9 @@ def bounding_box(s: Signature) -> BoundingBox:
     Raises ValueError on an empty signature, or on a coordinate beyond
     +-2**53 that float64 arithmetic would round or overflow on.
     """
-    if not s.minutiae:
+    xs, ys = s.xs, s.ys
+    if not xs:
         raise ValueError(f"signature {s.record_id!r} is empty")
-    xs = [m.x for m in s.minutiae]
-    ys = [m.y for m in s.minutiae]
     box = min(xs), min(ys), max(xs), max(ys)
     if max(box) > _MAX_COORD or min(box) < -_MAX_COORD:
         raise ValueError(f"signature {s.record_id!r} has a coordinate beyond +-2**53")
@@ -67,15 +66,15 @@ def _block_sizes(box: BoundingBox, n: int) -> tuple[float, float]:
     return (x_max - x_min + 1) / n, (y_max - y_min + 1) / n
 
 
-def _cells(minutiae: Sequence[Minutia], box: BoundingBox, n: int) -> list[int]:
-    """Cell number ``x_block * n + y_block`` of each minutia inside ``box``."""
+def _cells(xs: Sequence[int], ys: Sequence[int], box: BoundingBox, n: int) -> list[int]:
+    """Cell number ``x_block * n + y_block`` of each point ``(xs[i], ys[i])`` inside ``box``."""
     l_block, h_block = _block_sizes(box, n)
     x_min, y_min, last = box[0], box[1], n - 1
     floor = math.floor
     # Clamp guards against float quotients landing exactly on n.
-    return [(bx if (bx := floor((m.x - x_min) / l_block)) < last else last) * n
-            + (by if (by := floor((m.y - y_min) / h_block)) < last else last)
-            for m in minutiae]
+    return [(bx if (bx := floor((x - x_min) / l_block)) < last else last) * n
+            + (by if (by := floor((y - y_min) / h_block)) < last else last)
+            for x, y in zip(xs, ys)]
 
 
 def block_of(m: Minutia, box: BoundingBox, p: GridParams = GridParams()) -> tuple[int, int]:
@@ -83,7 +82,7 @@ def block_of(m: Minutia, box: BoundingBox, p: GridParams = GridParams()) -> tupl
     x_min, y_min, x_max, y_max = box
     if not (x_min <= m.x <= x_max and y_min <= m.y <= y_max):
         raise ValueError(f"minutia ({m.x}, {m.y}) lies outside box {box}")
-    return divmod(_cells([m], box, p.n)[0], p.n)
+    return divmod(_cells((m.x,), (m.y,), box, p.n)[0], p.n)
 
 
 def compute_index(s: Signature, p: GridParams = GridParams()) -> IndexKey:
@@ -93,6 +92,6 @@ def compute_index(s: Signature, p: GridParams = GridParams()) -> IndexKey:
     constant translation of the whole signature.
     """
     counts = [0] * (p.n * p.n)
-    for cell in _cells(s.minutiae, bounding_box(s), p.n):
+    for cell in _cells(s.xs, s.ys, bounding_box(s), p.n):
         counts[cell] += 1
     return IndexKey.from_counts(counts)

@@ -66,7 +66,7 @@ def identify(query: Signature,
         KeyError: a bucket member missing from the store (table and
             store disagree about the corpus).
     """
-    if not query.minutiae:
+    if not query.xs:
         raise ValueError(f"query signature {query.record_id!r} is empty")
     key = compute_index(query, grid)
     bucket = table.lookup(key)

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grid import bounding_box
-from .signature import TWO_PI, Minutia, Signature, normalize_angles
+from .signature import TWO_PI, Signature, normalize_angles
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,15 @@ class TripletIndex:
     orientations (6-8). Rows are sorted by the largest side (column 2);
     row numbers break ties when triplets are paired. ``minutiae_key``
     backs the degenerate case where no triplets exist and only exact
-    minutiae equality can score; it is built on first use.
+    minutiae equality can score; it is built from ``signature`` on first use.
     """
 
     features: np.ndarray  # (nt, 9) float64, sorted by column 2
-    minutiae: tuple[Minutia, ...]
+    signature: Signature
 
     @cached_property
     def minutiae_key(self) -> tuple:
-        return tuple(sorted((m.x, m.y, m.theta, m.type_code) for m in self.minutiae))
+        return tuple(sorted(self.signature.rows()))
 
 
 def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletIndex:
@@ -150,7 +150,7 @@ def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletInde
     40-minutia print takes about 320-440 us on a 2-vCPU host.
     """
     bounding_box(s)  # rejects an empty signature or an out-of-range coordinate
-    x, y, theta = np.array([(m.x, m.y, m.theta) for m in s.minutiae], dtype=np.float64).T
+    x, y, theta = np.array((s.xs, s.ys, s.thetas), dtype=np.float64)
     tri, opposite = _triangles(x, y, p)
     nt = tri.shape[0]
     # One flat gather puts each row's vertices in ascending opposite-side order.
@@ -165,7 +165,7 @@ def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletInde
     orientations = normalize_angles(theta[ov].ravel() - heading)
     features = np.concatenate((sides, angles.reshape(nt, 3), orientations.reshape(nt, 3)), axis=1)
     features = features[np.argsort(features[:, 2], kind="stable")]
-    return TripletIndex(features, tuple(s.minutiae))
+    return TripletIndex(features, s)
 
 
 def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,

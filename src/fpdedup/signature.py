@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +57,54 @@ class Minutia:
     type_code: int
 
 
-@dataclass
+Row = tuple[int, int, float, int]  # (x, y, theta, type_code) of one minutia
+
+
+@dataclass(init=False, slots=True)
 class Signature:
-    """An ordered set of minutiae for one fingerprint record."""
+    """An ordered set of minutiae for one fingerprint record, held as columns.
+
+    ``xs``, ``ys``, ``thetas`` and ``type_codes`` are tuples with one entry
+    per minutia, in order. The cyclic GC stops tracking a tuple of plain
+    numbers at its first collection, so a parsed signature costs the
+    collector one object whatever its minutiae count. ``Signature(record_id,
+    minutiae)`` takes any iterable of ``Minutia``; ``minutiae`` is a
+    read-only view that builds a tuple of them on each access.
+    """
 
     record_id: str
-    minutiae: list[Minutia] = field(default_factory=list)
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+    thetas: tuple[float, ...]
+    type_codes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.record_id:
+    def __init__(self, record_id: str, minutiae: Iterable[Minutia] = ()):
+        self._fill(record_id, [(m.x, m.y, m.theta, m.type_code) for m in minutiae])
+
+    @classmethod
+    def from_rows(cls, record_id: str, rows: list[Row]) -> Signature:
+        """A signature of ``(x, y, theta, type_code)`` rows, transposed once into columns."""
+        s = cls.__new__(cls)
+        s._fill(record_id, rows)
+        return s
+
+    def _fill(self, record_id: str, rows: list[Row]) -> None:
+        if not record_id:
             raise ValueError("record_id must be non-empty")
+        self.record_id = record_id
+        self.xs, self.ys, self.thetas, self.type_codes = zip(*rows) if rows else ((),) * 4
+
+    def rows(self) -> Iterator[Row]:
+        """The ``(x, y, theta, type_code)`` of each minutia, in order."""
+        return zip(self.xs, self.ys, self.thetas, self.type_codes)
+
+    @property
+    def minutiae(self) -> tuple[Minutia, ...]:
+        """Fresh ``Minutia`` copies of the columns; changing them leaves the signature as it is."""
+        return tuple(map(Minutia, self.xs, self.ys, self.thetas, self.type_codes))
 
     def __len__(self) -> int:
-        return len(self.minutiae)
+        return len(self.xs)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +133,8 @@ def parse_signature(text: str, record_id: str) -> Signature:
         ParseError: on a malformed line (naming its line number) or when
             the text contains no minutiae at all.
     """
-    minutiae: list[Minutia] = []
-    append = minutiae.append
+    rows: list[Row] = []
+    append = rows.append
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -136,10 +171,10 @@ def parse_signature(text: str, record_id: str) -> Signature:
             type_code = int(fc)
         except ValueError:
             raise ParseError(f"line {line_no}: type code {fc!r} is not an integer") from None
-        append(Minutia(x, y, theta, type_code))
-    if not minutiae:
+        append((x, y, theta, type_code))
+    if not rows:
         raise ParseError(f"signature {record_id!r} has no minutiae")
-    return Signature(record_id, minutiae)
+    return Signature.from_rows(record_id, rows)
 
 
 def serialize_signature(s: Signature) -> str:
@@ -148,9 +183,9 @@ def serialize_signature(s: Signature) -> str:
     Emits the dot decimal separator; ``parse_signature`` round-trips the
     result exactly. Rejects signatures without minutiae.
     """
-    if not s.minutiae:
+    if not s.xs:
         raise ValueError(f"signature {s.record_id!r} has no minutiae to serialize")
-    return "\n".join(f"{m.x};{m.y};{m.theta!r};{m.type_code}" for m in s.minutiae)
+    return "\n".join(f"{x};{y};{theta!r};{code}" for x, y, theta, code in s.rows())
 
 
 # ---------------------------------------------------------------------------

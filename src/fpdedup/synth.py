@@ -35,12 +35,16 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .signature import Minutia, Signature
+from .signature import _MAX_COORD, Row, Signature
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1E4B7287
 _MIX2 = 0x94D049BB133111EB
+
+
+# The largest |gauss(1.0)| draw: Box-Muller's radius at the smallest u1, 2**-53.
+_GAUSS_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
 
 
 class SplitMix64:
@@ -121,6 +125,12 @@ class GenSpec:
         # Range tests, so that NaN, which fails every comparison, is rejected too.
         if not (0 <= self.jitter < math.inf and 0 <= self.min_spacing < math.inf):
             raise ValueError("jitter and min_spacing must be finite and >= 0")
+        # A duplicate's coordinate is at most extent - 1 + offset + round(jitter draw);
+        # the parser rejects anything above _MAX_COORD.
+        reach = max(self.image_extent) - 1 + self.global_offset
+        if reach > _MAX_COORD or self.jitter * _GAUSS_MAX >= _MAX_COORD - reach + 0.5:
+            raise ValueError("image extent, global_offset and jitter can place a coordinate "
+                             "beyond 2**53, the largest a signature file may hold")
 
     @property
     def duplicate_count(self) -> int:
@@ -158,7 +168,7 @@ def _random_signature(rng: SplitMix64, spec: GenSpec, record_id: str) -> Signatu
     count = rng.randint(*spec.minutiae_per_print)
     width, height = spec.image_extent
     grid = _SpacingGrid(spec.min_spacing)
-    minutiae: list[Minutia] = []
+    rows: list[Row] = []
     for _ in range(count):
         for _attempt in range(_MAX_PLACEMENT_ATTEMPTS):
             x = rng.randint(0, width - 1)
@@ -172,27 +182,27 @@ def _random_signature(rng: SplitMix64, spec: GenSpec, record_id: str) -> Signatu
             )
         grid.insert(x, y)
         theta = rng.random() * 2.0 * math.pi
-        minutiae.append(Minutia(x, y, theta, rng.randint(0, 1)))
-    return Signature(record_id, minutiae)
+        rows.append((x, y, theta, rng.randint(0, 1)))
+    return Signature.from_rows(record_id, rows)
 
 
 def _perturbed_copy(rng: SplitMix64, spec: GenSpec, source: Signature,
                     record_id: str) -> Signature:
     dx = rng.randint(0, spec.global_offset)
     dy = rng.randint(0, spec.global_offset)
-    minutiae: list[Minutia] = []
-    for m in source.minutiae:
+    rows: list[Row] = []
+    for x, y, theta, code in source.rows():
         if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
             continue
-        x, y = m.x + dx, m.y + dy
+        x, y = x + dx, y + dy
         if spec.jitter > 0.0:
             x += round(rng.gauss(spec.jitter))
             y += round(rng.gauss(spec.jitter))
-        minutiae.append(Minutia(max(0, x), max(0, y), m.theta, m.type_code))
-    if not minutiae:  # drops may not empty a record
-        m = source.minutiae[0]
-        minutiae.append(Minutia(m.x + dx, m.y + dy, m.theta, m.type_code))
-    return Signature(record_id, minutiae)
+        rows.append((max(0, x), max(0, y), theta, code))
+    if not rows:  # drops may not empty a record
+        x, y, theta, code = next(source.rows())
+        rows.append((x + dx, y + dy, theta, code))
+    return Signature.from_rows(record_id, rows)
 
 
 def iter_records(spec: GenSpec) -> Iterator[tuple[Signature, str | None]]:

@@ -416,3 +416,13 @@ def test_generate_defaults_are_genspec_defaults(tmp_path):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
     assert ((tmp_path / "cli.truth.tsv").read_bytes()
             == (tmp_path / "lib.truth.tsv").read_bytes())
+
+
+@pytest.mark.parametrize("flag, value", [("--jitter", "1e300"),
+                                         ("--offset", "100000000000000000000")])
+def test_generate_past_coordinate_limit_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus"
+    rc = main(["generate", "--subjects", "3", "--dup", "1", flag, value, "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert "2**53" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

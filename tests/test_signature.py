@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpdedup import signature as signature_module
+from fpdedup.grid import bounding_box, compute_index
+from fpdedup.matcher import index_signature, score_indexed
 from fpdedup.signature import (FileStore, Minutia, ParseError, SerializedStore,
                                Signature, check_record_ids, normalize_angle,
                                normalize_angles, parse_signature, serialize_signature,
                                write_corpus_dir)
+from fpdedup.synth import GenSpec, generate
 
 TWO_PI = 2.0 * math.pi
 
@@ -286,6 +291,109 @@ def test_parser_matches_reference_parser(text):
     later = ("y coordinate", "angle", "type code")["xy".index(axis):]
     assert isinstance(through, list) or through.startswith(
         tuple(f"line {line_no}: {what} " for what in later))
+
+
+# ---------------------------------------------------------------------------
+# Columnar storage and the minutiae view
+
+
+def _reference_minutiae(text: str) -> list[Minutia]:
+    """The reference parser's own ``Minutia`` list, before any Signature holds it."""
+    with mock.patch(f"{__name__}.Signature", lambda record_id, minutiae: minutiae):
+        return _reference_parse_signature(text, "r")
+
+
+@settings(max_examples=300)
+@given(_signature_texts())
+def test_minutiae_view_equals_reference_minutiae(text):
+    try:
+        s = parse_signature(text, "r")
+    except ParseError:
+        return  # rejected texts are the differential test's
+    want = _reference_minutiae(text)
+    got = s.minutiae
+    assert all(type(m) is Minutia for m in got)
+    assert ([(m.x, m.y, struct.pack("<d", m.theta), m.type_code) for m in got]
+            == [(m.x, m.y, struct.pack("<d", m.theta), m.type_code) for m in want])
+    assert Signature(s.record_id, s.minutiae) == s == Signature("r", want)
+
+
+def test_signature_rebuilt_from_its_minutiae_is_equal():
+    signatures, _ = generate(GenSpec(subjects=20, dup_fraction=0.5, jitter=1.0, drop_prob=0.1,
+                                     seed=3))
+    for s in signatures:
+        assert Signature(s.record_id, s.minutiae) == s
+        assert Signature(s.record_id, iter(s.minutiae)) == s
+        assert list(s.rows()) == [(m.x, m.y, m.theta, m.type_code) for m in s.minutiae]
+    assert Signature("a", signatures[0].minutiae) != signatures[0]
+    assert Signature("S00000", signatures[0].minutiae[1:]) != signatures[0]
+
+
+def test_empty_signature_messages_unchanged():
+    empty = Signature("e")
+    assert len(empty) == 0 and empty.minutiae == ()
+    with pytest.raises(ValueError, match=r"^signature 'e' is empty$"):
+        bounding_box(empty)
+    with pytest.raises(ValueError, match=r"^signature 'e' is empty$"):
+        index_signature(empty)
+    with pytest.raises(ValueError, match=r"^signature 'e' has no minutiae to serialize$"):
+        serialize_signature(empty)
+
+
+def test_minutiae_view_is_read_only():
+    s = parse_signature("1;2;0.5;1\n3;4;1.5;0", "A")
+    with pytest.raises(AttributeError):
+        s.minutiae.append(Minutia(5, 6, 0.0, 1))
+    with pytest.raises(TypeError):
+        s.minutiae[0] = Minutia(5, 6, 0.0, 1)
+    with pytest.raises(AttributeError):
+        s.minutiae = [Minutia(5, 6, 0.0, 1)]
+    s.minutiae[0].x = 99  # a fresh copy; the columns do not change
+    assert s.xs == (1, 3) and s == parse_signature("1;2;0.5;1\n3;4;1.5;0", "A")
+
+
+def _tracked_objects(root: object) -> int:
+    """Objects reachable from ``root``, itself included, that the cyclic GC tracks.
+
+    Classes are not followed: every instance refers to its type.
+    """
+    seen, stack, tracked = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        tracked += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return tracked
+
+
+@pytest.mark.parametrize("build", [
+    lambda rows: parse_signature("\n".join(f"{x};{y};{t!r};{c}" for x, y, t, c in rows), "A"),
+    lambda rows: Signature("A", [Minutia(*row) for row in rows]),
+])
+def test_collector_tracks_one_object_per_signature(build):
+    small, large = (build([(3 * i, 7 * i % 500, i / 100, i % 2) for i in range(n)])
+                    for n in (5, 500))
+    gc.collect()
+    for s in (small, large):
+        assert not any(gc.is_tracked(column)
+                       for column in (s.xs, s.ys, s.thetas, s.type_codes))
+    assert _tracked_objects(small) == _tracked_objects(large) == 1
+
+
+def test_hot_paths_build_no_minutia(reference_signature, monkeypatch):
+    def no_minutia(*args):
+        raise AssertionError("a Minutia was built")
+
+    text = serialize_signature(reference_signature)
+    monkeypatch.setattr(signature_module, "Minutia", no_minutia)
+    s = parse_signature(text, "A")
+    assert serialize_signature(s) == text
+    compute_index(s)
+    index = index_signature(s)
+    assert index.minutiae_key == tuple(sorted(s.rows()))
+    assert score_indexed(index, index_signature(s)).score == 100.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ import math
 import pytest
 
 from fpdedup.grid import compute_index
-from fpdedup.signature import serialize_signature
-from fpdedup.synth import (GenSpec, SplitMix64, derive_seed, generate, iter_records,
-                           read_ground_truth, write_ground_truth)
+from fpdedup.signature import parse_signature, serialize_signature
+from fpdedup.synth import (_GAUSS_MAX, GenSpec, SplitMix64, derive_seed, generate,
+                           iter_records, read_ground_truth, write_ground_truth)
 
 # Verified against an independent build of the canonical public-domain
 # C reference of splitmix64.
@@ -179,10 +179,23 @@ def test_streaming_matches_materialized():
     dict(subjects=5, jitter=float("inf")),
     dict(subjects=5, min_spacing=float("nan")),
     dict(subjects=5, min_spacing=float("inf")),
+    # a coordinate could pass 2**53: 349 + offset + jitter draw at the default extent
+    dict(subjects=5, global_offset=2 ** 53 - 348),
+    dict(subjects=5, jitter=(2 ** 53 - 379) / _GAUSS_MAX * 1.000001),
+    dict(subjects=5, jitter=1e308),
+    dict(subjects=5, image_extent=(2 ** 53 + 2, 1), global_offset=0),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValueError):
         GenSpec(**bad)
+
+
+def test_largest_reach_accepted_and_parseable():
+    # Default extent 350 and offset 30: a coordinate reaches 349 + offset + jitter draw.
+    GenSpec(subjects=1, jitter=(2 ** 53 - 379) / _GAUSS_MAX * 0.999999)
+    spec = GenSpec(subjects=3, dup_fraction=1.0, global_offset=2 ** 53 - 349, seed=12)
+    for s in generate(spec)[0]:
+        assert parse_signature(serialize_signature(s), s.record_id) == s
 
 
 def test_impossible_placement_errors():
