@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -402,6 +403,55 @@ def test_bench_bad_sizes_data_error(capsys):
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == (
         "error: --sizes expects comma-separated integers, got '100,x'\n")
+
+
+# ---------------------------------------------------------------------------
+# Golden reporting outputs: every cell of the statistics row and report but
+# the measured durations
+
+
+def _masked_durations(text: str) -> str:
+    """``text`` with each duration (report ``wall_s``, stats ``duration_s``, last CSV cell) as ``*``."""
+    return re.sub(r"(wall_s=|duration_s\t|,)\d+\.\d{4}$", r"\1*", text, flags=re.M)
+
+
+STATS_CSV_HEADER = ("FBD,Size,Nb class,Avg.,Min P.,Max P.,Std dev,Min P. Rate,Max P. Rate,"
+                    "Duplicates,Duration deduplication (s)")
+
+
+def test_golden_stats_text(generated, capsys):
+    _root, corpus, _table = generated
+    assert main(["stats", "--corpus", str(corpus)]) == EXIT_OK
+    assert _masked_durations(capsys.readouterr().out) == (
+        "name\tcorpus\nsize\t132\nnb_class\t120\navg\t1.1000\nmin_p\t1\nmax_p\t2\n"
+        "std_dev\t0.3000\nmin_rate\t0.7576%\nmax_rate\t1.5152%\nduplicates\t12\n"
+        "duration_s\t*\nsweep_comparison_bound\t12\n")
+
+
+def test_golden_stats_csv(generated, capsys):
+    _root, corpus, _table = generated
+    assert main(["stats", "--corpus", str(corpus), "--csv"]) == EXIT_OK
+    assert _masked_durations(capsys.readouterr().out) == (
+        f"{STATS_CSV_HEADER}\ncorpus,132,120,1.1000,1,2,0.3000,0.7576%,1.5152%,12,*\n")
+
+
+def test_golden_dedup_csv(generated, capsys):
+    _root, corpus, _table = generated
+    assert main(["dedup", "--corpus", str(corpus), "--csv"]) == EXIT_OK
+    out = _masked_durations(capsys.readouterr().out)
+    assert out.endswith(
+        "# summary: n=132 buckets=120 duplicate_groups=12 comparisons=12 wall_s=*\n"
+        f"{STATS_CSV_HEADER}\ncorpus,132,120,1.1000,1,2,0.3000,0.7576%,1.5152%,12,*\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4c385c606053f281902fd9b412b6d72e5e28fd500b141dc05a49785c0eae441a")
+
+
+def test_golden_bench(capsys):
+    assert main(["bench", "--sizes", "100,200"]) == EXIT_OK
+    assert _masked_durations(capsys.readouterr().out) == (
+        f"{STATS_CSV_HEADER}\n"
+        "synth-100,100,100,1.0000,1,1,0.0000,1.0000%,1.0000%,0,*\n"
+        "synth-200,200,200,1.0000,1,1,0.0000,0.5000%,0.5000%,0,*\n")
 
 
 def test_generate_defaults_are_genspec_defaults(tmp_path):
