@@ -10,8 +10,7 @@ CSV is the layout `fpdedup stats --csv` prints, meant for external
 plotting.
 """
 
-from fpdedup.bench import scaling_run
-from fpdedup.stats import TABLE_COLUMNS
+from fpdedup.stats import TABLE_COLUMNS, scaling_run
 from fpdedup.synth import GenSpec
 
 sizes = [500, 1000, 2000, 4000]

@@ -17,17 +17,16 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import bench as bench_mod
 from .cluster import ClusterTable, build_table, load_table, save_table
 from .dedup import (ORACLE_CAP, DuplicateReport, OracleCapExceededError, comparison_count,
                     exhaustive_dedup, format_report, pair_relation)
 from .grid import GridParams, compute_index
 from .identify import identify
 from .matcher import MatchParams
-from .signature import (FileStore, ParseError, Signature, read_signature_file,
-                        write_corpus_dir)
+from .signature import (FileStore, ParseError, Signature, check_record_ids,
+                        read_signature_file, write_corpus_dir)
 from .stats import (REFERENCE_SIZE_AVG_PAIRS, TABLE_COLUMNS, CorpusStats, estimate_workload,
-                    fit_regression, format_rate, predict_avg, sweep_stats)
+                    fit_regression, format_rate, predict_avg, scaling_run, sweep_stats)
 from .synth import GenSpec, generate, write_ground_truth
 
 EXIT_OK = 0
@@ -142,7 +141,8 @@ def _table(args: argparse.Namespace, cfg: RunConfig,
 
 def _sweep(args: argparse.Namespace) -> tuple[RunConfig, Mapping[str, Signature],
                                               ClusterTable, DuplicateReport, CorpusStats]:
-    """Resolve config, store and table, then time one deduplicate pass over them."""
+    """Check --name, resolve config, store and table, then time one deduplicate pass over them."""
+    check_record_ids([args.name], what="corpus name")  # a cell of the statistics row
     cfg = _resolve_config(args)
     store = _corpus_store(args)
     table = _table(args, cfg, store)
@@ -226,17 +226,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.csv:
         _print_csv([(args.name, stats)])
     else:
-        print(f"name\t{args.name}")
-        print(f"size\t{stats.size}")
-        print(f"nb_class\t{stats.nb_class}")
-        print(f"avg\t{stats.avg:.4f}")
-        print(f"min_p\t{stats.min_p}")
-        print(f"max_p\t{stats.max_p}")
-        print(f"std_dev\t{stats.std_dev:.4f}")
-        print(f"min_rate\t{format_rate(stats.min_rate)}")
-        print(f"max_rate\t{format_rate(stats.max_rate)}")
-        print(f"duplicates\t{stats.duplicates}")
-        print(f"duration_s\t{stats.duration_s:.4f}")
+        print(*stats.text_lines(args.name), sep="\n")
         print(f"sweep_comparison_bound\t{comparison_count(table)}")
     return EXIT_OK
 
@@ -256,10 +246,11 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     else:
         points = list(REFERENCE_SIZE_AVG_PAIRS)
     fit = fit_regression(points)
+    predictions = [(n, predict_avg(fit, n)) for n in args.predict or []]
     print(f"slope\t{fit.slope:.6g}")
     print(f"intercept\t{fit.intercept:.9g}")
-    for n in args.predict or []:
-        print(f"predict\t{n}\t{predict_avg(fit, n):.9f}")
+    for n, avg in predictions:
+        print(f"predict\t{n}\t{avg:.9f}")
     return EXIT_OK
 
 
@@ -305,7 +296,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ParseError(
             f"--sizes expects comma-separated integers, got {args.sizes!r}") from None
     spec = GenSpec(subjects=0, dup_fraction=args.dup, seed=args.seed)
-    rows = bench_mod.scaling_run(sizes, spec, cfg.grid, cfg.match)
+    rows = scaling_run(sizes, spec, cfg.grid, cfg.match)
     _print_csv([(f"synth-{size}", stats) for size, stats in zip(sizes, rows)])
     return EXIT_OK
 

@@ -37,20 +37,19 @@ class ClusterTable:
         return max(map(len, self.buckets.values()), default=0)
 
 
-def build_table(entries: Iterable[tuple[str, IndexKey | str]]) -> ClusterTable:
-    """Load a cluster table from (record_id, key) pairs in one pass.
+def build_table(entries: Iterable[tuple[str, str]]) -> ClusterTable:
+    """Load a cluster table from (record_id, key_text) pairs in one pass.
 
     Bucket lists preserve input order. Raises DuplicateRecordIdError,
     naming the offending id, if a record id repeats.
     """
     buckets: dict[str, list[str]] = {}
     seen: set[str] = set()
-    for record_id, key in entries:
+    for record_id, key_text in entries:
         if record_id in seen:
             raise DuplicateRecordIdError(f"duplicate record id {record_id!r}")
         seen.add(record_id)
-        buckets.setdefault(key.key_text if isinstance(key, IndexKey) else key,
-                           []).append(record_id)
+        buckets.setdefault(key_text, []).append(record_id)
     return ClusterTable(buckets, len(seen))
 
 

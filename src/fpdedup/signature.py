@@ -15,6 +15,7 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,21 +44,17 @@ def normalize_angles(theta: np.ndarray) -> np.ndarray:
     return r
 
 
-@dataclass(slots=True)
-class Minutia:
+class Minutia(NamedTuple):
     """One feature point: pixel position, ridge angle, raw type code.
 
-    The type code is stored as read from the file and never interpreted.
-    Slotted, so an instance is smaller and takes no new attributes.
+    A named ``(x, y, theta, type_code)`` row; the type code is stored as
+    read from the file and never interpreted.
     """
 
     x: int
     y: int
     theta: float  # radians, [0, 2*pi)
     type_code: int
-
-
-Row = tuple[int, int, float, int]  # (x, y, theta, type_code) of one minutia
 
 
 @dataclass(init=False, slots=True)
@@ -68,8 +65,9 @@ class Signature:
     per minutia, in order. The cyclic GC stops tracking a tuple of plain
     numbers at its first collection, so a parsed signature costs the
     collector one object whatever its minutiae count. ``Signature(record_id,
-    minutiae)`` takes any iterable of ``Minutia``; ``minutiae`` is a
-    read-only view that builds a tuple of them on each access.
+    rows)`` takes any iterable of ``(x, y, theta, type_code)`` rows,
+    ``Minutia`` included, and transposes it once; ``minutiae`` is a
+    read-only view that builds a tuple of ``Minutia`` on each access.
     """
 
     record_id: str
@@ -78,29 +76,19 @@ class Signature:
     thetas: tuple[float, ...]
     type_codes: tuple[int, ...]
 
-    def __init__(self, record_id: str, minutiae: Iterable[Minutia] = ()):
-        self._fill(record_id, [(m.x, m.y, m.theta, m.type_code) for m in minutiae])
-
-    @classmethod
-    def from_rows(cls, record_id: str, rows: list[Row]) -> Signature:
-        """A signature of ``(x, y, theta, type_code)`` rows, transposed once into columns."""
-        s = cls.__new__(cls)
-        s._fill(record_id, rows)
-        return s
-
-    def _fill(self, record_id: str, rows: list[Row]) -> None:
+    def __init__(self, record_id: str, rows: Iterable[tuple[int, int, float, int]] = ()):
         if not record_id:
             raise ValueError("record_id must be non-empty")
         self.record_id = record_id
-        self.xs, self.ys, self.thetas, self.type_codes = zip(*rows) if rows else ((),) * 4
+        self.xs, self.ys, self.thetas, self.type_codes = tuple(zip(*rows)) or ((),) * 4
 
-    def rows(self) -> Iterator[Row]:
+    def rows(self) -> Iterator[tuple[int, int, float, int]]:
         """The ``(x, y, theta, type_code)`` of each minutia, in order."""
         return zip(self.xs, self.ys, self.thetas, self.type_codes)
 
     @property
     def minutiae(self) -> tuple[Minutia, ...]:
-        """Fresh ``Minutia`` copies of the columns; changing them leaves the signature as it is."""
+        """The columns as one ``Minutia`` row per minutia, built on each access."""
         return tuple(map(Minutia, self.xs, self.ys, self.thetas, self.type_codes))
 
     def __len__(self) -> int:
@@ -133,7 +121,7 @@ def parse_signature(text: str, record_id: str) -> Signature:
         ParseError: on a malformed line (naming its line number) or when
             the text contains no minutiae at all.
     """
-    rows: list[Row] = []
+    rows = []
     append = rows.append
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -174,7 +162,7 @@ def parse_signature(text: str, record_id: str) -> Signature:
         append((x, y, theta, type_code))
     if not rows:
         raise ParseError(f"signature {record_id!r} has no minutiae")
-    return Signature.from_rows(record_id, rows)
+    return Signature(record_id, rows)
 
 
 def serialize_signature(s: Signature) -> str:
@@ -197,16 +185,17 @@ def serialize_signature(s: Signature) -> str:
 _ID_SEPARATORS = re.compile(r"[\t,\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def check_record_ids(ids: Iterable[str]) -> None:
+def check_record_ids(ids: Iterable[str], what: str = "record id") -> None:
     """Raise ParseError naming the first id that holds a tab, a comma or a line boundary.
 
     Such an id would be written to a table or report as two ids, or
-    split its line, and be read back as something else.
+    split its line, and be read back as something else. ``what`` names
+    the kind of id in the message.
     """
     search = _ID_SEPARATORS.search
     for record_id in ids:
         if search(record_id):
-            raise ParseError(f"record id {record_id!r} contains a separator character")
+            raise ParseError(f"{what} {record_id!r} contains a separator character")
 
 
 def read_signature_file(path: str | Path, record_id: str | None = None) -> Signature:

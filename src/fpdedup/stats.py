@@ -3,7 +3,10 @@
 `corpus_stats` condenses one indexed corpus into the standard row:
 size, class count, mean/min/max bucket occupancy, dispersion,
 penetration rates, detected duplicates, and wall time; `sweep_stats`
-runs and times the sweep that fills the last two.
+runs and times the sweep that fills the last two, and `scaling_run`
+gives that row for a fresh synthetic corpus per size. One column table
+defines the row's CSV header, its ``fpdedup stats`` text keys and its
+cell formats.
 `fit_regression` / `predict_avg` model how the mean occupancy grows
 with database size, and `estimate_workload` turns a size and mean
 occupancy into expected comparison counts and wall time.
@@ -15,19 +18,44 @@ columns of those rows are the standard regression input.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cluster import ClusterTable
+from .cluster import ClusterTable, build_table
 from .dedup import DuplicateReport, deduplicate
+from .grid import GridParams, compute_index
 from .matcher import MatchParams
-from .signature import Signature
+from .signature import SerializedStore, Signature
+from .synth import GenSpec, derive_seed, iter_records
 
-TABLE_COLUMNS = ["FBD", "Size", "Nb class", "Avg.", "Min P.", "Max P.", "Std dev",
-                 "Min P. Rate", "Max P. Rate", "Duplicates", "Duration deduplication (s)"]
+
+def format_rate(rate: float) -> str:
+    """Percentage with 4 decimals, e.g. 0.003125 -> '0.3125%'."""
+    return f"{100.0 * rate:.4f}%"
+
+
+_FIXED4 = "{:.4f}".format
+
+# (CSV header, text key = CorpusStats field, cell) of each column after the
+# corpus name, which is the CSV's "FBD" column and the text's "name" key.
+_COLUMNS = (
+    ("Size", "size", str),
+    ("Nb class", "nb_class", str),
+    ("Avg.", "avg", _FIXED4),
+    ("Min P.", "min_p", str),
+    ("Max P.", "max_p", str),
+    ("Std dev", "std_dev", _FIXED4),
+    ("Min P. Rate", "min_rate", format_rate),
+    ("Max P. Rate", "max_rate", format_rate),
+    ("Duplicates", "duplicates", str),
+    ("Duration deduplication (s)", "duration_s", _FIXED4),
+)
+
+TABLE_COLUMNS = ["FBD", *(header for header, _key, _cell in _COLUMNS)]
 
 
 @dataclass
@@ -45,18 +73,17 @@ class CorpusStats:
     duplicates: int
     duration_s: float
 
+    def _cells(self, name: str) -> list[tuple[str, str]]:
+        """The (text key, cell) of each column, the corpus name first."""
+        return [("name", name), *((key, cell(getattr(self, key))) for _h, key, cell in _COLUMNS)]
+
     def csv_row(self, name: str) -> str:
-        return ",".join([
-            name, str(self.size), str(self.nb_class), f"{self.avg:.4f}",
-            str(self.min_p), str(self.max_p), f"{self.std_dev:.4f}",
-            format_rate(self.min_rate), format_rate(self.max_rate),
-            str(self.duplicates), f"{self.duration_s:.4f}",
-        ])
+        """The row under TABLE_COLUMNS."""
+        return ",".join(cell for _key, cell in self._cells(name))
 
-
-def format_rate(rate: float) -> str:
-    """Percentage with 4 decimals, e.g. 0.003125 -> '0.3125%'."""
-    return f"{100.0 * rate:.4f}%"
+    def text_lines(self, name: str) -> list[str]:
+        """One ``key<TAB>cell`` line per column, as ``fpdedup stats`` prints them."""
+        return [f"{key}\t{cell}" for key, cell in self._cells(name)]
 
 
 def sweep_stats(table: ClusterTable,
@@ -69,6 +96,37 @@ def sweep_stats(table: ClusterTable,
     start = time.perf_counter()
     report = deduplicate(table, store, params)
     return report, corpus_stats(table, report, time.perf_counter() - start)
+
+
+def materialize_corpus(spec: GenSpec,
+                       grid: GridParams = GridParams()) -> tuple[ClusterTable, SerializedStore]:
+    """Generate a corpus into a compact store plus its cluster table."""
+    store = SerializedStore()
+    entries = []
+    for signature, _source in iter_records(spec):
+        store.add(signature)
+        entries.append((signature.record_id, compute_index(signature, grid).key_text))
+    return build_table(entries), store
+
+
+def scaling_run(sizes: list[int],
+                spec: GenSpec,
+                grid: GridParams = GridParams(),
+                params: MatchParams = MatchParams()) -> list[CorpusStats]:
+    """The statistics row of a fresh corpus of each size, from one timed sweep each.
+
+    Sizes must be given and ascending; each replaces ``spec.subjects``,
+    and the corpus seed is derived from ``spec.seed`` and the size.
+    """
+    if not sizes:
+        raise ValueError("no sizes given")
+    if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
+        raise ValueError("sizes must be strictly ascending")
+    rows = []
+    for size in sizes:
+        sized = replace(spec, subjects=size, seed=derive_seed(spec.seed, size))
+        rows.append(sweep_stats(*materialize_corpus(sized, grid), params)[1])
+    return rows
 
 
 def corpus_stats(table: ClusterTable,
@@ -122,17 +180,26 @@ def fit_regression(points: list[tuple[float, float]]) -> RegressionFit:
         raise ValueError("regression needs at least 2 points")
     x = np.array([p[0] for p in points], dtype=np.float64)
     y = np.array([p[1] for p in points], dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("regression points must be finite")
     if np.all(x == x[0]):
         raise ValueError("regression is degenerate: all X values are equal")
     slope, intercept = np.polyfit(x, y, 1)
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError("regression fit overflows")
     return RegressionFit(float(slope), float(intercept))
 
 
 def predict_avg(fit: RegressionFit, n: float) -> float:
     """Extrapolated mean bucket occupancy for a database of n records."""
+    if not math.isfinite(n):
+        raise ValueError(f"database size must be finite, got {n!r}")
     if n < 0:
         raise ValueError("database size cannot be negative")
-    return fit.slope * n + fit.intercept
+    avg = fit.slope * n + fit.intercept
+    if not math.isfinite(avg):
+        raise ValueError(f"prediction at {n!r} overflows")
+    return avg
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +226,22 @@ def estimate_workload(n: float, avg: float, ms_per_comparison: float) -> Workloa
     classes = n / avg, each class costs avg*(avg-1)/2 comparisons, and
     wall time is the comparison total times the per-comparison cost.
     """
+    for name, value in (("n", n), ("avg", avg), ("ms_per_comparison", ms_per_comparison)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if avg < 1:
         raise ValueError("avg must be >= 1")
+    if ms_per_comparison < 0:
+        raise ValueError("ms_per_comparison cannot be negative")
     classes = n / avg
     per_class = avg * (avg - 1) / 2.0
     comparisons = classes * per_class
-    return WorkloadEstimate(classes, comparisons, comparisons * ms_per_comparison)
+    wall_time_ms = comparisons * ms_per_comparison
+    if not (math.isfinite(comparisons) and math.isfinite(wall_time_ms)):
+        raise ValueError("workload forecast overflows")
+    return WorkloadEstimate(classes, comparisons, wall_time_ms)
 
 
 # ---------------------------------------------------------------------------

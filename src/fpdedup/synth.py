@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .signature import _MAX_COORD, Row, Signature
+from .signature import _MAX_COORD, Signature
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -168,7 +168,7 @@ def _random_signature(rng: SplitMix64, spec: GenSpec, record_id: str) -> Signatu
     count = rng.randint(*spec.minutiae_per_print)
     width, height = spec.image_extent
     grid = _SpacingGrid(spec.min_spacing)
-    rows: list[Row] = []
+    rows = []
     for _ in range(count):
         for _attempt in range(_MAX_PLACEMENT_ATTEMPTS):
             x = rng.randint(0, width - 1)
@@ -183,14 +183,14 @@ def _random_signature(rng: SplitMix64, spec: GenSpec, record_id: str) -> Signatu
         grid.insert(x, y)
         theta = rng.random() * 2.0 * math.pi
         rows.append((x, y, theta, rng.randint(0, 1)))
-    return Signature.from_rows(record_id, rows)
+    return Signature(record_id, rows)
 
 
 def _perturbed_copy(rng: SplitMix64, spec: GenSpec, source: Signature,
                     record_id: str) -> Signature:
     dx = rng.randint(0, spec.global_offset)
     dy = rng.randint(0, spec.global_offset)
-    rows: list[Row] = []
+    rows = []
     for x, y, theta, code in source.rows():
         if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
             continue
@@ -202,7 +202,7 @@ def _perturbed_copy(rng: SplitMix64, spec: GenSpec, source: Signature,
     if not rows:  # drops may not empty a record
         x, y, theta, code = next(source.rows())
         rows.append((x + dx, y + dy, theta, code))
-    return Signature.from_rows(record_id, rows)
+    return Signature(record_id, rows)
 
 
 def iter_records(spec: GenSpec) -> Iterator[tuple[Signature, str | None]]:

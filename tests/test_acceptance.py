@@ -8,17 +8,19 @@ is seed-frozen, so results are reproducible.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
+from statistics import median
 
 import pytest
 
-from fpdedup.bench import materialize_corpus, median_identify_ms
-from fpdedup.cluster import build_table
+from fpdedup.cluster import ClusterTable, build_table
 from fpdedup.dedup import comparison_count, deduplicate, exhaustive_dedup, pair_relation
 from fpdedup.grid import GridParams, compute_index
+from fpdedup.identify import identify
 from fpdedup.matcher import MatchParams, index_signature, match_score, score_indexed
 from fpdedup.signature import Signature
 from fpdedup.stats import (REFERENCE_ROWS, REFERENCE_SIZE_AVG_PAIRS, estimate_workload,
-                           fit_regression, predict_avg)
+                           fit_regression, materialize_corpus, predict_avg)
 from fpdedup.synth import GenSpec, SplitMix64, generate, iter_records
 
 from .conftest import REFERENCE_KEY, CountingMatcher
@@ -58,6 +60,23 @@ def table_100k():
 def table_10k():
     spec = GenSpec(subjects=10_000, dup_fraction=0.0, seed=102)
     return materialize_corpus(spec, GRID)
+
+
+def query_sample(store: Mapping[str, Signature]) -> list[Signature]:
+    """Up to 100 evenly spaced records, read back from the store."""
+    ids = list(store)
+    return [store[rid] for rid in ids[::max(1, len(ids) // 100)][:100]]
+
+
+def median_identify_ms(table: ClusterTable, store: Mapping[str, Signature],
+                       queries: list[Signature]) -> float:
+    """Median identification latency in milliseconds over the queries."""
+    latencies = []
+    for query in queries:
+        start = time.perf_counter()
+        identify(query, table, store, GRID, PARAMS)
+        latencies.append((time.perf_counter() - start) * 1000.0)
+    return median(latencies)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +152,7 @@ def test_criterion_06_oracle_equivalence(planted_1k):
 
 
 def test_criterion_07_penetration_below_one_percent(table_100k):
-    table, _, _ = table_100k
+    table, _ = table_100k
     assert table.size == 100_000
     max_rate = table.max_bucket_size() / table.size
     assert max_rate < 0.01
@@ -141,11 +160,12 @@ def test_criterion_07_penetration_below_one_percent(table_100k):
 
 
 def test_criterion_08_constant_time_identification(table_100k, table_10k):
-    big_table, big_store, big_sample = table_100k
-    small_table, small_store, small_sample = table_10k
+    big_table, big_store = table_100k
+    small_table, small_store = table_10k
+    big_sample, small_sample = query_sample(big_store), query_sample(small_store)
     assert len(big_sample) >= 100 and len(small_sample) >= 100
-    small_ms = median_identify_ms(small_table, small_store, small_sample, GRID, PARAMS)
-    big_ms = median_identify_ms(big_table, big_store, big_sample, GRID, PARAMS)
+    small_ms = median_identify_ms(small_table, small_store, small_sample)
+    big_ms = median_identify_ms(big_table, big_store, big_sample)
     assert big_ms <= 2.0 * small_ms
     ok(f"8: median identify latency {big_ms:.2f} ms @100k vs {small_ms:.2f} ms @10k "
        f"(ratio {big_ms / small_ms:.2f} <= 2)")
@@ -156,7 +176,7 @@ def test_criterion_09_dedup_scaling():
     for size, seed in ((25_000, 901), (50_000, 902)):
         spec = GenSpec(subjects=size, dup_fraction=0.01, jitter=0.0,
                        drop_prob=0.0, seed=seed)
-        table, store, _ = materialize_corpus(spec, GRID)
+        table, store = materialize_corpus(spec, GRID)
         runs = []
         for _ in range(3):
             start = time.perf_counter()

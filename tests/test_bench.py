@@ -6,9 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from fpdedup.bench import materialize_corpus, scaling_run
 from fpdedup.dedup import deduplicate
-from fpdedup.stats import TABLE_COLUMNS, corpus_stats
+from fpdedup.stats import TABLE_COLUMNS, corpus_stats, materialize_corpus, scaling_run
 from fpdedup.synth import GenSpec, derive_seed
 
 SPEC = GenSpec(subjects=0, minutiae_per_print=(20, 30), seed=55)
@@ -31,8 +30,8 @@ def test_single_size_row_populated():
 def test_row_is_corpus_stats_of_the_sized_corpus():
     spec = replace(SPEC, dup_fraction=0.1)
     (row,) = scaling_run([150], spec)
-    table, store, _ = materialize_corpus(replace(spec, subjects=150,
-                                                 seed=derive_seed(spec.seed, 150)))
+    table, store = materialize_corpus(replace(spec, subjects=150,
+                                              seed=derive_seed(spec.seed, 150)))
     assert row.duplicates > 0
     assert replace(row, duration_s=0.0) == corpus_stats(table, deduplicate(table, store))
 

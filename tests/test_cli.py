@@ -151,6 +151,17 @@ def test_separator_in_record_id_data_error(generated, tmp_path, capsys):
     assert "record id 'a,b' contains a separator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name", [("stats", "a\nb"), ("stats --csv", "a,b"),
+                                           ("dedup --csv", "a\tb")])
+def test_separator_in_name_data_error(generated, capsys, command, name):
+    _root, corpus, _table = generated
+    rc = main([*command.split(), "--corpus", str(corpus), "--name", name])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: corpus name {name!r} contains a separator character\n"
+
+
 def test_dedup_report_and_stats(generated, capsys, tmp_path):
     root, corpus, table = generated
     report_path = tmp_path / "report.tsv"
@@ -293,6 +304,29 @@ def test_regress_bad_points_line_data_error(tmp_path, capsys):
     rc = main(["regress", "--points", str(points)])
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == f"error: {points}:3: expected 'size,avg'\n"
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["estimate", "--n", "10", "--avg", "2", "--ms-per-cmp", "-1"], None),
+    (["estimate", "--n", "inf", "--avg", "2"], None),
+    (["estimate", "--n", "10", "--avg", "inf"], None),
+    (["estimate", "--n", "10", "--avg", "2", "--ms-per-cmp", "nan"], None),
+    (["estimate", "--n", "1e300", "--avg", "1e300"], None),
+    (["regress", "--points"], "1000,1.0\n2000,inf\n"),
+    (["regress", "--points"], "nan,1.0\n2000,1.5\n"),
+    (["regress", "--predict", "nan"], None),
+    (["regress", "--predict", "inf"], None),
+    (["bench", "--sizes", ","], None),
+], ids=["negative-ms", "inf-n", "inf-avg", "nan-ms", "overflow", "inf-point", "nan-size",
+        "nan-predict", "inf-predict", "no-sizes"])
+def test_non_finite_or_empty_input_prints_nothing(tmp_path, capfd, argv, points):
+    if points is not None:
+        (tmp_path / "points.csv").write_text(points)
+        argv = [*argv, str(tmp_path / "points.csv")]
+    assert main(argv) == EXIT_DATA
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1  # no LAPACK messages either
 
 
 def test_config_file_and_flag_precedence(generated, tmp_path, capsys):

@@ -348,7 +348,8 @@ def test_minutiae_view_is_read_only():
         s.minutiae[0] = Minutia(5, 6, 0.0, 1)
     with pytest.raises(AttributeError):
         s.minutiae = [Minutia(5, 6, 0.0, 1)]
-    s.minutiae[0].x = 99  # a fresh copy; the columns do not change
+    with pytest.raises(AttributeError):
+        s.minutiae[0].x = 99
     assert s.xs == (1, 3) and s == parse_signature("1;2;0.5;1\n3;4;1.5;0", "A")
 
 

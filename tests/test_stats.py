@@ -139,6 +139,13 @@ def test_fit_rejects_degenerate_input():
         fit_regression([(1.0, 2.0)])
     with pytest.raises(ValueError, match="degenerate"):
         fit_regression([(5.0, 1.0), (5.0, 2.0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_regression([(1.0, 1.0), (2.0, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            fit_regression([(bad, 1.0), (2.0, 1.0)])
+    with pytest.raises(ValueError, match="overflows"):
+        fit_regression([(1.0, 1e308), (2.0, -1e308)])
 
 
 def test_predict_published_extrapolations():
@@ -152,6 +159,11 @@ def test_predict_flat_line():
     fit = RegressionFit(0.0, 1.0)
     for n in (0, 320, 1e7):
         assert predict_avg(fit, n) == 1.0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            predict_avg(fit, bad)
+    with pytest.raises(ValueError, match="overflows"):
+        predict_avg(RegressionFit(1e300, 1.0), 1e300)
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +195,13 @@ def test_workload_validation():
         estimate_workload(0, 2.0, 1.0)
     with pytest.raises(ValueError):
         estimate_workload(10, 0.5, 1.0)
+    with pytest.raises(ValueError, match="negative"):
+        estimate_workload(10, 2.0, -1.0)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 2.0, 1.0), (10, bad, 1.0), (10, 2.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                estimate_workload(*args)
+    with pytest.raises(ValueError, match="overflows"):
+        estimate_workload(1e300, 1e300, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        estimate_workload(1e300, 2.0, 1e300)
