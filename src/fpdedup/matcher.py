@@ -13,11 +13,12 @@ Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
 normalized by the smaller triplet-set size, gives a 0-100 score.
 ``score_many`` scores one signature against a whole list in one numpy
-pass: the others' rows are concatenated with segment offsets, one join
-on the key (s3 cell, s1), a cell being ``floor(s3 / side_tolerance)``,
-finds every candidate triplet pair, the screens run once over all
-segments, and pairing runs per segment. Each result equals that pair
-scored alone; ``score_indexed`` is a one-element ``score_many``. The
+pass: the others' rows are concatenated with segment offsets, and one
+join finds every candidate triplet pair on the key (arc, s3), the
+circle of first orientations being cut into equal arcs at least
+``angle_tolerance`` wide. The screens then run once over all segments,
+and pairing runs per segment. Each result equals that pair scored
+alone; ``score_indexed`` is a one-element ``score_many``. The
 scorer is deliberately pluggable: anything with the
 ``(Signature, Signature, MatchParams) -> MatchResult`` shape can stand
 in for the built-in implementation.
@@ -194,20 +195,93 @@ def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
     return counts
 
 
+# At most 2**24 arcs: join keys then stay below 2**24 times the key width,
+# where floats are at most width * 2**-28 apart, and s3, below width / 4,
+# keeps 26 bits in its key.
+_MAX_ARCS = 2 ** 24
+
+
+def _arc_count(angle_tolerance: float) -> int:
+    """Number of equal arcs of [0, TWO_PI), each at least the tolerance wide.
+
+    At most ``_MAX_ARCS``, and 1 where fewer than 4 would fit, so that
+    an orientation window, which reaches at most four arcs, never wraps
+    onto an arc it has probed already.
+    """
+    arcs = math.floor(min(TWO_PI / angle_tolerance, _MAX_ARCS))  # the quotient may be inf
+    if arcs >= 4 and TWO_PI / arcs < angle_tolerance:
+        arcs -= 1  # the quotient rounded up onto an integer
+    return arcs if arcs >= 4 else 1
+
+
+def _candidates(fa: np.ndarray, cols: np.ndarray, p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (row ``ii`` of ``fa``, column ``jj`` of ``cols``), each once.
+
+    One join keyed on (arc, s3): the circle of first orientations
+    (column 6) is cut into ``_arc_count`` equal arcs of width ``arc``,
+    and each row of ``fa`` probes the arcs its orientation window
+    ``oa -/+ reach`` reaches, taken mod ``arcs``, and in each the s3
+    values between its own screen thresholds ``s3 -/+ side_tolerance``.
+    Every pair that passes the largest-side window and the orientation
+    screen ``min(d, TWO_PI - d) <= angle_tolerance`` (d the computed
+    ``|oa - ob|``) is among them, for orientations in [0, TWO_PI].
+
+    The reach. With u = 2**-53, t the angle tolerance and T = TWO_PI,
+    a pair passes only if ``ob - oa`` lies within w = t(1 + 2u) + uT of
+    0, T or -T: either d rounds to at most t, or T - d does and d is
+    within uT of the exact difference. The thresholds ``oa -/+ reach``
+    are within 2uT of exact, the quotients by ``arc`` carry a relative
+    error of u, and ``arcs * arc`` is within uT of T; summed, a reach of
+    w + 6uT puts ``floor(ob / arc)``, or that minus or plus ``arcs``,
+    between the floors of the thresholds' quotients. ``reach`` is
+    ``t + (t + T) * 2**-49``, at least t(1 + 2u) + 7uT after its own
+    rounding. An arc is at least t and at least T * 2**-24 wide, so a
+    window spans under three arcs and reaches at most four, all distinct
+    when there are four arcs or more. A single arc is probed once, and a
+    tolerance above T, which leaves a single arc as any above T/4 does,
+    is cut to T.
+    """
+    tol = p.side_tolerance
+    oa, lo3, hi3 = fa[:, 6], fa[:, 2] - tol, fa[:, 2] + tol
+    arcs = _arc_count(p.angle_tolerance)
+    arc = TWO_PI / arcs
+    # Key of each other row: its arc times `width`, a power of two above
+    # four times every s3 and every s3 threshold, plus s3. Rounding is
+    # monotone, so a row of arc k with s3 in [lo3, hi3] keys into
+    # [k * width + lo3, k * width + hi3] as computed, and an arc's keys and
+    # probes stay width / 2 clear of every other arc's keys.
+    width = 4.0 * 2.0 ** math.frexp(float(max(hi3.max(), cols[2].max())))[1]
+    arc_of = np.floor(cols[6] / arc)
+    arc_of[arc_of == arcs] = 0.0  # a quotient that rounds up onto arcs wraps to 0
+    key = arc_of * width + cols[2]
+    order = np.argsort(key)
+    key = key[order]
+    # Probes: each row of fa with each arc its orientation window reaches.
+    t = min(p.angle_tolerance, TWO_PI)
+    reach = t + (t + TWO_PI) * 2.0 ** -49
+    first = np.floor((oa - reach) / arc)
+    n = np.minimum(np.floor((oa + reach) / arc) - first, arcs - 1)
+    step = np.arange(n.max() + 1)
+    probe = step <= n[:, None]
+    row = np.nonzero(probe)[0]
+    base = ((first[:, None] + step) % arcs * width)[probe]
+    start = np.searchsorted(key, base + lo3[row], side="left")
+    stop = np.searchsorted(key, base + hi3[row], side="right")
+    counts = stop - start
+    ii = np.repeat(row, counts)
+    jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
+    return ii, jj
+
+
 def _pair_counts(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
     """Paired-triplet count of ``fa`` against each non-empty matrix of ``fbs``.
 
     The others' rows are concatenated, segment after segment, into one
-    column-major copy, and candidate pairs come from one join over it,
-    on the key (s3 cell, s1), a cell being ``floor(s3 / side_tolerance)``:
-    each row of ``fa`` probes every cell between its window thresholds
-    ``s3 -/+ side_tolerance`` and, within each, the s1 values within the
-    tolerance, widened by a margin far above rounding error. So every
-    pair that passes the screens is a candidate; the screens then decide
-    exactly as for a single pair:
-    the largest-side window, each side, each interior angle and each
-    orientation (on the circle) within tolerance, and the pairing
-    order uses the same combined distance.
+    column-major copy, and ``_candidates`` joins ``fa`` with it once.
+    The screens then decide exactly as for a single pair: the
+    largest-side window, each side, each interior angle and each
+    orientation (on the circle) within tolerance, and the pairing order
+    uses the same combined distance.
     """
     tol, angle_tol = p.side_tolerance, p.angle_tolerance
     cols = np.concatenate([f.T for f in fbs], axis=1)  # (9, rows of all segments)
@@ -215,34 +289,7 @@ def _pair_counts(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[
     s1a, s2a, s3a = fa[:, 0], fa[:, 1], fa[:, 2]
     s1b, s2b, s3b = cols[0], cols[1], cols[2]
     lo3, hi3 = s3a - tol, s3a + tol
-
-    # A cell is side_tolerance wide, or wider where the tolerance is below
-    # float resolution at the longest side, so that cell numbers stay
-    # integers of at most 2**50; a wider cell only adds candidates.
-    cell = max(tol, float(max(s3a.max(), s3b.max())) * 2.0 ** -50)
-    # Key of each other row: its s3 cell times `width`, a power of two
-    # above every s1, plus s1. As rounding is monotone, a row in cell C
-    # with s1 in [low, high] keys into [C * width + low, C * width + high].
-    width = 2.0 ** math.frexp(float(s1b.max()))[1]
-    key = np.floor(s3b / cell) * width + s1b
-    order = np.argsort(key)
-    key = key[order]
-    # |s1a - s1b| <= tol as computed puts s1b within this margin of s1a,
-    # which exceeds the rounding error of the subtraction and of the
-    # thresholds many times over (sides ascend, so s3a bounds s1a).
-    margin = tol + (tol + s3a) * 2.0 ** -48
-    # Probes: each row of fa with each s3 cell its window reaches.
-    c3 = np.floor(lo3 / cell)
-    n3 = np.floor(hi3 / cell) - c3
-    d3 = np.arange(n3.max() + 1)
-    reach = d3 <= n3[:, None]
-    base = (c3[:, None] + d3) * width
-    start = np.searchsorted(key, (base + (s1a - margin)[:, None])[reach], side="left")
-    stop = np.searchsorted(key, (base + (s1a + margin)[:, None])[reach], side="right")
-    row = np.nonzero(reach)[0]
-    counts = stop - start
-    ii = np.repeat(row, counts)
-    jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
+    ii, jj = _candidates(fa, cols, p)
 
     s3 = s3b[jj]
     keep = ((s3 >= lo3[ii]) & (s3 <= hi3[ii])

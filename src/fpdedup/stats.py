@@ -175,7 +175,14 @@ class RegressionFit:
 
 
 def fit_regression(points: list[tuple[float, float]]) -> RegressionFit:
-    """Ordinary least squares fit of Y (mean occupancy) on X (size)."""
+    """Ordinary least squares fit of Y (mean occupancy) on X (size).
+
+    Closed form on centred values. Each axis is first scaled by the power
+    of two that brings its largest magnitude into [0.5, 1), which is
+    exact, so that no sum overflows or underflows at extreme but finite
+    points; the fit is scaled back at the end. Raises ValueError when
+    the slope or the intercept lies beyond the float range.
+    """
     if len(points) < 2:
         raise ValueError("regression needs at least 2 points")
     x = np.array([p[0] for p in points], dtype=np.float64)
@@ -184,10 +191,15 @@ def fit_regression(points: list[tuple[float, float]]) -> RegressionFit:
         raise ValueError("regression points must be finite")
     if np.all(x == x[0]):
         raise ValueError("regression is degenerate: all X values are equal")
-    slope, intercept = np.polyfit(x, y, 1)
-    if not (math.isfinite(slope) and math.isfinite(intercept)):
-        raise ValueError("regression fit overflows")
-    return RegressionFit(float(slope), float(intercept))
+    ex, ey = (math.frexp(float(np.abs(v).max()))[1] for v in (x, y))
+    x, y = np.ldexp(x, -ex), np.ldexp(y, -ey)
+    mx, my = x.mean(), y.mean()
+    dx = x - mx
+    slope = float(dx @ (y - my) / (dx @ dx))
+    try:
+        return RegressionFit(math.ldexp(slope, ey - ex), math.ldexp(float(my - slope * mx), ey))
+    except OverflowError:
+        raise ValueError("regression fit overflows") from None
 
 
 def predict_avg(fit: RegressionFit, n: float) -> float:

@@ -298,6 +298,15 @@ def test_regress_custom_points(tmp_path, capsys):
     assert float(values["intercept"]) == pytest.approx(1.0)
 
 
+def test_regress_huge_sizes(tmp_path, capfd):
+    points = tmp_path / "points.csv"
+    points.write_text("1e200,1.0\n2e200,2.0\n")
+    assert main(["regress", "--points", str(points)]) == EXIT_OK
+    out, err = capfd.readouterr()
+    assert out == "slope\t1e-200\nintercept\t0\n"
+    assert err == ""
+
+
 def test_regress_bad_points_line_data_error(tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_text("# size,avg\n0,1.0\n10;2.0\n")
@@ -314,11 +323,12 @@ def test_regress_bad_points_line_data_error(tmp_path, capsys):
     (["estimate", "--n", "1e300", "--avg", "1e300"], None),
     (["regress", "--points"], "1000,1.0\n2000,inf\n"),
     (["regress", "--points"], "nan,1.0\n2000,1.5\n"),
+    (["regress", "--points"], "1e-320,1.0\n2e-320,2.0\n"),  # slope 1e320
     (["regress", "--predict", "nan"], None),
     (["regress", "--predict", "inf"], None),
     (["bench", "--sizes", ","], None),
 ], ids=["negative-ms", "inf-n", "inf-avg", "nan-ms", "overflow", "inf-point", "nan-size",
-        "nan-predict", "inf-predict", "no-sizes"])
+        "subnormal-sizes", "nan-predict", "inf-predict", "no-sizes"])
 def test_non_finite_or_empty_input_prints_nothing(tmp_path, capfd, argv, points):
     if points is not None:
         (tmp_path / "points.csv").write_text(points)

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from fpdedup.matcher import (MatchParams, MatchResult, TripletIndex, _greedy_pair_counts,
-                             _pair_counts, _triangles, index_signature, is_match, match_score,
-                             score_indexed, score_many)
-from fpdedup.signature import Minutia, Signature, normalize_angle
+from fpdedup.matcher import (MatchParams, MatchResult, TripletIndex, _arc_count, _candidates,
+                             _greedy_pair_counts, _pair_counts, _triangles, index_signature,
+                             is_match, match_score, score_indexed, score_many)
+from fpdedup.signature import TWO_PI, Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
 from .conftest import make_signature, translate
@@ -261,8 +262,8 @@ def test_score_many_equals_pairwise(random_suite):
     assert score_many(indexes[0], [], p) == []
 
 
-def _brute_counts(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
-    """Screen every row pair one by one, then pair greedily in (dist, i, j) order."""
+def _screened(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> list[tuple[float, int, int]]:
+    """Every row pair that passes the screens, checked one by one, as (dist, i, j)."""
     tol, angle_tol = p.side_tolerance, p.angle_tolerance
     candidates = []
     for i, a in enumerate(fa.tolist()):
@@ -275,12 +276,29 @@ def _brute_counts(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
                 dist = ((d[0] + d[1] + d[2]) / tol + (d[3] + d[4] + d[5]) / angle_tol
                         + (o[0] + o[1] + o[2]) / angle_tol)
                 candidates.append((dist, i, j))
+    return candidates
+
+
+def _brute_counts(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
+    """Screen every row pair one by one, then pair greedily in (dist, i, j) order."""
     rows, cols = set(), set()
-    for _, i, j in sorted(candidates):
+    for _, i, j in sorted(_screened(fa, fb, p)):
         if i not in rows and j not in cols:
             rows.add(i)
             cols.add(j)
     return len(rows)
+
+
+def _assert_join_exact(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
+    """The join emits each pair at most once and every screened pair; counts match brute force."""
+    for fb in fbs:
+        ii, jj = _candidates(fa, fb.T, p)
+        emitted = list(zip(ii.tolist(), jj.tolist()))
+        assert len(set(emitted)) == len(emitted)
+        assert {(i, j) for _, i, j in _screened(fa, fb, p)} <= set(emitted)
+    counts = _pair_counts(fa, fbs, p)
+    assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
+    return counts
 
 
 def _edge_features(rng: np.random.Generator, n: int, p: MatchParams) -> np.ndarray:
@@ -337,6 +355,71 @@ def test_join_tiny_side_tolerance(random_suite, tol):
     assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
     assert counts[0] == counts[3] > 0
     assert (counts[1] > 0) == (tol == 1e-13)
+
+
+@pytest.mark.parametrize("angle_tol", [1e-13, 1e-20, 5e-324], ids=["ulp", "tiny", "subnormal"])
+def test_join_tiny_angle_tolerance(random_suite, angle_tol):
+    # tolerances near and far below the float resolution of orientations in
+    # [0, 2*pi); a copy with every orientation 1 ulp larger matches under the first
+    p = MatchParams(angle_tolerance=angle_tol)
+    assert _arc_count(angle_tol) == 2 ** 24
+    fa = index_signature(random_suite[0], p).features
+    turned = np.concatenate((fa[:, :6], np.nextafter(fa[:, 6:], np.inf)), axis=1)
+    fbs = [fa, turned, index_signature(random_suite[1], p).features, fa]
+    counts = _assert_join_exact(fa, fbs, p)
+    assert counts[0] == counts[3] > 0
+    assert (counts[1] > 0) == (angle_tol == 1e-13)
+
+
+@pytest.mark.parametrize("angle_tol", [math.pi / 2, math.pi, 2 * math.pi, 10.0],
+                         ids=["quarter", "half", "full", "beyond"])
+def test_join_wide_angle_tolerance(random_suite, angle_tol):
+    # a quarter turn leaves four arcs exactly one tolerance wide, so a
+    # window reaches all four; wider tolerances leave a single arc
+    p = MatchParams(angle_tolerance=angle_tol)
+    assert _arc_count(angle_tol) == (4 if angle_tol == math.pi / 2 else 1)
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        fa = _edge_features(rng, int(rng.integers(1, 12)), p)
+        _assert_join_exact(fa, [_edge_features(rng, int(rng.integers(1, 12)), p)
+                                for _ in range(int(rng.integers(1, 5)))], p)
+    fa = index_signature(random_suite[2], p).features
+    _assert_join_exact(fa, [fa, index_signature(random_suite[3], p).features], p)
+
+
+def test_join_largest_angle_tolerance(random_suite):
+    # the reach is cut to 2*pi, so that the largest float tolerance cannot overflow it
+    p = MatchParams(angle_tolerance=sys.float_info.max)
+    fa = index_signature(random_suite[2], p).features
+    _assert_join_exact(fa, [fa, index_signature(random_suite[3], p).features], p)
+
+
+@pytest.mark.parametrize("angle_tol, arcs", [
+    (0.2618, 23),                                   # the default
+    (0.5, 12),                                      # arcs wider than the tolerance
+    (0.25, 25),                                     # a reach of 0.25 misses 2*pi - 0.25 against 0
+    (math.pi / 2, 4),                               # arcs exactly the tolerance wide
+    (math.nextafter(TWO_PI / 65, math.inf), 64),    # the quotient rounds up onto 65
+    (math.nextafter(TWO_PI / 4, math.inf), 1),      # fewer than 4 fit: a single arc
+], ids=["default", "wide-arcs", "wrap", "quarter", "rounded-quotient", "single"])
+def test_join_orientations_on_arc_edges(angle_tol, arcs):
+    # orientations on each arc edge k * TWO_PI / arcs and 1 ulp either side,
+    # next to 0 and 2*pi included, and one tolerance away from an edge
+    p = MatchParams(angle_tolerance=angle_tol)
+    assert _arc_count(angle_tol) == arcs
+    assert arcs == 1 or TWO_PI / arcs >= angle_tol
+    edges = [k * (TWO_PI / arcs) for k in sorted({0, 1, arcs // 2, arcs - 1, arcs})]
+    near = {float(v) for e in edges for c in (e - angle_tol, e, e + angle_tol)
+            for v in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))}
+    orientations = sorted(v for v in near if 0.0 <= v <= TWO_PI)
+    assert orientations[0] == 0.0 and orientations[-1] == TWO_PI
+    # rows differ in the first orientation alone, so a pair's count is its screen
+    rows = np.array([[20.0, 30.0, 40.0, 0.5, 1.0, 1.5, o, 1.0, 2.0] for o in orientations])
+    singles = list(rows[:, None, :])
+    for fa in singles:
+        _assert_join_exact(fa, singles, p)
+    counts = _assert_join_exact(rows, [rows], p)
+    assert counts == [len(rows)]
 
 
 # ---------------------------------------------------------------------------

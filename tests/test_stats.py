@@ -134,6 +134,19 @@ def test_fit_residuals_sum_to_zero():
     assert abs(residual) < 1e-9
 
 
+def test_fit_extreme_but_finite_points():
+    # the centred sums of squares would overflow (1e400) or lose every
+    # digit (1e-640) without scaling
+    fit = fit_regression([(1e200, 1.0), (2e200, 2.0)])
+    assert fit.slope == pytest.approx(1e-200, rel=1e-15)
+    assert fit.intercept == pytest.approx(0.0, abs=1e-15)
+    fit = fit_regression([(1e-300, 1.0), (2e-300, 2.0), (4e-300, 4.0)])
+    assert fit.slope == pytest.approx(1e300, rel=1e-12)
+    assert fit.intercept == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="overflows"):
+        fit_regression([(1e-320, 1.0), (2e-320, 2.0)])  # slope 1e320
+
+
 def test_fit_rejects_degenerate_input():
     with pytest.raises(ValueError):
         fit_regression([(1.0, 2.0)])
