@@ -14,12 +14,13 @@ graph) is included for equivalence testing on small corpora.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Any
 
 from .cluster import ClusterTable
-from .identify import CompareMany, Matcher, Prepare, _resolve, _scorer
+from .identify import CompareMany, Matcher, _resolve, _scorer
 from .matcher import MatchParams, Signature, is_match
 
 REPORT_FORMAT_HEADER = "fpdedup-dedup-report v1"
@@ -54,16 +55,20 @@ class DuplicateReport:
         return sum(len(g) - 1 for g in self.duplicate_groups())
 
 
+# Prints prepared per call by the sweep: enough that the many two-print
+# buckets of a real table fill stacks of one minutiae count, few enough
+# that the window's features stay a few megabytes.
+WINDOW_PRINTS = 256
+
+
 def _sweep_bucket(bucket: list[str],
-                  store: Mapping[str, Signature],
+                  prepared: Mapping[str, Any],
                   params: MatchParams,
-                  prepare: Prepare,
                   compare_many: CompareMany) -> tuple[list[list[str]], int]:
     """Sweep one bucket into groups; returns (groups, comparisons).
 
     Each head is scored against its whole remaining worklist in one call.
     """
-    prepared = {rid: prepare(_resolve(store, rid), params) for rid in bucket}
     groups: list[list[str]] = []
     comparisons = 0
     worklist = list(bucket)
@@ -80,6 +85,27 @@ def _sweep_bucket(bucket: list[str],
     return groups, comparisons
 
 
+def _windows(buckets: Mapping[str, list[str]]) -> Iterator[list[tuple[str, list[str]]]]:
+    """Runs of consecutive multi-member buckets, in table order.
+
+    A window closes with the bucket that brings it to ``WINDOW_PRINTS``
+    prints or more, so it holds fewer than ``WINDOW_PRINTS`` prints
+    besides that last bucket, however large the table. The last window
+    holds what is left.
+    """
+    window: list[tuple[str, list[str]]] = []
+    held = 0
+    for key, bucket in buckets.items():
+        if len(bucket) > 1:
+            window.append((key, bucket))
+            held += len(bucket)
+            if held >= WINDOW_PRINTS:
+                yield window
+                window, held = [], 0
+    if window:
+        yield window
+
+
 def deduplicate(table: ClusterTable,
                 store: Mapping[str, Signature],
                 params: MatchParams = MatchParams(),
@@ -87,17 +113,22 @@ def deduplicate(table: ClusterTable,
     """Run the duplicate sweep over every bucket of a loaded table.
 
     Buckets of size <= 1 are recorded as singleton groups without any
-    comparison; the others are swept one after another in table order.
+    comparison. The others are resolved and prepared a window of
+    buckets at a time (see ``_windows``), then swept one after another;
+    the report keeps table order.
     """
     report = DuplicateReport()
-    prepare, compare_many = _scorer(matcher)
     for key, bucket in table.buckets.items():
-        if len(bucket) <= 1:
-            report.groups_by_key[key] = [list(bucket)]
-            continue
-        groups, comparisons = _sweep_bucket(bucket, store, params, prepare, compare_many)
-        report.groups_by_key[key] = groups
-        report.comparisons += comparisons
+        # Every key in table order; a swept bucket's groups replace its entry below.
+        report.groups_by_key[key] = [list(bucket)]
+    prepare, compare_many = _scorer(matcher)
+    for window in _windows(table.buckets):
+        ids = [rid for _, bucket in window for rid in bucket]
+        prepared = dict(zip(ids, prepare([_resolve(store, rid) for rid in ids], params)))
+        for key, bucket in window:
+            groups, comparisons = _sweep_bucket(bucket, prepared, params, compare_many)
+            report.groups_by_key[key] = groups
+            report.comparisons += comparisons
     return report
 
 
@@ -138,7 +169,7 @@ def exhaustive_dedup(store: Mapping[str, Signature],
         )
 
     prepare, compare_many = _scorer(matcher)
-    prepared = [prepare(_resolve(store, rid), params) for rid in ids]
+    prepared = prepare([_resolve(store, rid) for rid in ids], params)
     parent = list(range(n))
 
     def find(i: int) -> int:

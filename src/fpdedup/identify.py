@@ -15,26 +15,27 @@ from typing import Any
 
 from .cluster import ClusterTable
 from .grid import GridParams, compute_index
-from .matcher import (MatchParams, MatchResult, Signature, index_signature,
+from .matcher import (MatchParams, MatchResult, Signature, index_signatures,
                       is_match, score_many)
 
 Matcher = Callable[[Signature, Signature, MatchParams], MatchResult]
-Prepare = Callable[[Signature, MatchParams], Any]
+Prepare = Callable[[list[Signature], MatchParams], list[Any]]
 CompareMany = Callable[[Any, list[Any], MatchParams], list[MatchResult]]
 
 
 def _scorer(matcher: Matcher | None) -> tuple[Prepare, CompareMany]:
     """The (prepare, compare_many) pair every scoring call site runs.
 
-    Each record is prepared once, then one prepared form is compared
-    with a list of others, one result per other. The built-in scorer
-    prepares a signature's triplet index and scores the list in one
-    pass; a custom ``matcher`` prepares nothing and is called on each
-    pair of signatures in list order.
+    Records are prepared once, a list at a time, then one prepared form
+    is compared with a list of others, one result per other. The
+    built-in scorer prepares the signatures' triplet indexes in stacked
+    passes and scores the list in one pass; a custom ``matcher``
+    prepares nothing and is called on each pair of signatures in list
+    order.
     """
     if matcher is None:
-        return index_signature, score_many
-    return ((lambda signature, _params: signature),
+        return index_signatures, score_many
+    return ((lambda signatures, _params: list(signatures)),
             (lambda a, others, params: [matcher(a, b, params) for b in others]))
 
 
@@ -74,8 +75,8 @@ def identify(query: Signature,
         return IdentificationResult(key.key_text, [], [], 0.0)
 
     prepare, compare_many = _scorer(matcher)
-    prepared_query = prepare(query, params)
-    members = [prepare(_resolve(store, record_id), params) for record_id in bucket]
+    prepared_query, *members = prepare(
+        [query] + [_resolve(store, record_id) for record_id in bucket], params)
     scored = [(record_id, result.score, result) for record_id, result
               in zip(bucket, compare_many(prepared_query, members, params))]
 

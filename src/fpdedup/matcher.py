@@ -7,7 +7,9 @@ nine translation- and rotation-invariant features: the three side
 lengths (ascending), the three interior angles (matching order), and
 the three minutiae ridge angles expressed relative to the triangle's
 own frame (direction from each vertex to the next one in that order).
-A signature's features are built as one (nt, 9) array.
+A signature's features are built as one (nt, 9) array; ``index_signatures``
+builds a list of prints a stack of one minutiae count at a time, each
+print's features bit for bit those it has built alone.
 
 Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
@@ -79,36 +81,42 @@ def _pair_positions(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _triangles(x: np.ndarray, y: np.ndarray, p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex index triples of a signature's triangles, and their sides.
+    """Vertex index triples of a stack of prints' triangles, and their sides.
 
-    For each minutia, triangles are formed with every pair of its
-    ``neighbors_k`` nearest neighbors, anchor by anchor, and rows keep
-    that first-seen order: a triangle is dropped at anchor v when an
-    earlier anchor among its other two vertices also has the remaining
-    two as neighbors, as that anchor formed it already. Any triangle
-    with a side outside [min_edge, max_edge] is discarded. The count
-    stays O(N * k^2) rather than O(N^3). Each row is sorted ascending
-    and comes with the sides opposite its three vertices, read from the
-    one distance matrix that also ranks the neighbors. Fewer than three
-    minutiae yield no rows.
+    ``x`` and ``y`` are (B, n): B prints of n minutiae each, built in
+    one pass. For each minutia, triangles are formed with every pair of
+    its ``neighbors_k`` nearest neighbors within its print, anchor by
+    anchor, and rows keep that first-seen order, print after print: a
+    triangle is dropped at anchor v when an earlier anchor among its
+    other two vertices also has the remaining two as neighbors, as that
+    anchor formed it already. Any triangle with a side outside
+    [min_edge, max_edge] is discarded. The count stays O(N * k^2) rather
+    than O(N^3). Each row indexes the stack flattened to B * n minutiae,
+    is sorted ascending, and comes with the sides opposite its three
+    vertices, read from the one distance matrix that also ranks the
+    neighbors. Fewer than three minutiae yield no rows.
     """
-    n = x.size
-    dx, dy = x[:, None] - x, y[:, None] - y
+    stack, n = x.shape
+    dx, dy = x[:, :, None] - x[:, None, :], y[:, :, None] - y[:, None, :]
     dist = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(dist, np.inf)
+    dist.reshape(stack, n * n)[:, ::n + 1] = np.inf  # each print's diagonal
+    # Row r is minutia r of the flattened stack; columns index its own print.
+    dist = dist.reshape(stack * n, n)
     k = min(p.neighbors_k, n - 1)
     # Stable sort keeps neighbor order deterministic under distance ties.
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
     a_pos, b_pos = _pair_positions(k)
-    v = np.repeat(np.arange(n), a_pos.size)
+    v = np.tile(np.repeat(np.arange(n), a_pos.size), stack)
+    first = np.repeat(np.arange(0, stack * n, n), n * a_pos.size)  # row of the print's minutia 0
     a, b = neighbors[:, a_pos].ravel(), neighbors[:, b_pos].ravel()
-    nbr = np.zeros((n, n), dtype=bool)
-    nbr[np.arange(n)[:, None], neighbors] = True
-    seen = ((a < v) & nbr[a, v] & nbr[a, b]) | ((b < v) & nbr[b, v] & nbr[b, a])
-    tri = np.sort(np.stack((v, a, b), axis=1)[~seen], axis=1)
-    opposite = dist[tri[:, [1, 0, 0]], tri[:, [2, 2, 1]]]
+    nbr = np.zeros((stack * n, n), dtype=bool)
+    nbr[np.arange(stack * n)[:, None], neighbors] = True
+    ra, rb = a + first, b + first  # rows of a and b in the flattened stack
+    fresh = ~(((a < v) & nbr[ra, v] & nbr[ra, b]) | ((b < v) & nbr[rb, v] & nbr[rb, a]))
+    tri, first = np.sort(np.stack((v, a, b), axis=1)[fresh], axis=1), first[fresh, None]
+    opposite = dist[tri[:, [1, 0, 0]] + first, tri[:, [2, 2, 1]]]
     keep = ((p.min_edge <= opposite) & (opposite <= p.max_edge)).all(axis=1)
-    return tri[keep], opposite[keep]
+    return (tri + first)[keep], opposite[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -134,25 +142,54 @@ class TripletIndex:
         return tuple(sorted(self.signature.rows()))
 
 
-def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletIndex:
-    """Precompute a signature's matchable triplet features, one row per triangle.
+# Prints of one minutiae count built per numpy pass: 16 spreads the fixed
+# cost of a pass thin, and keeps each (16, n, n) temporary near 1 MB at n = 90.
+_STACK = 16
 
-    One numpy pass: the distance matrix is built once and serves the
-    neighbor search, the edge filter and the side lengths. A triangle's
-    vertices are ordered by their opposite side length (ties to the
-    lower minutia index), so the sides are ascending and the interior
-    angles, listed per ordered vertex, ascend too (law of sines). Each
-    orientation is the ordered vertex's ridge angle minus the direction
-    toward the next ordered vertex, reduced into [0, 2*pi); vertices are
-    at least min_edge apart, so that direction is always defined (a
-    centroid reference would degenerate on collinear triples).
-    ``math.acos`` and ``math.atan2`` are applied element by element
-    because numpy's versions can differ from them in the last bit. A
-    40-minutia print takes about 320-440 us on a 2-vCPU host.
+
+def index_signatures(signatures: Sequence[Signature],
+                     p: MatchParams = MatchParams()) -> list[TripletIndex]:
+    """Precompute each signature's matchable triplet features, one row per triangle.
+
+    Prints are grouped by minutiae count and built up to ``_STACK`` at a
+    time in one numpy pass, with no padding, so each print's features
+    are those of it built alone, bit for bit, whatever the list holds.
+    The distance matrix is built once and serves the neighbor search,
+    the edge filter and the side lengths. A triangle's vertices are
+    ordered by their opposite side length (ties to the lower minutia
+    index), so the sides are ascending and the interior angles, listed
+    per ordered vertex, ascend too (law of sines). Each orientation is
+    the ordered vertex's ridge angle minus the direction toward the next
+    ordered vertex, reduced into [0, 2*pi); vertices are at least
+    min_edge apart, so that direction is always defined (a centroid
+    reference would degenerate on collinear triples). ``math.acos`` and
+    ``math.atan2`` are applied element by element because numpy's
+    versions can differ from them in the last bit. A 40-minutia print
+    takes about 640 us built alone and 400-440 us in a stack of 4 or
+    more, where the former one-print builder took 560 us (medians of 25
+    interleaved rounds, one process, 2-vCPU host).
     """
-    bounding_box(s)  # rejects an empty signature or an out-of-range coordinate
-    x, y, theta = np.array((s.xs, s.ys, s.thetas), dtype=np.float64)
+    by_count: dict[int, list[int]] = {}
+    for position, s in enumerate(signatures):
+        bounding_box(s)  # rejects an empty signature or an out-of-range coordinate
+        by_count.setdefault(len(s.xs), []).append(position)
+    out: list[TripletIndex] = [None] * len(signatures)  # type: ignore[list-item]
+    for positions in by_count.values():
+        for start in range(0, len(positions), _STACK):
+            chunk = positions[start:start + _STACK]
+            built = _stack_features([signatures[i] for i in chunk], p)
+            for i, features in zip(chunk, built):
+                out[i] = TripletIndex(features, signatures[i])
+    return out
+
+
+def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
+    """Feature matrices of prints sharing one minutiae count, in one pass."""
+    n = len(stack[0].xs)
+    columns = np.array([(s.xs, s.ys, s.thetas) for s in stack], dtype=np.float64)
+    x, y, theta = columns.transpose(1, 0, 2)  # each (B, n): B prints of n minutiae
     tri, opposite = _triangles(x, y, p)
+    x, y, theta = x.ravel(), y.ravel(), theta.ravel()
     nt = tri.shape[0]
     # One flat gather puts each row's vertices in ascending opposite-side order.
     flat = np.argsort(opposite, axis=1, kind="stable") + 3 * np.arange(nt)[:, None]
@@ -165,8 +202,15 @@ def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletInde
                               (x[nxt] - x[ov]).ravel().tolist()), np.float64, 3 * nt)
     orientations = normalize_angles(theta[ov].ravel() - heading)
     features = np.concatenate((sides, angles.reshape(nt, 3), orientations.reshape(nt, 3)), axis=1)
-    features = features[np.argsort(features[:, 2], kind="stable")]
-    return TripletIndex(features, s)
+    # Rows come print by print; each print's are sorted by largest side.
+    bounds = [0] + np.cumsum(np.bincount(tri[:, 0] // n, minlength=len(stack))).tolist()
+    return [f[np.argsort(f[:, 2], kind="stable")]
+            for f in (features[lo:hi] for lo, hi in zip(bounds, bounds[1:]))]
+
+
+def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletIndex:
+    """One signature's triplet index: ``index_signatures([s], p)[0]``."""
+    return index_signatures([s], p)[0]
 
 
 def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,

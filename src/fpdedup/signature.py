@@ -199,10 +199,17 @@ def check_record_ids(ids: Iterable[str], what: str = "record id") -> None:
 
 
 def read_signature_file(path: str | Path, record_id: str | None = None) -> Signature:
-    """Read one signature file; record id defaults to the filename stem."""
+    """Read one signature file; record id defaults to the filename stem.
+
+    A ParseError names the file ahead of the parser's message.
+    """
     path = Path(path)
     rid = record_id if record_id is not None else path.stem
-    return parse_signature(path.read_text(), rid)
+    text = path.read_text()
+    try:
+        return parse_signature(text, rid)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_corpus_dir(signatures: Iterator[Signature] | list[Signature],

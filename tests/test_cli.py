@@ -243,6 +243,20 @@ def test_huge_coordinate_data_error(tmp_path, capsys):
     assert "line 2: x coordinate '999" in capsys.readouterr().err
 
 
+def test_malformed_corpus_file_named(generated, tmp_path, capsys):
+    _, source, _ = generated
+    corpus = tmp_path / "corpus"
+    write_corpus_dir(FileStore.from_directory(source).values(), corpus)
+    bad = corpus / "S00005.sig"
+    lines = bad.read_text().splitlines()
+    bad.write_text("\n".join([lines[0], "30;x;0.1;0"] + lines[2:]) + "\n")
+    message = f"error: {bad}: line 2: y coordinate 'x' is not an integer"
+    for command in (["index", "--out", str(tmp_path / "t.tsv")], ["dedup"]):
+        rc = main(command + ["--corpus", str(corpus)])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+
 def test_missing_file_data_error(tmp_path, capsys):
     rc = main(["identify", "--query", str(tmp_path / "nope.sig"),
                "--table", str(tmp_path / "nope.tsv"), "--corpus", str(tmp_path)])

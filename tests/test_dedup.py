@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpdedup import dedup as dedup_module
 from fpdedup.cluster import build_table
-from fpdedup.dedup import (DuplicateReport, OracleCapExceededError, comparison_count,
+from fpdedup.dedup import (DuplicateReport, OracleCapExceededError, _windows, comparison_count,
                            deduplicate, exhaustive_dedup, format_report, pair_relation)
 from fpdedup.grid import compute_index
-from fpdedup.matcher import MatchParams, MatchResult
+from fpdedup.matcher import MatchParams, MatchResult, index_signature, is_match, score_many
 from fpdedup.signature import Signature
 from fpdedup.synth import GenSpec, generate
 
@@ -102,6 +103,77 @@ def test_unresolvable_id_errors(planted_corpus):
     table, _, _ = planted_corpus
     with pytest.raises(KeyError, match="not in the signature store"):
         deduplicate(table, {}, PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# Windows: buckets prepared together, swept as if one by one
+
+
+def _reference_sweep(table, store, params, matcher=None):
+    """The sweep bucket by bucket, each print built alone, singletons included."""
+    def prepare(s):
+        return s if matcher else index_signature(s, params)
+
+    def compare(a, others):
+        return [matcher(a, b, params) for b in others] if matcher else score_many(a, others, params)
+
+    report = DuplicateReport()
+    for key, bucket in table.buckets.items():
+        prepared = {rid: prepare(store[rid]) for rid in bucket}
+        groups, worklist = [], list(bucket)
+        while worklist:
+            head, *worklist = worklist
+            results = compare(prepared[head], [prepared[o] for o in worklist])
+            report.comparisons += len(worklist)
+            groups.append([head] + [o for o, r in zip(worklist, results) if is_match(r, params)])
+            worklist = [o for o, r in zip(worklist, results) if not is_match(r, params)]
+        report.groups_by_key[key] = groups
+    return report
+
+
+# Bucket sizes in key order under a window of 8 prints: the first window
+# closes inside a run of buckets with singletons between them, a bucket of
+# 12 is a window of its own, and the last window is left part full.
+_WINDOW_LAYOUT = (1, 3, 1, 4, 2, 1, 12, 2, 1, 3)
+
+
+@pytest.fixture
+def windowed(monkeypatch):
+    """A table laid out as ``_WINDOW_LAYOUT``, sources next to their duplicates."""
+    monkeypatch.setattr(dedup_module, "WINDOW_PRINTS", 8)
+    signatures, truth = generate(GenSpec(subjects=24, dup_fraction=0.5,
+                                         minutiae_per_print=(20, 35), seed=5))
+    store = {s.record_id: s for s in signatures}
+    ids = [rid for pair in truth for rid in reversed(pair)]
+    ids += [rid for rid in store if rid not in ids]
+    entries, start = [], 0
+    for bucket, size in enumerate(_WINDOW_LAYOUT):
+        # keys that sort out of table order, so the report must keep table order
+        entries += [(rid, f"key{9 - bucket}") for rid in ids[start:start + size]]
+        start += size
+    table = build_table(entries)
+    assert [sum(len(b) for _, b in w) for w in _windows(table.buckets)] == [9, 12, 5]
+    return table, store
+
+
+def test_windowed_sweep_equals_bucket_by_bucket(windowed):
+    table, store = windowed
+    report = deduplicate(table, store, PARAMS)
+    reference = _reference_sweep(table, store, PARAMS)
+    assert report.duplicate_groups()
+    assert list(report.groups_by_key) == list(table.buckets)
+    assert format_report(report) == format_report(reference)
+    assert report.comparisons == reference.comparisons
+
+
+def test_windowed_sweep_custom_matcher(windowed):
+    table, store = windowed
+    counter, reference_counter = CountingMatcher(), CountingMatcher()
+    report = deduplicate(table, store, PARAMS, matcher=counter)
+    reference = _reference_sweep(table, store, PARAMS, matcher=reference_counter)
+    assert format_report(report) == format_report(reference)
+    assert report.comparisons == reference.comparisons == counter.count
+    assert counter.pairs == reference_counter.pairs
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from fpdedup.cluster import build_table
 from fpdedup.grid import GridParams, compute_index
 from fpdedup.identify import identify
-from fpdedup.matcher import MatchParams, index_signature, is_match, match_score
+from fpdedup.matcher import MatchParams, index_signatures, is_match, match_score
 from fpdedup.signature import Signature
 from fpdedup.synth import GenSpec, generate
 
@@ -43,14 +43,14 @@ def test_miss_builds_no_query_features(small_corpus, monkeypatch):
     table, store, signatures, _ = small_corpus
     calls = []
 
-    def counting_index(s, p):
-        calls.append(s.record_id)
-        return index_signature(s, p)
+    def counting_index(signatures, p):
+        calls.extend(s.record_id for s in signatures)
+        return index_signatures(signatures, p)
 
     # The package re-exports the function ``identify``, which shadows the
     # module of the same name on attribute lookup.
     module = importlib.import_module("fpdedup.identify")
-    monkeypatch.setattr(module, "index_signature", counting_index)
+    monkeypatch.setattr(module, "index_signatures", counting_index)
     result = identify(Signature("q", [signatures[0].minutiae[0]]), table, store, GRID, PARAMS)
     assert result.candidates == [] and result.penetration == 0.0
     assert calls == []

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from fpdedup.matcher import (MatchParams, MatchResult, TripletIndex, _arc_count, _candidates,
-                             _greedy_pair_counts, _pair_counts, _triangles, index_signature,
-                             is_match, match_score, score_indexed, score_many)
+from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _arc_count,
+                             _candidates, _greedy_pair_counts, _pair_counts, _triangles,
+                             index_signature, index_signatures, is_match, match_score,
+                             score_indexed, score_many)
 from fpdedup.signature import TWO_PI, Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -40,7 +41,7 @@ def random_suite() -> list[Signature]:
 
 def triangles(s: Signature) -> list[tuple[int, int, int]]:
     x, y = np.array([(m.x, m.y) for m in s.minutiae], dtype=np.float64).T
-    return [tuple(row) for row in _triangles(x, y, PARAMS)[0].tolist()]
+    return [tuple(row) for row in _triangles(x[None], y[None], PARAMS)[0].tolist()]
 
 
 def test_two_minutiae_no_triplets():
@@ -515,3 +516,51 @@ def test_features_and_scores_golden():
     assert truth
     assert _feature_digest(signatures) == GOLDEN_FEATURES
     assert _score_digest(signatures, truth) == GOLDEN_SCORES
+
+
+# ---------------------------------------------------------------------------
+# Stacked builds: a list built at once equals each print built alone
+
+
+def _stacking_corpus() -> list[Signature]:
+    """Prints of 1-8 and 20-60 minutiae, one count shared by more prints
+    than a stack holds, counts whose prints have no triangle at all,
+    repeated prints, and both golden corpora, in a seeded shuffled order."""
+    small, _ = generate(GenSpec(subjects=24, minutiae_per_print=(1, 8), seed=1301))
+    large, _ = generate(GenSpec(subjects=40, minutiae_per_print=(20, 60), seed=1302))
+    crowd, _ = generate(GenSpec(subjects=2 * _STACK + 3, minutiae_per_print=(30, 30), seed=1303))
+    # Grid points 200 px apart, beyond max_edge: no admissible side, so no
+    # triangle, and counts no other print here has, so whole stacks have none.
+    sparse = [make_signature(f"sparse{i}", [(200 * (j % 12), 200 * (j // 12))
+                                            for j in range(121 + i % 3)])
+              for i in range(3 * _STACK)]
+    signatures = small + large + crowd + sparse + _golden_corpus()[0] + _lattice_corpus()
+    signatures += signatures[::7]
+    order = np.random.default_rng(1304).permutation(len(signatures))
+    return [signatures[i] for i in order]
+
+
+def test_index_signatures_equal_single_builds():
+    signatures = _stacking_corpus()
+    counts = [len(s.xs) for s in signatures]
+    assert set(range(1, 9)) <= set(counts) and {20, 60} & set(counts)
+    assert counts.count(30) > 2 * _STACK and counts.count(121) >= _STACK
+    assert len({id(s) for s in signatures}) < len(signatures)
+    for p in GOLDEN_PARAMS + tuple(MatchParams(neighbors_k=k) for k in GOLDEN_TIES_K):
+        stacked = index_signatures(signatures, p)
+        assert len(stacked) == len(signatures)
+        for s, index in zip(signatures, stacked):
+            alone = index_signature(s, p).features
+            assert index.signature is s
+            assert index.features.shape == alone.shape
+            assert index.features.tobytes() == alone.tobytes()
+
+
+def test_index_signatures_rejects_bad_print_anywhere():
+    good = make_signature("good", [(0, 0), (50, 0), (25, 43)])
+    big = Signature("big", [Minutia(0, 0, 0.0, 1), Minutia(10 ** 400, 0, 0.0, 1)])
+    with pytest.raises(ValueError, match="'big' has a coordinate beyond"):
+        index_signatures([good, good, big], PARAMS)
+    with pytest.raises(ValueError, match="'empty' is empty"):
+        index_signatures([good, Signature("empty", [])], PARAMS)
+    assert index_signatures([], PARAMS) == []

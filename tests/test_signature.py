@@ -18,8 +18,8 @@ from fpdedup.grid import bounding_box, compute_index
 from fpdedup.matcher import index_signature, score_indexed
 from fpdedup.signature import (FileStore, Minutia, ParseError, SerializedStore,
                                Signature, check_record_ids, normalize_angle,
-                               normalize_angles, parse_signature, serialize_signature,
-                               write_corpus_dir)
+                               normalize_angles, parse_signature, read_signature_file,
+                               serialize_signature, write_corpus_dir)
 from fpdedup.synth import GenSpec, generate
 
 TWO_PI = 2.0 * math.pi
@@ -440,6 +440,23 @@ def test_manifest_duplicate_record_id(tmp_path):
     manifest.write_text("a\tc/a.sig\nb\tc/b.sig\na\tc/b.sig\n")
     with pytest.raises(ParseError, match="manifest line 3: duplicate record id 'a'"):
         FileStore.from_manifest(manifest)
+
+
+def test_file_parse_error_names_the_file(tmp_path):
+    write_corpus_dir(_tiny_corpus(), tmp_path / "c")
+    bad = tmp_path / "c" / "b.sig"
+    bad.write_text("5;6;0.3;1\n30;x;0.1;0\n")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\tc/a.sig\nb\tc/b.sig\n")
+    body = "line 2: y coordinate 'x' is not an integer"
+    for store in (FileStore.from_directory(tmp_path / "c"), FileStore.from_manifest(manifest)):
+        assert store["a"] == _tiny_corpus()[0]
+        with pytest.raises(ParseError) as exc:
+            store["b"]
+        assert str(exc.value) == f"{bad}: {body}"
+    (tmp_path / "empty.sig").write_text("\n")
+    with pytest.raises(ParseError, match=r"empty\.sig: signature 'empty' has no minutiae$"):
+        read_signature_file(tmp_path / "empty.sig")
 
 
 def test_record_id_rule_is_separators_and_line_boundaries():
