@@ -43,9 +43,9 @@ def test_miss_builds_no_query_features(small_corpus, monkeypatch):
     table, store, signatures, _ = small_corpus
     calls = []
 
-    def counting_index(signatures, p):
-        calls.extend(s.record_id for s in signatures)
-        return index_signatures(signatures, p)
+    def counting_index(batch, p):
+        calls.extend(s.record_id for s in batch)
+        return index_signatures(batch, p)
 
     # The package re-exports the function ``identify``, which shadows the
     # module of the same name on attribute lookup.
