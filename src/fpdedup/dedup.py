@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Any
 
 from .cluster import ClusterTable
-from .identify import CompareMany, Matcher, _resolve, _scorer
+from .identify import Index, Matcher, _resolve, _scorer
 from .matcher import MatchParams, Signature, is_match
 
 REPORT_FORMAT_HEADER = "fpdedup-dedup-report v1"
@@ -64,24 +64,27 @@ WINDOW_PRINTS = 256
 def _sweep_bucket(bucket: list[str],
                   prepared: Mapping[str, Any],
                   params: MatchParams,
-                  compare_many: CompareMany) -> tuple[list[list[str]], int]:
+                  index: Index) -> tuple[list[list[str]], int]:
     """Sweep one bucket into groups; returns (groups, comparisons).
 
-    Each head is scored against its whole remaining worklist in one call.
+    The bucket's members are indexed once; each head is then scored
+    against its whole remaining worklist in one call.
     """
+    members = [prepared[rid] for rid in bucket]
+    compare = index(members, params)
     groups: list[list[str]] = []
     comparisons = 0
-    worklist = list(bucket)
+    worklist = list(range(len(bucket)))
     while worklist:
         head = worklist.pop(0)
         group = [head]
-        remaining: list[str] = []
-        results = compare_many(prepared[head], [prepared[other] for other in worklist], params)
+        remaining: list[int] = []
+        results = compare(members[head], worklist, params)
         comparisons += len(worklist)
         for other, result in zip(worklist, results):
             (group if is_match(result, params) else remaining).append(other)
         worklist = remaining
-        groups.append(group)
+        groups.append([bucket[i] for i in group])
     return groups, comparisons
 
 
@@ -121,12 +124,12 @@ def deduplicate(table: ClusterTable,
     for key, bucket in table.buckets.items():
         # Every key in table order; a swept bucket's groups replace its entry below.
         report.groups_by_key[key] = [list(bucket)]
-    prepare, compare_many = _scorer(matcher)
+    prepare, index = _scorer(matcher)
     for window in _windows(table.buckets):
         ids = [rid for _, bucket in window for rid in bucket]
         prepared = dict(zip(ids, prepare([_resolve(store, rid) for rid in ids], params)))
         for key, bucket in window:
-            groups, comparisons = _sweep_bucket(bucket, prepared, params, compare_many)
+            groups, comparisons = _sweep_bucket(bucket, prepared, params, index)
             report.groups_by_key[key] = groups
             report.comparisons += comparisons
     return report
@@ -168,7 +171,7 @@ def exhaustive_dedup(store: Mapping[str, Signature],
             f"corpus has {n} records, above the exhaustive-oracle cap of {cap}"
         )
 
-    prepare, compare_many = _scorer(matcher)
+    prepare, index = _scorer(matcher)
     prepared = prepare([_resolve(store, rid) for rid in ids], params)
     parent = list(range(n))
 
@@ -179,7 +182,9 @@ def exhaustive_dedup(store: Mapping[str, Signature],
         return i
 
     for i in range(n - 1):
-        results = compare_many(prepared[i], prepared[i + 1:], params)
+        # One index per head over the rest alone: an index over all n
+        # would join each head with the rows of every earlier record too.
+        results = index(prepared[i + 1:], params)(prepared[i], range(n - i - 1), params)
         for j, result in enumerate(results, start=i + 1):
             if is_match(result, params):
                 ri, rj = find(i), find(j)

@@ -9,34 +9,40 @@ size.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from .cluster import ClusterTable
 from .grid import GridParams, compute_index
-from .matcher import (MatchParams, MatchResult, Signature, index_signatures,
-                      is_match, score_many)
+from .matcher import (MatchParams, MatchResult, Signature, bucket_scorer, index_signatures,
+                      is_match)
 
 Matcher = Callable[[Signature, Signature, MatchParams], MatchResult]
 Prepare = Callable[[list[Signature], MatchParams], list[Any]]
-CompareMany = Callable[[Any, list[Any], MatchParams], list[MatchResult]]
+Compare = Callable[[Any, Sequence[int], MatchParams], list[MatchResult]]
+Index = Callable[[list[Any], MatchParams], Compare]
 
 
-def _scorer(matcher: Matcher | None) -> tuple[Prepare, CompareMany]:
-    """The (prepare, compare_many) pair every scoring call site runs.
+def _scorer(matcher: Matcher | None) -> tuple[Prepare, Index]:
+    """The (prepare, index) pair every scoring call site runs.
 
-    Records are prepared once, a list at a time, then one prepared form
-    is compared with a list of others, one result per other. The
-    built-in scorer prepares the signatures' triplet indexes in stacked
-    passes and scores the list in one pass; a custom ``matcher``
-    prepares nothing and is called on each pair of signatures in list
-    order.
+    Records are prepared once, a list at a time. ``index(members,
+    params)`` then returns ``compare(a, alive, params)``, which scores
+    one prepared form against the members at positions ``alive``, one
+    result per position, in that order. The built-in scorer prepares
+    the signatures' triplet indexes in stacked passes, and builds the
+    members' join index once per ``index`` call (``bucket_scorer``); a
+    custom ``matcher`` prepares nothing and is called on each pair of
+    signatures in ``alive`` order.
     """
     if matcher is None:
-        return index_signatures, score_many
-    return ((lambda signatures, _params: list(signatures)),
-            (lambda a, others, params: [matcher(a, b, params) for b in others]))
+        return index_signatures, bucket_scorer
+
+    def index(members: list[Any], _params: MatchParams) -> Compare:
+        return lambda a, alive, params: [matcher(a, members[j], params) for j in alive]
+
+    return (lambda signatures, _params: list(signatures)), index
 
 
 @dataclass
@@ -74,11 +80,11 @@ def identify(query: Signature,
     if not bucket:
         return IdentificationResult(key.key_text, [], [], 0.0)
 
-    prepare, compare_many = _scorer(matcher)
+    prepare, index = _scorer(matcher)
     prepared_query, *members = prepare(
         [query] + [_resolve(store, record_id) for record_id in bucket], params)
-    scored = [(record_id, result.score, result) for record_id, result
-              in zip(bucket, compare_many(prepared_query, members, params))]
+    results = index(members, params)(prepared_query, range(len(members)), params)
+    scored = [(record_id, result.score, result) for record_id, result in zip(bucket, results)]
 
     scored.sort(key=lambda item: (-item[1], item[0]))
     candidates = [(rid, score) for rid, score, _ in scored]

@@ -11,17 +11,25 @@ A signature's features are built as one (nt, 9) array; ``index_signatures``
 builds a list of prints a stack of one minutiae count at a time, each
 print's features bit for bit those it has built alone.
 
+Headings of triangle edges are read from a table of ``math.atan2`` over
+integer vectors, and each minutia's nearest neighbors come from a
+partition of its distance row rather than a sort of all of it; both give
+bit for bit what ``math.atan2`` and a stable sort give.
+
 Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
 normalized by the smaller triplet-set size, gives a 0-100 score.
-``score_many`` scores one signature against a whole list in one numpy
-pass: the others' rows are concatenated with segment offsets, and one
-join finds every candidate triplet pair on the key (arc, s3), the
-circle of first orientations being cut into equal arcs at least
-``angle_tolerance`` wide. The screens then run once over all segments,
-and pairing runs per segment. Each result equals that pair scored
-alone; ``score_indexed`` is a one-element ``score_many``. The
-scorer is deliberately pluggable: anything with the
+``bucket_scorer`` indexes a list of prints once: their rows are
+concatenated with each row's member position, and keyed and sorted on
+(arc, s3), the circle of first orientations being cut into equal arcs
+at least ``angle_tolerance`` wide. Any head, a member or not, is then
+scored against any subset of the members in one numpy pass: one join
+with the subset's rows finds every candidate triplet pair, the screens
+run once over all of them, and pairing runs per member. A bucket sweep
+thus builds one index per bucket, however many heads it scores. Each
+result equals that pair scored alone; ``score_many`` is an index over
+its list with every member scored, and ``score_indexed`` a one-element
+``score_many``. The scorer is deliberately pluggable: anything with the
 ``(Signature, Signature, MatchParams) -> MatchResult`` shape can stand
 in for the built-in implementation.
 """
@@ -29,9 +37,10 @@ in for the built-in implementation.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product, starmap
 
 import numpy as np
 
@@ -80,6 +89,41 @@ def _pair_positions(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(k, 1)
 
 
+# Whole rows are sorted at or below 32 columns, or below 2048 distances in
+# all, where the sort beats the partition's fixed cost of about 30 us: rows
+# of 20 sort at about 0.01 us a distance, rows of 40 to 90 at about 0.03 us
+# (2-vCPU host, numpy 2.4).
+_SORT_COLUMNS = 32
+_SORT_DISTANCES = 2048
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k smallest distances, nearest first, ties to the lower column.
+
+    ``np.argsort(dist, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows: ``np.partition`` finds each row's k-th distance, the
+    columns at or below it are picked in column order, and a stable sort
+    orders those k. A row with more than k columns at or below its k-th
+    distance (a tie across it), or fewer (NaN distances), is sorted
+    whole, as is every row of a small matrix.
+    """
+    rows, n = dist.shape
+    if k >= n - 1 or n <= _SORT_COLUMNS or rows * n < _SORT_DISTANCES:
+        return np.argsort(dist, axis=1, kind="stable")[:, :k]
+    picked = dist <= np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    exact = np.count_nonzero(picked, axis=1) == k
+    picked &= exact[:, None]
+    flat = np.flatnonzero(picked).reshape(-1, k)  # flat positions, in column order per row
+    nearest_first = np.argsort(dist.ravel()[flat], axis=1, kind="stable")
+    nearest = flat[np.arange(flat.shape[0])[:, None], nearest_first] % n
+    if exact.all():
+        return nearest
+    out = np.empty((rows, k), dtype=np.intp)
+    out[exact] = nearest
+    out[~exact] = np.argsort(dist[~exact], axis=1, kind="stable")[:, :k]
+    return out
+
+
 def _triangles(x: np.ndarray, y: np.ndarray, p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
     """Vertex index triples of a stack of prints' triangles, and their sides.
 
@@ -103,8 +147,7 @@ def _triangles(x: np.ndarray, y: np.ndarray, p: MatchParams) -> tuple[np.ndarray
     # Row r is minutia r of the flattened stack; columns index its own print.
     dist = dist.reshape(stack * n, n)
     k = min(p.neighbors_k, n - 1)
-    # Stable sort keeps neighbor order deterministic under distance ties.
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    neighbors = _nearest(dist, k)
     a_pos, b_pos = _pair_positions(k)
     v = np.tile(np.repeat(np.arange(n), a_pos.size), stack)
     first = np.repeat(np.arange(0, stack * n, n), n * a_pos.size)  # row of the print's minutia 0
@@ -162,12 +205,13 @@ def index_signatures(signatures: Sequence[Signature],
     the ordered vertex's ridge angle minus the direction toward the next
     ordered vertex, reduced into [0, 2*pi); vertices are at least
     min_edge apart, so that direction is always defined (a centroid
-    reference would degenerate on collinear triples). ``math.acos`` and
-    ``math.atan2`` are applied element by element because numpy's
-    versions can differ from them in the last bit. A 40-minutia print
-    takes about 640 us built alone and 400-440 us in a stack of 4 or
-    more, where the former one-print builder took 560 us (medians of 25
-    interleaved rounds, one process, 2-vCPU host).
+    reference would degenerate on collinear triples). ``math.acos`` is
+    applied element by element, and each direction is ``math.atan2``'s
+    (``_headings``, mostly a table lookup), because numpy's versions can
+    differ from them in the last bit. A 40-minutia print takes about
+    580 us built alone, 470 us in a stack of 2 and 340-360 us in a
+    stack of 4 or more (medians of 61 interleaved rounds, one process,
+    2-vCPU host, whose speed moves by up to 1.5x between runs).
     """
     by_count: dict[int, list[int]] = {}
     for position, s in enumerate(signatures):
@@ -198,8 +242,7 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     cos = np.clip((adj1 * adj1 + adj2 * adj2 - sides * sides) / (2.0 * adj1 * adj2), -1.0, 1.0)
     angles = np.fromiter(map(math.acos, cos.ravel().tolist()), np.float64, 3 * nt)
     nxt = ov[:, [1, 2, 0]]
-    heading = np.fromiter(map(math.atan2, (y[nxt] - y[ov]).ravel().tolist(),
-                              (x[nxt] - x[ov]).ravel().tolist()), np.float64, 3 * nt)
+    heading = _headings((y[nxt] - y[ov]).ravel(), (x[nxt] - x[ov]).ravel(), p.max_edge)
     orientations = normalize_angles(theta[ov].ravel() - heading)
     features = np.concatenate((sides, angles.reshape(nt, 3), orientations.reshape(nt, 3)), axis=1)
     # Rows come print by print; each print's are sorted by largest side.
@@ -208,9 +251,61 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
             for f in (features[lo:hi] for lo, hi in zip(bounds, bounds[1:]))]
 
 
+# Largest radius of the heading table: 513 * 513 entries, 2.1 MB.
+_HEADING_RADIUS = 256
+
+
+@lru_cache(maxsize=4)
+def _heading_table(radius: int) -> np.ndarray:
+    """``math.atan2(dy, dx)`` for every integer pair in [-radius, radius], row dy, column dx."""
+    span = range(-radius, radius + 1)
+    return np.fromiter(starmap(math.atan2, product(span, span)), np.float64,
+                       len(span) ** 2).reshape(len(span), len(span))
+
+
+def _headings(dy: np.ndarray, dx: np.ndarray, max_edge: float) -> np.ndarray:
+    """``math.atan2`` of each ``(dy, dx)``, bit for bit.
+
+    An edge of a kept triangle between integer coordinates has integer
+    components within ``floor(max_edge)``, so its heading is read from
+    ``_heading_table``, built once per radius. Any other edge (a
+    component not an integer or beyond the table, or ``dy`` a negative
+    zero, which turns pi into -pi) is computed element by element. The
+    sign of a zero ``dx`` does not matter: ``dy`` is then nonzero, as a
+    kept edge is at least ``min_edge`` long.
+    """
+    radius = int(min(max_edge, _HEADING_RADIUS))
+    table = _heading_table(radius)
+    exact = ((np.abs(dy) <= radius) & (np.abs(dx) <= radius) & (dy == np.rint(dy))
+             & (dx == np.rint(dx)) & (np.signbit(dy) == (dy < 0)))
+    if exact.all():
+        return table[dy.astype(np.intp) + radius, dx.astype(np.intp) + radius]
+    heading = np.empty(dy.shape)
+    heading[exact] = table[dy[exact].astype(np.intp) + radius, dx[exact].astype(np.intp) + radius]
+    rest = ~exact
+    heading[rest] = list(map(math.atan2, dy[rest].tolist(), dx[rest].tolist()))
+    return heading
+
+
 def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletIndex:
     """One signature's triplet index: ``index_signatures([s], p)[0]``."""
     return index_signatures([s], p)[0]
+
+
+def _occurs_once(v: np.ndarray) -> np.ndarray:
+    """Mask of the elements of ``v`` whose value occurs nowhere else in ``v``."""
+    order = np.argsort(v, kind="stable")  # timsort: rows arrive in ascending runs
+    ordered = v[order]
+    repeated = np.zeros(v.size + 1, dtype=bool)
+    np.equal(ordered[1:], ordered[:-1], out=repeated[1:-1])
+    once = np.empty(v.size, dtype=bool)
+    once[order] = ~(repeated[1:] | repeated[:-1])
+    return once
+
+
+# Candidate pairs below which walking them all is cheaper than counting
+# the unopposed ones first (about 20 us either way, 2-vCPU host).
+_WALK_ALL_BELOW = 64
 
 
 def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
@@ -224,14 +319,22 @@ def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
     when no pair sharing its row or column precedes it, and removing
     such locally dominant pairs round after round yields the greedy
     matching (Preis, STACS 1999). Segments never share a column, so
-    only rows need the segment in their key.
+    only rows need the segment in their key. An unopposed pair, one
+    that shares its row and its column with no other pair, is kept
+    whatever the order and blocks nothing, so from ``_WALK_ALL_BELOW``
+    pairs on those are counted in numpy and only the rest are walked.
     """
-    order = np.lexsort((jj, ii, dist, seg))
-    rows = (seg * (int(ii.max()) + 1 if ii.size else 0) + ii)[order].tolist()
+    rows = seg * (int(ii.max()) + 1 if ii.size else 0) + ii
     counts = [0] * segments
+    if ii.size >= _WALK_ALL_BELOW:
+        unopposed = _occurs_once(rows) & _occurs_once(jj)
+        counts = np.bincount(seg[unopposed], minlength=segments).tolist()
+        rest = ~unopposed
+        dist, seg, ii, jj, rows = dist[rest], seg[rest], ii[rest], jj[rest], rows[rest]
+    order = np.lexsort((jj, ii, dist, seg))
     used_rows: set[int] = set()
     used_cols: set[int] = set()
-    for s, r, j in zip(seg[order].tolist(), rows, jj[order].tolist()):
+    for s, r, j in zip(seg[order].tolist(), rows[order].tolist(), jj[order].tolist()):
         if r not in used_rows and j not in used_cols:
             used_rows.add(r)
             used_cols.add(j)
@@ -258,124 +361,185 @@ def _arc_count(angle_tolerance: float) -> int:
     return arcs if arcs >= 4 else 1
 
 
-def _candidates(fa: np.ndarray, cols: np.ndarray, p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs (row ``ii`` of ``fa``, column ``jj`` of ``cols``), each once.
+class _JoinIndex:
+    """The rows of a list of feature matrices, keyed once for the candidate join.
 
-    One join keyed on (arc, s3): the circle of first orientations
-    (column 6) is cut into ``_arc_count`` equal arcs of width ``arc``,
-    and each row of ``fa`` probes the arcs its orientation window
-    ``oa -/+ reach`` reaches, taken mod ``arcs``, and in each the s3
-    values between its own screen thresholds ``s3 -/+ side_tolerance``.
-    Every pair that passes the largest-side window and the orientation
-    screen ``min(d, TWO_PI - d) <= angle_tolerance`` (d the computed
-    ``|oa - ob|``) is among them, for orientations in [0, TWO_PI].
-
-    The reach. With u = 2**-53, t the angle tolerance and T = TWO_PI,
-    a pair passes only if ``ob - oa`` lies within w = t(1 + 2u) + uT of
-    0, T or -T: either d rounds to at most t, or T - d does and d is
-    within uT of the exact difference. The thresholds ``oa -/+ reach``
-    are within 2uT of exact, the quotients by ``arc`` carry a relative
-    error of u, and ``arcs * arc`` is within uT of T; summed, a reach of
-    w + 6uT puts ``floor(ob / arc)``, or that minus or plus ``arcs``,
-    between the floors of the thresholds' quotients. ``reach`` is
-    ``t + (t + T) * 2**-49``, at least t(1 + 2u) + 7uT after its own
-    rounding. An arc is at least t and at least T * 2**-24 wide, so a
-    window spans under three arcs and reaches at most four, all distinct
-    when there are four arcs or more. A single arc is probed once, and a
-    tolerance above T, which leaves a single arc as any above T/4 does,
-    is cut to T.
+    ``cols`` holds every row, matrix after matrix, column-major (9, rows),
+    and ``seg`` the matrix each row comes from. The join is keyed on
+    (arc, s3): the circle of first orientations (column 6) is cut into
+    ``_arc_count`` equal arcs of width ``arc``, and a row of arc k keys
+    as ``k * width + s3``, ``width`` a power of two above four times
+    every |s3|. The keys are sorted here, once; ``candidates`` and
+    ``pair_counts`` then serve any number of heads, members or not, each
+    against the rows of the matrices it marks alive, with the
+    ``MatchParams`` the index was built with.
     """
-    tol = p.side_tolerance
-    oa, lo3, hi3 = fa[:, 6], fa[:, 2] - tol, fa[:, 2] + tol
-    arcs = _arc_count(p.angle_tolerance)
-    arc = TWO_PI / arcs
-    # Key of each other row: its arc times `width`, a power of two above
-    # four times every s3 and every s3 threshold, plus s3. Rounding is
-    # monotone, so a row of arc k with s3 in [lo3, hi3] keys into
-    # [k * width + lo3, k * width + hi3] as computed, and an arc's keys and
-    # probes stay width / 2 clear of every other arc's keys.
-    width = 4.0 * 2.0 ** math.frexp(float(max(hi3.max(), cols[2].max())))[1]
-    arc_of = np.floor(cols[6] / arc)
-    arc_of[arc_of == arcs] = 0.0  # a quotient that rounds up onto arcs wraps to 0
-    key = arc_of * width + cols[2]
-    order = np.argsort(key)
-    key = key[order]
-    # Probes: each row of fa with each arc its orientation window reaches.
-    t = min(p.angle_tolerance, TWO_PI)
-    reach = t + (t + TWO_PI) * 2.0 ** -49
-    first = np.floor((oa - reach) / arc)
-    n = np.minimum(np.floor((oa + reach) / arc) - first, arcs - 1)
-    step = np.arange(n.max() + 1)
-    probe = step <= n[:, None]
-    row = np.nonzero(probe)[0]
-    base = ((first[:, None] + step) % arcs * width)[probe]
-    start = np.searchsorted(key, base + lo3[row], side="left")
-    stop = np.searchsorted(key, base + hi3[row], side="right")
-    counts = stop - start
-    ii = np.repeat(row, counts)
-    jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
-    return ii, jj
+
+    def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
+        self.cols = np.concatenate([f.T for f in fbs], axis=1) if fbs else np.empty((9, 0))
+        self.seg = np.repeat(np.arange(len(fbs)), [f.shape[0] for f in fbs])
+        s3 = self.cols[2]
+        self.s3_range = (float(s3.min()), float(s3.max())) if s3.size else (0.0, 0.0)
+        self.arcs = _arc_count(p.angle_tolerance)
+        self.arc = TWO_PI / self.arcs
+        self.width = 4.0 * 2.0 ** math.frexp(max(-self.s3_range[0], self.s3_range[1]))[1]
+        arc_of = np.floor(self.cols[6] / self.arc)
+        arc_of[arc_of == self.arcs] = 0.0  # a quotient that rounds up onto arcs wraps to 0
+        key = arc_of * self.width + s3
+        self.order = np.argsort(key)
+        self.key = key[self.order]
+        self.seg_by_key = self.seg[self.order]
+
+    def candidates(self, fa: np.ndarray, live: np.ndarray,
+                   p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate pairs (row ``ii`` of ``fa``, column ``jj`` of ``cols``), each once.
+
+        Only rows of the matrices ``live`` marks (a bool per matrix) take
+        part: they are picked out of the sorted keys, which keeps them
+        sorted. Each row of ``fa`` probes the arcs its orientation window
+        ``oa -/+ reach`` reaches, taken mod ``arcs``, and in each the s3
+        values between its own screen thresholds ``s3 -/+ side_tolerance``,
+        clipped to the index's s3 range. Every pair that passes the
+        largest-side window and the orientation screen
+        ``min(d, TWO_PI - d) <= angle_tolerance`` (d the computed
+        ``|oa - ob|``) is among them, for orientations in [0, TWO_PI].
+
+        The probes. Clipping is exact, so an s3 within a row's thresholds
+        is within the clipped ones; those, like every indexed s3, are at
+        most M in magnitude (M the largest indexed |s3|), and width > 4M.
+        Rounding is monotone, so a row of arc k keys between its probes'
+        ``k * width + lo`` and ``k * width + hi`` as computed, and since
+        ``k * width -/+ width / 4`` are floats, the keys and probes of arc
+        k all round to within width / 4 of ``k * width``: a probe meets no
+        other arc's keys, for any head, a member of the index or not.
+
+        The reach. With u = 2**-53, t the angle tolerance and T = TWO_PI,
+        a pair passes only if ``ob - oa`` lies within w = t(1 + 2u) + uT of
+        0, T or -T: either d rounds to at most t, or T - d does and d is
+        within uT of the exact difference. The thresholds ``oa -/+ reach``
+        are within 2uT of exact, the quotients by ``arc`` carry a relative
+        error of u, and ``arcs * arc`` is within uT of T; summed, a reach of
+        w + 6uT puts ``floor(ob / arc)``, or that minus or plus ``arcs``,
+        between the floors of the thresholds' quotients. ``reach`` is
+        ``t + (t + T) * 2**-49``, at least t(1 + 2u) + 7uT after its own
+        rounding. An arc is at least t and at least T * 2**-24 wide, so a
+        window spans under three arcs and reaches at most four, all distinct
+        when there are four arcs or more. A single arc is probed once, and a
+        tolerance above T, which leaves a single arc as any above T/4 does,
+        is cut to T.
+        """
+        tol = p.side_tolerance
+        oa = fa[:, 6]
+        s3_lo, s3_hi = self.s3_range
+        lo3 = np.minimum(np.maximum(fa[:, 2] - tol, s3_lo), s3_hi)
+        hi3 = np.minimum(np.maximum(fa[:, 2] + tol, s3_lo), s3_hi)
+        arcs, arc, width = self.arcs, self.arc, self.width
+        t = min(p.angle_tolerance, TWO_PI)
+        reach = t + (t + TWO_PI) * 2.0 ** -49
+        first = np.floor((oa - reach) / arc)
+        n = np.minimum(np.floor((oa + reach) / arc) - first, arcs - 1)
+        step = np.arange(n.max() + 1)
+        probe = step <= n[:, None]
+        row = np.nonzero(probe)[0]
+        base = ((first[:, None] + step) % arcs * width)[probe]
+        kept = np.flatnonzero(live[self.seg_by_key])
+        key, order = self.key.take(kept), self.order.take(kept)
+        start = np.searchsorted(key, base + lo3[row], side="left")
+        stop = np.searchsorted(key, base + hi3[row], side="right")
+        counts = stop - start
+        ii = np.repeat(row, counts)
+        jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
+        return ii, jj
+
+    def pair_counts(self, fa: np.ndarray, live: np.ndarray, p: MatchParams) -> list[int]:
+        """Paired-triplet count of ``fa`` against each matrix, 0 where ``live`` is False.
+
+        One join with the live rows; the screens then decide exactly as
+        for a single pair: the largest-side window, each side, each
+        interior angle and each orientation (on the circle) within
+        tolerance, and the pairing order uses the same combined distance.
+        """
+        tol, angle_tol = p.side_tolerance, p.angle_tolerance
+        cols = self.cols
+        s1a, s2a, s3a = fa[:, 0], fa[:, 1], fa[:, 2]
+        s1b, s2b, s3b = cols[0], cols[1], cols[2]
+        lo3, hi3 = s3a - tol, s3a + tol
+        ii, jj = self.candidates(fa, live, p)
+
+        s3 = s3b[jj]
+        keep = ((s3 >= lo3[ii]) & (s3 <= hi3[ii])
+                & (np.abs(s1a[ii] - s1b[jj]) <= tol) & (np.abs(s2a[ii] - s2b[jj]) <= tol))
+        ii, jj = ii[keep], jj[keep]
+        # One orientation alone before touching full rows: it rejects most pairs.
+        diff = np.abs(fa[:, 6][ii] - cols[6][jj])
+        keep = np.minimum(diff, TWO_PI - diff) <= angle_tol
+        ii, jj = ii[keep], jj[keep]
+        diff = np.abs(fa[ii].T - cols[:, jj])  # (9, candidates)
+        orient_d = np.minimum(diff[6:9], TWO_PI - diff[6:9])
+        keep = ((diff[3] <= angle_tol) & (diff[4] <= angle_tol) & (diff[5] <= angle_tol)
+                & (orient_d <= angle_tol).all(axis=0))
+        diff, orient_d, ii, jj = diff[:, keep], orient_d[:, keep], ii[keep], jj[keep]
+
+        combined = ((diff[0] + diff[1] + diff[2]) / tol
+                    + (diff[3] + diff[4] + diff[5]) / angle_tol
+                    + (orient_d[0] + orient_d[1] + orient_d[2]) / angle_tol)
+        return _greedy_pair_counts(combined, self.seg[jj], ii, jj, live.size)
+
+
+def _candidates(fa: np.ndarray, cols: np.ndarray, p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
+    """``candidates`` of ``fa`` on a join index over the column-major rows ``cols``."""
+    return _JoinIndex([cols.T], p).candidates(fa, np.ones(1, dtype=bool), p)
 
 
 def _pair_counts(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
-    """Paired-triplet count of ``fa`` against each non-empty matrix of ``fbs``.
+    """Paired-triplet count of ``fa`` against each matrix of ``fbs``, all alive."""
+    return _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool), p)
 
-    The others' rows are concatenated, segment after segment, into one
-    column-major copy, and ``_candidates`` joins ``fa`` with it once.
-    The screens then decide exactly as for a single pair: the
-    largest-side window, each side, each interior angle and each
-    orientation (on the circle) within tolerance, and the pairing order
-    uses the same combined distance.
+
+def bucket_scorer(members: Sequence[TripletIndex], p: MatchParams = MatchParams()
+                  ) -> Callable[[TripletIndex, Sequence[int], MatchParams], list[MatchResult]]:
+    """``score(a, alive, p)``: ``a`` scored against ``members[j]`` for each j in ``alive``.
+
+    The members' join index is built here, once; each call joins its
+    head with the rows of the members it names alone, so a sweep that
+    scores each head against its shrinking worklist copies, keys and
+    sorts a bucket's rows once, not once per head. The head need not be
+    a member. ``score`` reads its tolerances from its own ``p`` on each
+    call, which must equal the ``p`` given here. Each result is the
+    pair's own: triplets are paired one-to-one within a pair only, and
+    the score is the paired count over the smaller triplet count, times
+    100.
     """
-    tol, angle_tol = p.side_tolerance, p.angle_tolerance
-    cols = np.concatenate([f.T for f in fbs], axis=1)  # (9, rows of all segments)
-    seg_of = np.repeat(np.arange(len(fbs)), [f.shape[0] for f in fbs])
-    s1a, s2a, s3a = fa[:, 0], fa[:, 1], fa[:, 2]
-    s1b, s2b, s3b = cols[0], cols[1], cols[2]
-    lo3, hi3 = s3a - tol, s3a + tol
-    ii, jj = _candidates(fa, cols, p)
+    sizes = [m.features.shape[0] for m in members]
+    join = _JoinIndex([m.features for m in members], p)
 
-    s3 = s3b[jj]
-    keep = ((s3 >= lo3[ii]) & (s3 <= hi3[ii])
-            & (np.abs(s1a[ii] - s1b[jj]) <= tol) & (np.abs(s2a[ii] - s2b[jj]) <= tol))
-    ii, jj = ii[keep], jj[keep]
-    # One orientation alone before touching full rows: it rejects most pairs.
-    diff = np.abs(fa[:, 6][ii] - cols[6][jj])
-    keep = np.minimum(diff, TWO_PI - diff) <= angle_tol
-    ii, jj = ii[keep], jj[keep]
-    diff = np.abs(fa[ii].T - cols[:, jj])  # (9, candidates)
-    orient_d = np.minimum(diff[6:9], TWO_PI - diff[6:9])
-    keep = ((diff[3] <= angle_tol) & (diff[4] <= angle_tol) & (diff[5] <= angle_tol)
-            & (orient_d <= angle_tol).all(axis=0))
-    diff, orient_d, ii, jj = diff[:, keep], orient_d[:, keep], ii[keep], jj[keep]
+    def score(a: TripletIndex, alive: Sequence[int], p: MatchParams) -> list[MatchResult]:
+        na = a.features.shape[0]
+        scored = [j for j in alive if sizes[j]] if na else []
+        if scored:
+            live = np.zeros(len(members), dtype=bool)
+            live[scored] = True
+            matched = join.pair_counts(a.features, live, p)
+        results = []
+        for j in alive:
+            if na == 0 or sizes[j] == 0:
+                # No geometry to compare; only exact minutiae equality counts.
+                same = a.minutiae_key == members[j].minutiae_key
+                results.append(MatchResult(100.0 if same else 0.0, 0))
+            else:
+                results.append(MatchResult(100.0 * matched[j] / min(na, sizes[j]), matched[j]))
+        return results
 
-    combined = ((diff[0] + diff[1] + diff[2]) / tol
-                + (diff[3] + diff[4] + diff[5]) / angle_tol
-                + (orient_d[0] + orient_d[1] + orient_d[2]) / angle_tol)
-    return _greedy_pair_counts(combined, seg_of[jj], ii, jj, len(fbs))
+    return score
 
 
 def score_many(a: TripletIndex, others: Sequence[TripletIndex],
                p: MatchParams = MatchParams()) -> list[MatchResult]:
     """Score one triplet index against each of ``others``, in one pass.
 
-    Each result is the pair's own: triplets are paired one-to-one
-    within a pair only, and the score is the paired count over the
-    smaller triplet count, times 100.
+    ``bucket_scorer(others, p)`` with every member scored.
     """
-    na = a.features.shape[0]
-    scored = [b.features for b in others if b.features.shape[0]] if na else []
-    matched = iter(_pair_counts(a.features, scored, p) if scored else [])
-    results = []
-    for b in others:
-        nb = b.features.shape[0]
-        if na == 0 or nb == 0:
-            # No geometry to compare; only exact minutiae equality counts.
-            results.append(MatchResult(100.0 if a.minutiae_key == b.minutiae_key else 0.0, 0))
-        else:
-            m = next(matched)
-            results.append(MatchResult(100.0 * m / min(na, nb), m))
-    return results
+    return bucket_scorer(others, p)(a, range(len(others)), p)
 
 
 def score_indexed(a: TripletIndex, b: TripletIndex, p: MatchParams = MatchParams()) -> MatchResult:
@@ -390,7 +554,7 @@ def match_score(a: Signature, b: Signature, p: MatchParams = MatchParams()) -> M
     100 for identical minutiae sets. Raises ValueError when either
     signature is empty.
     """
-    return score_indexed(index_signature(a, p), index_signature(b, p), p)
+    return score_indexed(*index_signatures([a, b], p), p)
 
 
 def is_match(r: MatchResult, p: MatchParams = MatchParams()) -> bool:

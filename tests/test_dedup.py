@@ -176,6 +176,27 @@ def test_windowed_sweep_custom_matcher(windowed):
     assert counter.pairs == reference_counter.pairs
 
 
+def test_bucket_index_sweep_equals_head_by_head():
+    # One bucket: the first head groups a middle member, so later worklists
+    # have gaps; triplet-less prints (two minutiae) sit among the members,
+    # one of them becomes a head, and its equal copy is grouped with it.
+    signatures, _ = generate(GenSpec(subjects=5, minutiae_per_print=(25, 35), seed=71))
+    x, y, z, w, v = signatures
+    bare = make_signature("bare", [(10, 20), (40, 60)])
+    other = make_signature("bare-other", [(10, 20), (41, 60)])
+    order = [x, y, Signature("x-copy", x.rows()), bare, z, Signature("bare-copy", bare.rows()),
+             Signature("y-copy", y.rows()), w, other, v]
+    store = {s.record_id: s for s in order}
+    table = build_table((s.record_id, "shared") for s in order)
+    report = deduplicate(table, store, PARAMS)
+    assert report.groups_by_key["shared"] == [
+        ["S00000", "x-copy"], ["S00001", "y-copy"], ["bare", "bare-copy"],
+        ["S00002"], ["S00003"], ["bare-other"], ["S00004"]]
+    reference = _reference_sweep(table, store, PARAMS)
+    assert format_report(report) == format_report(reference)
+    assert report.comparisons == reference.comparisons == 9 + 7 + 5 + 3 + 2 + 1
+
+
 # ---------------------------------------------------------------------------
 # The literal sweep semantics, checked with scripted matchers
 

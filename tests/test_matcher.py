@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _arc_count,
-                             _candidates, _greedy_pair_counts, _pair_counts, _triangles,
-                             index_signature, index_signatures, is_match, match_score,
-                             score_indexed, score_many)
+from fpdedup import matcher
+from fpdedup.matcher import (_STACK, _WALK_ALL_BELOW, MatchParams, MatchResult, TripletIndex,
+                             _arc_count, _candidates, _greedy_pair_counts, _heading_table,
+                             _nearest, _pair_counts, _triangles, bucket_scorer, index_signature,
+                             index_signatures, is_match, match_score, score_indexed, score_many)
 from fpdedup.signature import TWO_PI, Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -91,6 +92,80 @@ def test_triplet_sets_deduplicated(random_suite):
         index_sets = triangles(s)
         assert len(index_sets) == len(set(index_sets))
         assert all(i < j < l for i, j, l in index_sets)
+
+
+def _distance_rows(points: np.ndarray) -> np.ndarray:
+    """The (n, n) distance matrix ``_triangles`` ranks, diagonal at infinity."""
+    d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+def test_nearest_equals_stable_argsort():
+    rng = np.random.default_rng(1409)
+    # a 10 x 10 lattice and one with repeated points: ties at every rank
+    grid = np.array([(x * 20, y * 20) for x in range(10) for y in range(10)], dtype=float)
+    repeated = np.concatenate((grid, grid[rng.integers(0, 100, size=20)]))
+    # small integer distances, a NaN row and a row with NaN entries
+    coarse = rng.integers(0, 6, size=(300, 60)).astype(float)
+    coarse[5] = np.nan
+    coarse[7, ::3] = np.nan
+    cases = [_distance_rows(grid), _distance_rows(repeated), coarse,
+             _distance_rows(rng.uniform(0, 500, size=(90, 2)))]
+    # prints small enough to be sorted whole, k reaching n - 1 in some
+    cases += [_distance_rows(grid[:n]) for n in (3, 4, 5, 13)]
+    for dist in cases:
+        for k in (2, 3, 4, 7, 12):
+            k = min(k, dist.shape[1] - 1)
+            expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_nearest(dist, k), expected)
+    # the partition path ran, on tied and untied rows alike
+    kth = np.partition(coarse, 3, axis=1)[:, 3:4]
+    counts = np.count_nonzero(coarse <= kth, axis=1)
+    assert (counts == 4).any() and (counts > 4).any() and (counts < 4).any()
+    assert coarse.shape[1] > matcher._SORT_COLUMNS
+    assert coarse.size >= matcher._SORT_DISTANCES
+
+
+def test_heading_table_equals_atan2():
+    radius = int(PARAMS.max_edge)
+    table = _heading_table(radius)
+    assert table.shape == (2 * radius + 1,) * 2
+    span = range(-radius, radius + 1)
+    expected = np.array([[math.atan2(dy, dx) for dx in span] for dy in span])
+    assert table.tobytes() == expected.tobytes()
+
+
+def _atan2_headings(dy: np.ndarray, dx: np.ndarray, _max_edge: float) -> np.ndarray:
+    return np.array([math.atan2(a, b) for a, b in zip(dy.tolist(), dx.tolist())], dtype=float)
+
+
+@pytest.mark.parametrize("p", [MatchParams(), MatchParams(max_edge=600.0),
+                               MatchParams(max_edge=float("inf"))],
+                         ids=["default", "above-cap", "unbounded"])
+def test_headings_fallback_bit_for_bit(random_suite, monkeypatch, p):
+    rng = np.random.default_rng(2210)
+    prints = [
+        # float coordinates: halves, negative zeros, integer-valued floats
+        Signature("floats", [(x + 0.5 * (i % 2), float(y), t, 1) for i, (x, y, t, _)
+                             in enumerate(random_suite[0].rows())]),
+        # zeros of both signs on the line y = 0, so some edges have dy = -0.0
+        # and dx < 0, where atan2 gives -pi, not pi; at a ridge angle of 3.9
+        # the orientations theta + pi and theta - pi differ in the last bit
+        Signature("zeros", [(40.0 * i, 0.0 if i % 2 else -0.0, 3.9, 1) for i in range(6)]
+                  + [(40.0 * i + 20.0, 30.0, 0.3 + 0.9 * i, 1) for i in range(5)]),
+        Signature("negative", [(x - 300, -y, t, c) for x, y, t, c in random_suite[1].rows()]),
+        # spread over 2000 px: most edges beyond the table's largest radius
+        make_signature("sparse", [(int(x), int(y)) for x, y in rng.uniform(0, 2000, (40, 2))]),
+        random_suite[2],
+    ]
+    built = [index_signature(s, p).features for s in prints]
+    monkeypatch.setattr(matcher, "_headings", _atan2_headings)
+    for s, features in zip(prints, built):
+        expected = index_signature(s, p).features
+        assert features.shape == expected.shape
+        assert features.tobytes() == expected.tobytes(), s.record_id
+    assert all(f.shape[0] > 0 for f in built[:3])
 
 
 def test_match_params_validation():
@@ -242,6 +317,41 @@ def test_greedy_pairing_segments_independent():
     assert _greedy_pair_counts(dist, seg, ii, jj, 3) == [1, 2, 0]
 
 
+def _plain_greedy(dist, seg, ii, jj, segments) -> list[int]:
+    """Walk every pair in (segment, dist, i, j) order; keep it when row and column are free."""
+    counts = [0] * segments
+    rows, cols = set(), set()
+    for _, s, i, j in sorted(zip(dist.tolist(), seg.tolist(), ii.tolist(), jj.tolist()),
+                             key=lambda t: (t[1], t[0], t[2], t[3])):
+        if (s, i) not in rows and j not in cols:
+            rows.add((s, i))
+            cols.add(j)
+            counts[s] += 1
+    return counts
+
+
+def test_greedy_pairing_unopposed_equals_plain_loop():
+    rng = np.random.default_rng(77)
+    sizes = set()
+    for trial in range(400):
+        segments = int(rng.integers(1, 6))
+        m = int(rng.integers(0, 4 * _WALK_ALL_BELOW))
+        seg = rng.integers(0, segments, size=m)
+        # each segment owns its own column range; few distinct values force ties
+        width = int(rng.integers(1, 40))
+        ii = rng.integers(0, width, size=m)
+        jj = seg * 1000 + rng.integers(0, width, size=m)
+        dist = rng.integers(0, 4, size=m).astype(float)
+        if trial % 3 == 0:  # mostly unopposed: a near-diagonal with a few collisions
+            ii = np.arange(m)
+            jj = seg * 1000 + np.where(rng.random(m) < 0.1, rng.integers(0, 5, size=m),
+                                       np.arange(m) + 10)
+        sizes.add(m >= _WALK_ALL_BELOW)
+        assert _greedy_pair_counts(dist, seg, ii, jj, segments) == \
+            _plain_greedy(dist, seg, ii, jj, segments)
+    assert sizes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # Batch scoring: one index against many
 
@@ -261,6 +371,25 @@ def test_score_many_equals_pairwise(random_suite):
     expected = [MatchResult(100.0 if b is same_empty or b is empty else 0.0, 0) for b in others]
     assert score_many(empty, others, p) == expected
     assert score_many(indexes[0], [], p) == []
+
+
+def test_bucket_scorer_any_alive_subset(random_suite):
+    p = MatchParams()
+    copies = [translate(s, 11, 7, f"copy{i}") for i, s in enumerate(random_suite[:3])]
+    two = make_signature("two", [(10, 20), (40, 60)])
+    members = index_signatures(random_suite[:6] + copies + [two, two], p)
+    assert sum(m.features.shape[0] == 0 for m in members) == 2
+    score = bucket_scorer(members, p)
+    rng = np.random.default_rng(5)
+    query = index_signature(random_suite[7], p)
+    for head in list(range(len(members))) + [None]:
+        a = query if head is None else members[head]
+        for _ in range(4):
+            # any subset in any order: suffixes, gaps, the head itself
+            alive = rng.permutation(len(members))[:int(rng.integers(0, len(members) + 1))].tolist()
+            assert score(a, alive, p) == [score_indexed(a, members[j], p) for j in alive]
+    assert score(members[0], [6, 0], p)[0].score == 100.0
+    assert score(members[-1], [len(members) - 2], p) == [MatchResult(100.0, 0)]
 
 
 def _screened(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> list[tuple[float, int, int]]:
@@ -393,6 +522,24 @@ def test_join_largest_angle_tolerance(random_suite):
     p = MatchParams(angle_tolerance=sys.float_info.max)
     fa = index_signature(random_suite[2], p).features
     _assert_join_exact(fa, [fa, index_signature(random_suite[3], p).features], p)
+
+
+@pytest.mark.parametrize("side_tol", [5.0, 1e6], ids=["default", "huge"])
+def test_join_heads_outside_index_range(side_tol):
+    # heads whose s3 lies far above, far below, or (under a huge tolerance)
+    # everywhere around the indexed rows' s3: the join index's key width
+    # bounds its own rows only, so a head's probes must still stay on their arc
+    p = MatchParams(side_tolerance=side_tol)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        fbs = [_edge_features(rng, int(rng.integers(1, 12)), MatchParams())
+               for _ in range(int(rng.integers(1, 4)))]
+        fa = _edge_features(rng, int(rng.integers(1, 12)), MatchParams())
+        for scale in (1.0, 1e3, -1.0):
+            heads = np.concatenate((fa[:, :3] * scale, fa[:, 3:]), axis=1)
+            _assert_join_exact(heads, fbs, p)
+            _assert_join_exact(fa, [np.concatenate((f[:, :3] * scale, f[:, 3:]), axis=1)
+                                    for f in fbs], p)
 
 
 @pytest.mark.parametrize("angle_tol, arcs", [
