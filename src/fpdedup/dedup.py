@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import Any
 
 from .cluster import ClusterTable
-from .identify import Index, Matcher, _resolve, _scorer
-from .matcher import MatchParams, Signature, is_match
+from .identify import _resolve
+from .matcher import Index, Matcher, MatchParams, Signature, _scorer, is_match
 
 REPORT_FORMAT_HEADER = "fpdedup-dedup-report v1"
 ORACLE_CAP = 5000  # default record cap of the exhaustive oracle
@@ -79,7 +79,7 @@ def _sweep_bucket(bucket: list[str],
         head = worklist.pop(0)
         group = [head]
         remaining: list[int] = []
-        results = compare(members[head], worklist, params)
+        results = compare(members[head], worklist)
         comparisons += len(worklist)
         for other, result in zip(worklist, results):
             (group if is_match(result, params) else remaining).append(other)
@@ -184,7 +184,7 @@ def exhaustive_dedup(store: Mapping[str, Signature],
     for i in range(n - 1):
         # One index per head over the rest alone: an index over all n
         # would join each head with the rows of every earlier record too.
-        results = index(prepared[i + 1:], params)(prepared[i], range(n - i - 1), params)
+        results = index(prepared[i + 1:], params)(prepared[i], range(n - i - 1))
         for j, result in enumerate(results, start=i + 1):
             if is_match(result, params):
                 ri, rj = find(i), find(j)

@@ -9,40 +9,12 @@ size.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
 
 from .cluster import ClusterTable
 from .grid import GridParams, compute_index
-from .matcher import (MatchParams, MatchResult, Signature, bucket_scorer, index_signatures,
-                      is_match)
-
-Matcher = Callable[[Signature, Signature, MatchParams], MatchResult]
-Prepare = Callable[[list[Signature], MatchParams], list[Any]]
-Compare = Callable[[Any, Sequence[int], MatchParams], list[MatchResult]]
-Index = Callable[[list[Any], MatchParams], Compare]
-
-
-def _scorer(matcher: Matcher | None) -> tuple[Prepare, Index]:
-    """The (prepare, index) pair every scoring call site runs.
-
-    Records are prepared once, a list at a time. ``index(members,
-    params)`` then returns ``compare(a, alive, params)``, which scores
-    one prepared form against the members at positions ``alive``, one
-    result per position, in that order. The built-in scorer prepares
-    the signatures' triplet indexes in stacked passes, and builds the
-    members' join index once per ``index`` call (``bucket_scorer``); a
-    custom ``matcher`` prepares nothing and is called on each pair of
-    signatures in ``alive`` order.
-    """
-    if matcher is None:
-        return index_signatures, bucket_scorer
-
-    def index(members: list[Any], _params: MatchParams) -> Compare:
-        return lambda a, alive, params: [matcher(a, members[j], params) for j in alive]
-
-    return (lambda signatures, _params: list(signatures)), index
+from .matcher import MatchParams, Matcher, Signature, _scorer, is_match
 
 
 @dataclass
@@ -83,7 +55,7 @@ def identify(query: Signature,
     prepare, index = _scorer(matcher)
     prepared_query, *members = prepare(
         [query] + [_resolve(store, record_id) for record_id in bucket], params)
-    results = index(members, params)(prepared_query, range(len(members)), params)
+    results = index(members, params)(prepared_query, range(len(members)))
     scored = [(record_id, result.score, result) for record_id, result in zip(bucket, results)]
 
     scored.sort(key=lambda item: (-item[1], item[0]))

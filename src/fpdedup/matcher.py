@@ -19,18 +19,21 @@ bit for bit what ``math.atan2`` and a stable sort give.
 Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
 normalized by the smaller triplet-set size, gives a 0-100 score.
-``bucket_scorer`` indexes a list of prints once: their rows are
-concatenated with each row's member position, and keyed and sorted on
-(arc, s3), the circle of first orientations being cut into equal arcs
-at least ``angle_tolerance`` wide. Any head, a member or not, is then
-scored against any subset of the members in one numpy pass: one join
-with the subset's rows finds every candidate triplet pair, the screens
-run once over all of them, and pairing runs per member. A bucket sweep
-thus builds one index per bucket, however many heads it scores. Each
-result equals that pair scored alone; ``score_many`` is an index over
-its list with every member scored, and ``score_indexed`` a one-element
-``score_many``. The scorer is deliberately pluggable: anything with the
-``(Signature, Signature, MatchParams) -> MatchResult`` shape can stand
+``bucket_scorer`` indexes a list of prints once, bound to one
+``MatchParams``: their rows are concatenated with each row's member
+position, and keyed and sorted on (arc, s3), the circle of first
+orientations being cut into equal arcs at least ``angle_tolerance``
+wide. Any head, a member or not, is then scored against any subset of
+the members in one numpy pass: one join with the subset's rows finds
+every candidate triplet pair, the screens run once over all of them,
+and one greedy walk pairs them per member. A bucket sweep thus builds
+one index per bucket, however many heads it scores. Each result equals
+that pair scored alone; ``score_indexed`` is a one-member index.
+
+This module is also the one home of the scoring protocol that
+``identify``, ``deduplicate`` and ``exhaustive_dedup`` run (``_scorer``).
+The scorer is deliberately pluggable: anything with the ``(Signature,
+Signature, MatchParams) -> MatchResult`` shape (a ``Matcher``) can stand
 in for the built-in implementation.
 """
 
@@ -41,6 +44,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, starmap
+from typing import Any
 
 import numpy as np
 
@@ -292,22 +296,6 @@ def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletInde
     return index_signatures([s], p)[0]
 
 
-def _occurs_once(v: np.ndarray) -> np.ndarray:
-    """Mask of the elements of ``v`` whose value occurs nowhere else in ``v``."""
-    order = np.argsort(v, kind="stable")  # timsort: rows arrive in ascending runs
-    ordered = v[order]
-    repeated = np.zeros(v.size + 1, dtype=bool)
-    np.equal(ordered[1:], ordered[:-1], out=repeated[1:-1])
-    once = np.empty(v.size, dtype=bool)
-    once[order] = ~(repeated[1:] | repeated[:-1])
-    return once
-
-
-# Candidate pairs below which walking them all is cheaper than counting
-# the unopposed ones first (about 20 us either way, 2-vCPU host).
-_WALK_ALL_BELOW = 64
-
-
 def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
                         jj: np.ndarray, segments: int) -> list[int]:
     """Per segment, the size of the greedy one-to-one pairing of candidate pairs.
@@ -319,18 +307,10 @@ def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
     when no pair sharing its row or column precedes it, and removing
     such locally dominant pairs round after round yields the greedy
     matching (Preis, STACS 1999). Segments never share a column, so
-    only rows need the segment in their key. An unopposed pair, one
-    that shares its row and its column with no other pair, is kept
-    whatever the order and blocks nothing, so from ``_WALK_ALL_BELOW``
-    pairs on those are counted in numpy and only the rest are walked.
+    only rows need the segment in their key.
     """
     rows = seg * (int(ii.max()) + 1 if ii.size else 0) + ii
     counts = [0] * segments
-    if ii.size >= _WALK_ALL_BELOW:
-        unopposed = _occurs_once(rows) & _occurs_once(jj)
-        counts = np.bincount(seg[unopposed], minlength=segments).tolist()
-        rest = ~unopposed
-        dist, seg, ii, jj, rows = dist[rest], seg[rest], ii[rest], jj[rest], rows[rest]
     order = np.lexsort((jj, ii, dist, seg))
     used_rows: set[int] = set()
     used_cols: set[int] = set()
@@ -371,11 +351,13 @@ class _JoinIndex:
     as ``k * width + s3``, ``width`` a power of two above four times
     every |s3|. The keys are sorted here, once; ``candidates`` and
     ``pair_counts`` then serve any number of heads, members or not, each
-    against the rows of the matrices it marks alive, with the
-    ``MatchParams`` the index was built with.
+    against the rows of the matrices it marks alive, with the tolerances
+    of ``p``, the ``MatchParams`` the index was built with, read on each
+    call.
     """
 
     def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
+        self.p = p
         self.cols = np.concatenate([f.T for f in fbs], axis=1) if fbs else np.empty((9, 0))
         self.seg = np.repeat(np.arange(len(fbs)), [f.shape[0] for f in fbs])
         s3 = self.cols[2]
@@ -390,8 +372,7 @@ class _JoinIndex:
         self.key = key[self.order]
         self.seg_by_key = self.seg[self.order]
 
-    def candidates(self, fa: np.ndarray, live: np.ndarray,
-                   p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
+    def candidates(self, fa: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate pairs (row ``ii`` of ``fa``, column ``jj`` of ``cols``), each once.
 
         Only rows of the matrices ``live`` marks (a bool per matrix) take
@@ -428,13 +409,13 @@ class _JoinIndex:
         tolerance above T, which leaves a single arc as any above T/4 does,
         is cut to T.
         """
-        tol = p.side_tolerance
+        tol = self.p.side_tolerance
         oa = fa[:, 6]
         s3_lo, s3_hi = self.s3_range
         lo3 = np.minimum(np.maximum(fa[:, 2] - tol, s3_lo), s3_hi)
         hi3 = np.minimum(np.maximum(fa[:, 2] + tol, s3_lo), s3_hi)
         arcs, arc, width = self.arcs, self.arc, self.width
-        t = min(p.angle_tolerance, TWO_PI)
+        t = min(self.p.angle_tolerance, TWO_PI)
         reach = t + (t + TWO_PI) * 2.0 ** -49
         first = np.floor((oa - reach) / arc)
         n = np.minimum(np.floor((oa + reach) / arc) - first, arcs - 1)
@@ -451,7 +432,7 @@ class _JoinIndex:
         jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
         return ii, jj
 
-    def pair_counts(self, fa: np.ndarray, live: np.ndarray, p: MatchParams) -> list[int]:
+    def pair_counts(self, fa: np.ndarray, live: np.ndarray) -> list[int]:
         """Paired-triplet count of ``fa`` against each matrix, 0 where ``live`` is False.
 
         One join with the live rows; the screens then decide exactly as
@@ -459,12 +440,12 @@ class _JoinIndex:
         interior angle and each orientation (on the circle) within
         tolerance, and the pairing order uses the same combined distance.
         """
-        tol, angle_tol = p.side_tolerance, p.angle_tolerance
+        tol, angle_tol = self.p.side_tolerance, self.p.angle_tolerance
         cols = self.cols
         s1a, s2a, s3a = fa[:, 0], fa[:, 1], fa[:, 2]
         s1b, s2b, s3b = cols[0], cols[1], cols[2]
         lo3, hi3 = s3a - tol, s3a + tol
-        ii, jj = self.candidates(fa, live, p)
+        ii, jj = self.candidates(fa, live)
 
         s3 = s3b[jj]
         keep = ((s3 >= lo3[ii]) & (s3 <= hi3[ii])
@@ -488,38 +469,36 @@ class _JoinIndex:
 
 def _candidates(fa: np.ndarray, cols: np.ndarray, p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
     """``candidates`` of ``fa`` on a join index over the column-major rows ``cols``."""
-    return _JoinIndex([cols.T], p).candidates(fa, np.ones(1, dtype=bool), p)
+    return _JoinIndex([cols.T], p).candidates(fa, np.ones(1, dtype=bool))
 
 
 def _pair_counts(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
     """Paired-triplet count of ``fa`` against each matrix of ``fbs``, all alive."""
-    return _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool), p)
+    return _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
 
 
-def bucket_scorer(members: Sequence[TripletIndex], p: MatchParams = MatchParams()
-                  ) -> Callable[[TripletIndex, Sequence[int], MatchParams], list[MatchResult]]:
-    """``score(a, alive, p)``: ``a`` scored against ``members[j]`` for each j in ``alive``.
+def bucket_scorer(members: Sequence[TripletIndex], p: MatchParams
+                  ) -> Callable[[TripletIndex, Sequence[int]], list[MatchResult]]:
+    """``score(a, alive)``: ``a`` scored against ``members[j]`` for each j in ``alive``.
 
-    The members' join index is built here, once; each call joins its
-    head with the rows of the members it names alone, so a sweep that
-    scores each head against its shrinking worklist copies, keys and
-    sorts a bucket's rows once, not once per head. The head need not be
-    a member. ``score`` reads its tolerances from its own ``p`` on each
-    call, which must equal the ``p`` given here. Each result is the
-    pair's own: triplets are paired one-to-one within a pair only, and
-    the score is the paired count over the smaller triplet count, times
-    100.
+    The members' join index is built here, once, bound to ``p``; each
+    call joins its head with the rows of the members it names alone, so
+    a sweep that scores each head against its shrinking worklist copies,
+    keys and sorts a bucket's rows once, not once per head. The head
+    need not be a member. Each result is the pair's own: triplets are
+    paired one-to-one within a pair only, and the score is the paired
+    count over the smaller triplet count, times 100.
     """
     sizes = [m.features.shape[0] for m in members]
     join = _JoinIndex([m.features for m in members], p)
 
-    def score(a: TripletIndex, alive: Sequence[int], p: MatchParams) -> list[MatchResult]:
+    def score(a: TripletIndex, alive: Sequence[int]) -> list[MatchResult]:
         na = a.features.shape[0]
         scored = [j for j in alive if sizes[j]] if na else []
         if scored:
             live = np.zeros(len(members), dtype=bool)
             live[scored] = True
-            matched = join.pair_counts(a.features, live, p)
+            matched = join.pair_counts(a.features, live)
         results = []
         for j in alive:
             if na == 0 or sizes[j] == 0:
@@ -533,18 +512,40 @@ def bucket_scorer(members: Sequence[TripletIndex], p: MatchParams = MatchParams(
     return score
 
 
-def score_many(a: TripletIndex, others: Sequence[TripletIndex],
-               p: MatchParams = MatchParams()) -> list[MatchResult]:
-    """Score one triplet index against each of ``others``, in one pass.
+# ---------------------------------------------------------------------------
+# The scoring protocol
 
-    ``bucket_scorer(others, p)`` with every member scored.
+Matcher = Callable[[Signature, Signature, MatchParams], MatchResult]
+Prepare = Callable[[list[Signature], MatchParams], list[Any]]
+Compare = Callable[[Any, Sequence[int]], list[MatchResult]]
+Index = Callable[[list[Any], MatchParams], Compare]
+
+
+def _scorer(matcher: Matcher | None) -> tuple[Prepare, Index]:
+    """The (prepare, index) pair every scoring call site runs.
+
+    Records are prepared once, a list at a time. ``index(members, p)``
+    binds ``p`` and returns ``compare(a, alive)``, which scores one
+    prepared form against the members at positions ``alive``, one result
+    per position, in that order. The built-in scorer prepares the
+    signatures' triplet indexes in stacked passes (``index_signatures``),
+    and builds the members' join index once per ``index`` call
+    (``bucket_scorer``); a custom ``matcher`` prepares nothing and is
+    called on each pair of signatures in ``alive`` order, with the ``p``
+    its index was given.
     """
-    return bucket_scorer(others, p)(a, range(len(others)), p)
+    if matcher is None:
+        return index_signatures, bucket_scorer
+
+    def index(members: list[Any], p: MatchParams) -> Compare:
+        return lambda a, alive: [matcher(a, members[j], p) for j in alive]
+
+    return (lambda signatures, _p: list(signatures)), index
 
 
 def score_indexed(a: TripletIndex, b: TripletIndex, p: MatchParams = MatchParams()) -> MatchResult:
-    """Score two precomputed triplet indexes."""
-    return score_many(a, [b], p)[0]
+    """Score two precomputed triplet indexes: ``bucket_scorer([b], p)(a, [0])[0]``."""
+    return bucket_scorer([b], p)(a, [0])[0]
 
 
 def match_score(a: Signature, b: Signature, p: MatchParams = MatchParams()) -> MatchResult:

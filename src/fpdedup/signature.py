@@ -11,6 +11,7 @@ one file per record (filename stem = record id) or a manifest file of
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -214,12 +215,21 @@ def read_signature_file(path: str | Path, record_id: str | None = None) -> Signa
 
 def write_corpus_dir(signatures: Iterator[Signature] | list[Signature],
                      directory: str | Path) -> int:
-    """Write signatures as one ``<record_id>.sig`` file per record; returns the count."""
+    """Write signatures as one ``<record_id>.sig`` file per record; returns the count.
+
+    An id that would not read back as itself from the directory, one
+    that is empty, starts with ``.`` (a hidden file) or holds a path
+    separator, raises ParseError before its file is written.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    separators = {"/", os.sep, os.altsep} - {None}
     count = 0
     for s in signatures:
-        (directory / f"{s.record_id}.sig").write_text(serialize_signature(s) + "\n")
+        rid = s.record_id
+        if not rid or rid.startswith(".") or any(sep in rid for sep in separators):
+            raise ParseError(f"record id {rid!r} cannot name a file in a corpus directory")
+        (directory / f"{rid}.sig").write_text(serialize_signature(s) + "\n")
         count += 1
     return count
 

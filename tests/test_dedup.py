@@ -11,7 +11,9 @@ from fpdedup.cluster import build_table
 from fpdedup.dedup import (DuplicateReport, OracleCapExceededError, _windows, comparison_count,
                            deduplicate, exhaustive_dedup, format_report, pair_relation)
 from fpdedup.grid import compute_index
-from fpdedup.matcher import MatchParams, MatchResult, index_signature, is_match, score_many
+from fpdedup.identify import identify
+from fpdedup.matcher import (MatchParams, MatchResult, bucket_scorer, index_signature, is_match,
+                             match_score)
 from fpdedup.signature import Signature
 from fpdedup.synth import GenSpec, generate
 
@@ -115,7 +117,9 @@ def _reference_sweep(table, store, params, matcher=None):
         return s if matcher else index_signature(s, params)
 
     def compare(a, others):
-        return [matcher(a, b, params) for b in others] if matcher else score_many(a, others, params)
+        if matcher:
+            return [matcher(a, b, params) for b in others]
+        return bucket_scorer(others, params)(a, range(len(others)))
 
     report = DuplicateReport()
     for key, bucket in table.buckets.items():
@@ -195,6 +199,40 @@ def test_bucket_index_sweep_equals_head_by_head():
     reference = _reference_sweep(table, store, PARAMS)
     assert format_report(report) == format_report(reference)
     assert report.comparisons == reference.comparisons == 9 + 7 + 5 + 3 + 2 + 1
+
+
+# ---------------------------------------------------------------------------
+# Non-default params reach every index
+
+
+def test_non_default_params_reach_every_index():
+    # 1 px jitter: tighter tolerances lower some planted pairs' scores
+    # below the threshold, so a caller that fell back to MatchParams()
+    # would score, group and match differently
+    p = MatchParams(side_tolerance=3.0, angle_tolerance=0.2)
+    signatures, truth = generate(GenSpec(subjects=12, dup_fraction=1.0, jitter=1.0,
+                                         minutiae_per_print=(20, 35), seed=1))
+    store = {s.record_id: s for s in signatures}
+
+    assert any(match_score(store[a], store[b], p).score != match_score(store[a], store[b]).score
+               for a, b in truth)
+    for query in (store[a] for a, _ in truth[:4]):
+        # one bucket, under the query's own key, holding every record
+        key = compute_index(query).key_text
+        table = build_table((rid, key) for rid in store)
+        result = identify(query, table, store, params=p)
+        assert result.candidates == sorted(
+            ((rid, match_score(query, s, p).score) for rid, s in store.items()),
+            key=lambda item: (-item[1], item[0]))
+
+    oracle = exhaustive_dedup(store, p, matcher=match_score)
+    assert oracle != exhaustive_dedup(store, MatchParams(), matcher=match_score)
+    assert exhaustive_dedup(store, p) == oracle
+    table = build_table((rid, "shared") for rid in store)
+    reference = _reference_sweep(table, store, p, matcher=match_score)
+    assert reference.duplicate_groups() != \
+        _reference_sweep(table, store, MatchParams(), matcher=match_score).duplicate_groups()
+    assert format_report(deduplicate(table, store, p)) == format_report(reference)
 
 
 # ---------------------------------------------------------------------------

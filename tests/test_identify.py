@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import importlib
-
 import pytest
 
+from fpdedup import matcher as matcher_module
 from fpdedup.cluster import build_table
 from fpdedup.grid import GridParams, compute_index
 from fpdedup.identify import identify
@@ -47,10 +46,8 @@ def test_miss_builds_no_query_features(small_corpus, monkeypatch):
         calls.extend(s.record_id for s in batch)
         return index_signatures(batch, p)
 
-    # The package re-exports the function ``identify``, which shadows the
-    # module of the same name on attribute lookup.
-    module = importlib.import_module("fpdedup.identify")
-    monkeypatch.setattr(module, "index_signatures", counting_index)
+    # The scoring protocol, in matcher, prepares records through index_signatures.
+    monkeypatch.setattr(matcher_module, "index_signatures", counting_index)
     result = identify(Signature("q", [signatures[0].minutiae[0]]), table, store, GRID, PARAMS)
     assert result.candidates == [] and result.penetration == 0.0
     assert calls == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import math
 import sys
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 from fpdedup import matcher
-from fpdedup.matcher import (_STACK, _WALK_ALL_BELOW, MatchParams, MatchResult, TripletIndex,
-                             _arc_count, _candidates, _greedy_pair_counts, _heading_table,
-                             _nearest, _pair_counts, _triangles, bucket_scorer, index_signature,
-                             index_signatures, is_match, match_score, score_indexed, score_many)
+from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _arc_count,
+                             _candidates, _greedy_pair_counts, _heading_table, _nearest,
+                             _pair_counts, _triangles, bucket_scorer, index_signature,
+                             index_signatures, is_match, match_score, score_indexed)
 from fpdedup.signature import TWO_PI, Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -248,15 +249,16 @@ def test_triplet_less_prints_score_by_minutiae_equality():
     same = index_signature(make_signature("same", [(6, 6), (0, 8), (0, 0), (5, 0)]), PARAMS)
     other = index_signature(make_signature("other", [(0, 0), (5, 0), (0, 8), (6, 7)]), PARAMS)
     assert a.features.shape[0] == same.features.shape[0] == other.features.shape[0] == 0
-    assert score_many(a, [same, other], PARAMS) == [MatchResult(100.0, 0), MatchResult(0.0, 0)]
+    assert bucket_scorer([same, other], PARAMS)(a, [0, 1]) == [MatchResult(100.0, 0),
+                                                               MatchResult(0.0, 0)]
 
 
 def test_minutiae_key_built_only_for_triplet_less_sides(random_suite):
     full = [index_signature(s, PARAMS) for s in random_suite[:3]]
     empty = index_signature(make_signature("two", [(10, 20), (40, 60)]), PARAMS)
-    score_many(full[0], full[1:], PARAMS)
+    bucket_scorer(full[1:], PARAMS)(full[0], [0, 1])
     assert not any("minutiae_key" in vars(index) for index in full)
-    score_many(full[0], [empty], PARAMS)
+    score_indexed(full[0], empty, PARAMS)
     assert "minutiae_key" in vars(full[0]) and "minutiae_key" in vars(empty)
 
 
@@ -330,12 +332,11 @@ def _plain_greedy(dist, seg, ii, jj, segments) -> list[int]:
     return counts
 
 
-def test_greedy_pairing_unopposed_equals_plain_loop():
+def test_greedy_pairing_equals_plain_loop():
     rng = np.random.default_rng(77)
-    sizes = set()
     for trial in range(400):
         segments = int(rng.integers(1, 6))
-        m = int(rng.integers(0, 4 * _WALK_ALL_BELOW))
+        m = int(rng.integers(0, 256))
         seg = rng.integers(0, segments, size=m)
         # each segment owns its own column range; few distinct values force ties
         width = int(rng.integers(1, 40))
@@ -346,31 +347,12 @@ def test_greedy_pairing_unopposed_equals_plain_loop():
             ii = np.arange(m)
             jj = seg * 1000 + np.where(rng.random(m) < 0.1, rng.integers(0, 5, size=m),
                                        np.arange(m) + 10)
-        sizes.add(m >= _WALK_ALL_BELOW)
         assert _greedy_pair_counts(dist, seg, ii, jj, segments) == \
             _plain_greedy(dist, seg, ii, jj, segments)
-    assert sizes == {True, False}
 
 
 # ---------------------------------------------------------------------------
 # Batch scoring: one index against many
-
-
-def test_score_many_equals_pairwise(random_suite):
-    p = MatchParams()
-    indexes = [index_signature(s, p) for s in random_suite[:12]]
-    assert indexes[0].features.shape[0] > 0
-    empty = index_signature(make_signature("two", [(10, 20), (40, 60)]), p)
-    same_empty = index_signature(make_signature("two-again", [(10, 20), (40, 60)]), p)
-    assert empty.features.shape[0] == 0
-    # empty-triplet members mixed in, and the same index repeated
-    others = indexes[1:6] + [empty, indexes[0], indexes[3]] + indexes[6:] + [same_empty, indexes[0]]
-    for head in (indexes[0], indexes[5]):
-        assert score_many(head, others, p) == [score_indexed(head, b, p) for b in others]
-    # a head with no triplets scores by exact minutiae equality alone
-    expected = [MatchResult(100.0 if b is same_empty or b is empty else 0.0, 0) for b in others]
-    assert score_many(empty, others, p) == expected
-    assert score_many(indexes[0], [], p) == []
 
 
 def test_bucket_scorer_any_alive_subset(random_suite):
@@ -387,9 +369,47 @@ def test_bucket_scorer_any_alive_subset(random_suite):
         for _ in range(4):
             # any subset in any order: suffixes, gaps, the head itself
             alive = rng.permutation(len(members))[:int(rng.integers(0, len(members) + 1))].tolist()
-            assert score(a, alive, p) == [score_indexed(a, members[j], p) for j in alive]
-    assert score(members[0], [6, 0], p)[0].score == 100.0
-    assert score(members[-1], [len(members) - 2], p) == [MatchResult(100.0, 0)]
+            assert score(a, alive) == [score_indexed(a, members[j], p) for j in alive]
+    assert score(members[0], [6, 0])[0].score == 100.0
+    assert score(members[-1], [len(members) - 2]) == [MatchResult(100.0, 0)]
+    # a triplet-less head, not a member, scores by exact minutiae equality alone
+    bare = index_signature(make_signature("two-again", [(10, 20), (40, 60)]), p)
+    assert bare.features.shape[0] == 0
+    assert score(bare, range(len(members))) == [
+        MatchResult(100.0 if m.signature is two else 0.0, 0) for m in members]
+    # the same index repeated among the members, and no members at all
+    repeated = members[1:4] + [members[0], members[-1], members[3], members[0]]
+    for a in (members[0], query, bare):
+        assert bucket_scorer(repeated, p)(a, range(len(repeated))) == \
+            [score_indexed(a, b, p) for b in repeated]
+    assert score(members[0], []) == bucket_scorer([], p)(members[0], []) == []
+
+
+class CountingParams(MatchParams):
+    """Matcher parameters that count every read of a field, by name."""
+
+    def __init__(self, **values):
+        object.__setattr__(self, "reads", collections.Counter())
+        super().__init__(**values)
+
+    def __getattribute__(self, name: str):
+        if name in MatchParams.__dataclass_fields__:
+            object.__getattribute__(self, "reads")[name] += 1
+        return object.__getattribute__(self, name)
+
+
+def test_bucket_scorer_reads_tolerances_on_every_call(random_suite):
+    # a built scorer binds its params, not copies of their values: a
+    # caller that samples on each read, such as a host-speed probe, is
+    # read on every call
+    p = CountingParams(side_tolerance=3.0)
+    members = index_signatures(random_suite[:4], p)
+    score = bucket_scorer(members, p)
+    for alive in ([0, 1, 2, 3], [2], [3, 1]):
+        p.reads.clear()
+        results = score(members[0], alive)
+        assert p.reads["side_tolerance"] > 0 and p.reads["angle_tolerance"] > 0
+        assert results == [score_indexed(members[0], members[j], p) for j in alive]
 
 
 def _screened(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> list[tuple[float, int, int]]:

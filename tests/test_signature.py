@@ -417,6 +417,17 @@ def test_corpus_dir_round_trip(tmp_path):
     assert loaded["b"] == corpus[1]
 
 
+@pytest.mark.parametrize("record_id", [".b", "../escaped", "x/y"],
+                         ids=["hidden", "escaping", "nested"])
+def test_corpus_dir_rejects_ids_that_do_not_read_back(tmp_path, record_id):
+    # a hidden file is skipped on reading, and a separator names a file elsewhere
+    rows = _tiny_corpus()[0].rows()
+    corpus = [Signature("a", rows), Signature(record_id, rows), Signature("c.d", rows)]
+    with pytest.raises(ParseError, match=re.escape(repr(record_id))):
+        write_corpus_dir(corpus, tmp_path / "c")
+    assert sorted(p.name for p in tmp_path.rglob("*.sig")) == ["a.sig"]
+
+
 def test_manifest_round_trip(tmp_path):
     corpus = _tiny_corpus()
     write_corpus_dir(corpus, tmp_path / "c")
