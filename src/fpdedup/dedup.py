@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import Any
 
 from .cluster import ClusterTable
-from .identify import _resolve
-from .matcher import Index, Matcher, MatchParams, Signature, _scorer, is_match
+from .matcher import Index, Matcher, MatchParams, _scorer, is_match
+from .signature import Signature, _resolve
 
 REPORT_FORMAT_HEADER = "fpdedup-dedup-report v1"
 ORACLE_CAP = 5000  # default record cap of the exhaustive oracle

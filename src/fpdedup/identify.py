@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .cluster import ClusterTable
 from .grid import GridParams, compute_index
-from .matcher import MatchParams, Matcher, Signature, _scorer, is_match
+from .matcher import MatchParams, Matcher, _scorer, is_match
+from .signature import Signature, _resolve
 
 
 @dataclass
@@ -64,11 +65,3 @@ def identify(query: Signature,
     penetration = len(bucket) / table.size
     return IdentificationResult(key.key_text, candidates, matches, penetration)
 
-
-def _resolve(store: Mapping[str, Signature], record_id: str) -> Signature:
-    try:
-        return store[record_id]
-    except KeyError:
-        raise KeyError(
-            f"record id {record_id!r} is in the table but not in the signature store"
-        ) from None

@@ -467,16 +467,6 @@ class _JoinIndex:
         return _greedy_pair_counts(combined, self.seg[jj], ii, jj, live.size)
 
 
-def _candidates(fa: np.ndarray, cols: np.ndarray, p: MatchParams) -> tuple[np.ndarray, np.ndarray]:
-    """``candidates`` of ``fa`` on a join index over the column-major rows ``cols``."""
-    return _JoinIndex([cols.T], p).candidates(fa, np.ones(1, dtype=bool))
-
-
-def _pair_counts(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
-    """Paired-triplet count of ``fa`` against each matrix of ``fbs``, all alive."""
-    return _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
-
-
 def bucket_scorer(members: Sequence[TripletIndex], p: MatchParams
                   ) -> Callable[[TripletIndex, Sequence[int]], list[MatchResult]]:
     """``score(a, alive)``: ``a`` scored against ``members[j]`` for each j in ``alive``.

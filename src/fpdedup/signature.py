@@ -83,6 +83,14 @@ class Signature:
         self.record_id = record_id
         self.xs, self.ys, self.thetas, self.type_codes = tuple(zip(*rows)) or ((),) * 4
 
+    @classmethod
+    def _from_columns(cls, record_id: str, xs: tuple[int, ...], ys: tuple[int, ...],
+                      thetas: tuple[float, ...], type_codes: tuple[int, ...]) -> Signature:
+        """A signature holding the given columns as they are, for a non-empty id."""
+        s = cls.__new__(cls)
+        s.record_id, s.xs, s.ys, s.thetas, s.type_codes = record_id, xs, ys, thetas, type_codes
+        return s
+
     def rows(self) -> Iterator[tuple[int, int, float, int]]:
         """The ``(x, y, theta, type_code)`` of each minutia, in order."""
         return zip(self.xs, self.ys, self.thetas, self.type_codes)
@@ -110,6 +118,19 @@ def _coordinate_error(line_no: int, what: str, text: str, value: int) -> ParseEr
     return ParseError(f"line {line_no}: {what} {text!r} {problem}")
 
 
+class _IntTable(dict):
+    """``int(text)`` of a field: a lookup for the canonical decimals below 1024."""
+
+    def __missing__(self, text: str) -> int:
+        return int(text)
+
+
+# Coordinates and type codes are mostly small canonical decimals; any
+# other form (signs, leading zeros, underscores, non-ASCII digits) and
+# any larger value reaches int().
+_INTS = _IntTable((str(i), i) for i in range(1024))
+
+
 def parse_signature(text: str, record_id: str) -> Signature:
     """Parse a signature file body into a Signature.
 
@@ -118,10 +139,45 @@ def parse_signature(text: str, record_id: str) -> Signature:
     angle may use ``,`` or ``.`` as decimal separator and is normalized
     into [0, 2*pi). Blank lines and surrounding whitespace are ignored.
 
+    The fields are converted a column at a time and the ranges checked
+    on whole columns. Any text that pass does not take as it stands (a
+    field that does not convert, a line of other than four fields, a
+    coordinate out of range, an angle to normalize, no minutiae, an
+    empty record id) is parsed again line by line by ``_parse_lines``,
+    which alone raises errors and normalizes angles.
+
     Raises:
         ParseError: on a malformed line (naming its line number) or when
             the text contains no minutiae at all.
     """
+    parts = [line.split(";") for line in map(str.strip, text.splitlines()) if line]
+    try:
+        # zip stops at the shortest line: every line has at least 4
+        # fields here, and the count of ';' makes it exactly 4.
+        fx, fy, ft, fc = zip(*parts)
+    except ValueError:
+        return _parse_lines(text, record_id)
+    if text.count(";") != 3 * len(parts) or not record_id:
+        return _parse_lines(text, record_id)
+    if "," in text:
+        ft = [f.replace(",", ".") for f in ft]
+    lookup = _INTS.__getitem__
+    try:
+        xs = tuple(map(lookup, fx))
+        ys = tuple(map(lookup, fy))
+        thetas = tuple(map(float, ft))
+        type_codes = tuple(map(lookup, fc))
+    except ValueError:
+        return _parse_lines(text, record_id)
+    # min and max pass over a NaN; the sum of the angles does not.
+    if not (0 <= min(xs) and max(xs) <= _MAX_COORD and 0 <= min(ys) and max(ys) <= _MAX_COORD
+            and 0.0 <= min(thetas) and max(thetas) < TWO_PI and math.isfinite(sum(thetas))):
+        return _parse_lines(text, record_id)
+    return Signature._from_columns(record_id, xs, ys, thetas, type_codes)
+
+
+def _parse_lines(text: str, record_id: str) -> Signature:
+    """``parse_signature`` one line at a time: the source of every parse error."""
     rows = []
     append = rows.append
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -251,16 +307,28 @@ class FileStore(Mapping):
         """Scan filenames once, in sorted order, skipping hidden files.
 
         The filename stem is the record id; a repeated stem raises ParseError.
+        The scan sorts plain names and reads each entry's file type from
+        the directory, so only a link, or an entry of unknown type, costs
+        a ``stat``.
         """
         directory = Path(directory)
         if not directory.is_dir():
             raise ParseError(f"corpus directory not found: {directory}")
+        names = []
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if entry.name.startswith("."):
+                    continue
+                # A link is tested as a Path: Path.is_file reads a link loop
+                # as no file, where the entry's own test raises.
+                if (directory / entry.name).is_file() if entry.is_symlink() else entry.is_file():
+                    names.append(entry.name)
         paths: dict[str, Path] = {}
-        for path in sorted(directory.iterdir()):
-            if path.is_file() and not path.name.startswith("."):
-                if path.stem in paths:
-                    raise ParseError(f"duplicate record id {path.stem!r} in corpus directory")
-                paths[path.stem] = path
+        for name in sorted(names):
+            path = directory / name
+            if path.stem in paths:
+                raise ParseError(f"duplicate record id {path.stem!r} in corpus directory")
+            paths[path.stem] = path
         return cls(paths)
 
     @classmethod
@@ -320,3 +388,13 @@ class SerializedStore(Mapping):
 
     def __len__(self) -> int:
         return len(self._texts)
+
+
+def _resolve(store: Mapping[str, Signature], record_id: str) -> Signature:
+    """``store[record_id]``; a missing id is a KeyError saying the table and store disagree."""
+    try:
+        return store[record_id]
+    except KeyError:
+        raise KeyError(
+            f"record id {record_id!r} is in the table but not in the signature store"
+        ) from None

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from fpdedup import matcher
-from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _arc_count,
-                             _candidates, _greedy_pair_counts, _heading_table, _nearest,
-                             _pair_counts, _triangles, bucket_scorer, index_signature,
-                             index_signatures, is_match, match_score, score_indexed)
+from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _JoinIndex,
+                             _arc_count, _greedy_pair_counts, _heading_table, _nearest,
+                             _triangles, bucket_scorer, index_signature, index_signatures,
+                             is_match, match_score, score_indexed)
 from fpdedup.signature import TWO_PI, Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -442,11 +442,11 @@ def _brute_counts(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
 def _assert_join_exact(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
     """The join emits each pair at most once and every screened pair; counts match brute force."""
     for fb in fbs:
-        ii, jj = _candidates(fa, fb.T, p)
+        ii, jj = _JoinIndex([fb], p).candidates(fa, np.ones(1, dtype=bool))
         emitted = list(zip(ii.tolist(), jj.tolist()))
         assert len(set(emitted)) == len(emitted)
         assert {(i, j) for _, i, j in _screened(fa, fb, p)} <= set(emitted)
-    counts = _pair_counts(fa, fbs, p)
+    counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
     assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
     return counts
 
@@ -476,7 +476,8 @@ def test_join_matches_brute_force(p):
         fa = _edge_features(rng, int(rng.integers(1, 12)), p)
         fbs = [_edge_features(rng, int(rng.integers(1, 12)), p)
                for _ in range(int(rng.integers(1, 5)))]
-        assert _pair_counts(fa, fbs, p) == [_brute_counts(fa, fb, p) for fb in fbs]
+        counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
+        assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
 
 
 def test_join_keeps_pair_past_rounded_bound():
@@ -490,7 +491,8 @@ def test_join_keeps_pair_past_rounded_bound():
         return np.array([[s1, s, s, 0.5, 1.0, 1.5, 1.0, 2.0, 3.0]])
 
     fa, fbs = row(s1a, s3), [row(s1b, s3), row(100.0, 100.0)]
-    assert _pair_counts(fa, fbs, p) == [_brute_counts(fa, fb, p) for fb in fbs] == [1, 0]
+    counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
+    assert counts == [_brute_counts(fa, fb, p) for fb in fbs] == [1, 0]
 
 
 @pytest.mark.parametrize("tol", [1e-13, 1e-20, 5e-324], ids=["ulp", "tiny", "subnormal"])
@@ -501,7 +503,7 @@ def test_join_tiny_side_tolerance(random_suite, tol):
     fa = index_signature(random_suite[0], p).features
     longer = np.concatenate((np.nextafter(fa[:, :3], np.inf), fa[:, 3:]), axis=1)
     fbs = [fa, longer, index_signature(random_suite[1], p).features, fa]
-    counts = _pair_counts(fa, fbs, p)
+    counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
     assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
     assert counts[0] == counts[3] > 0
     assert (counts[1] > 0) == (tol == 1e-13)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from fpdedup import signature as signature_module
 from fpdedup.grid import bounding_box, compute_index
 from fpdedup.matcher import index_signature, score_indexed
-from fpdedup.signature import (FileStore, Minutia, ParseError, SerializedStore,
-                               Signature, check_record_ids, normalize_angle,
+from fpdedup.signature import (FileStore, Minutia, ParseError, SerializedStore, Signature,
+                               _parse_lines, check_record_ids, normalize_angle,
                                normalize_angles, parse_signature, read_signature_file,
                                serialize_signature, write_corpus_dir)
 from fpdedup.synth import GenSpec, generate
@@ -294,6 +294,109 @@ def test_parser_matches_reference_parser(text):
 
 
 # ---------------------------------------------------------------------------
+# Differential test: the column pass against the line loop
+
+
+_VALID_INTS = st.one_of(st.integers(0, 1023).map(str), _INTS)
+_IN_RANGE_ANGLES = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True).map(repr),
+    st.floats(0.0, TWO_PI, exclude_max=True).map(repr).map(lambda s: s.replace(".", ",")),
+    st.sampled_from(["0", "-0", "-0.0", ".5", ",5", "3.", "6,28", "2,5E-3", "\u0663.5"]),
+)
+
+
+@st.composite
+def _valid_signature_texts(draw) -> str:
+    """Texts the parser accepts: 1-6 rows of valid fields, with padding and
+    blank lines; about one text in four has an angle outside [0, 2*pi),
+    so most reach the column pass whole."""
+    normalize = draw(st.integers(0, 3)) == 3
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        while draw(st.integers(0, 5)) == 5:
+            lines.append(draw(_PADDING))
+        fields = [draw(_VALID_INTS), draw(_VALID_INTS),
+                  draw(_ANGLES if normalize else _IN_RANGE_ANGLES), draw(_VALID_INTS)]
+        lines.append(draw(_PADDING) + ";".join(draw(_PADDING) + f + draw(_PADDING)
+                                              for f in fields) + draw(_PADDING))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+def _column_outcome(parse, text: str, record_id: str):
+    """The signature's columns, angles as bytes, or the error's type and message."""
+    try:
+        s = parse(text, record_id)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    columns = (s.xs, s.ys, s.thetas, s.type_codes)
+    assert all(type(c) is tuple for c in columns)
+    assert {type(v) for c in (s.xs, s.ys, s.type_codes) for v in c} == {int}
+    return (s.record_id, s.xs, s.ys, struct.pack(f"<{len(s)}d", *s.thetas), s.type_codes)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_valid_signature_texts(), _signature_texts()), st.sampled_from(["r", "r", "r", ""]))
+def test_column_pass_matches_line_loop(text, record_id):
+    assert (_column_outcome(parse_signature, text, record_id)
+            == _column_outcome(_parse_lines, text, record_id))
+
+
+def _loop_calls(text: str, record_id: str = "r") -> int:
+    with mock.patch.object(signature_module, "_parse_lines",
+                           wraps=signature_module._parse_lines) as loop:
+        assert (_column_outcome(parse_signature, text, record_id)
+                == _column_outcome(_parse_lines, text, record_id))
+    return loop.call_count
+
+
+@pytest.mark.parametrize("text, record_id", [
+    ("1;2;0.5;4 5", "r"),                       # whitespace inside a field
+    ("1;2;0.5;1\n3;4 5;0.5;1", "r"),
+    ("1;2;3;4 5;6;7;8", "r"),                   # two rows on one line
+    ("1;2;0.5;1\n1;2;3;4 5;6;7;8", "r"),
+    ("1;2;0.5;1;\n1;2;0.5", "r"),               # 5 and 3 fields: 6 ';' on two lines
+    ("1;2;0.5;1\n1;2;0.5;1;9", "r"),            # a fifth field past four full columns
+    ("", "r"),
+    ("\n  \n\t\r\n", "r"),                      # only blank lines
+    ("1;2;0.5;1\n3;4;1.5;0", ""),               # a valid text, an empty record id
+    ("1;2;7.0;1", "r"),                         # angles to normalize
+    ("1;2;0.5;1\n3;4;-0.5;0", "r"),
+    ("1;2;6.283185307179586;1", "r"),           # 2*pi itself
+    ("1;2;0.5;1\n3;4;nan;0", "r"),              # NaN after the first row passes min and max
+    ("1;2;nan;1\n3;4;0.5;0", "r"),
+    ("1;2;inf;1", "r"),
+    (f"{2 ** 53 + 1};2;0.5;1", "r"),            # coordinates out of range
+    (f"1;{2 ** 53 + 1};0.5;1", "r"),
+    ("-3;2;0.5;1", "r"),
+    ("1;-3;0.5;1", "r"),
+    ("1;2;0.5;x", "r"),                         # fields that do not convert
+    ("1;2;0,5,;1", "r"),
+    ("9" * 5000 + ";2;0.5;1", "r"),
+])
+def test_column_pass_hands_text_to_the_loop(text, record_id):
+    assert _loop_calls(text, record_id) == 1
+
+
+@pytest.mark.parametrize("text", [
+    f"{2 ** 53};{2 ** 53};0.5;1",               # the largest coordinate
+    "00012;+7;0.5;1_000",                       # forms that miss the integer table
+    "\u0663\u0664;\uff11\uff12;0,5;-0",
+    "1023;1024;-0.0;-1",
+    " 1 ; 2 ;\t0.5\t; 3 \r\n\n 4;5;6.25;6\n",
+])
+def test_column_pass_reads_text_itself(text):
+    assert _loop_calls(text) == 0
+
+
+def test_serialized_text_takes_the_column_pass(reference_signature):
+    signatures, _ = generate(GenSpec(subjects=50, seed=8))
+    for s in [reference_signature, *signatures]:
+        text = serialize_signature(s)
+        assert _loop_calls(text, s.record_id) == 0
+        assert parse_signature(text, s.record_id) == s
+
+
+# ---------------------------------------------------------------------------
 # Columnar storage and the minutiae view
 
 
@@ -426,6 +529,27 @@ def test_corpus_dir_rejects_ids_that_do_not_read_back(tmp_path, record_id):
     with pytest.raises(ParseError, match=re.escape(repr(record_id))):
         write_corpus_dir(corpus, tmp_path / "c")
     assert sorted(p.name for p in tmp_path.rglob("*.sig")) == ["a.sig"]
+
+
+def test_directory_scan_equals_sorted_iterdir(tmp_path):
+    # the scan before os.scandir: sorted Paths, one is_file each
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    for name in ["b.sig", "a.", "a.b.sig", "A.sig", "_z.sig", "10.sig", "9.sig", "\u00e9.sig",
+                 ".hidden.sig", ".x"]:
+        (corpus / name).write_text("1;2;0.5;1\n")
+    (corpus / "sub").mkdir()
+    (corpus / "link.sig").symlink_to("b.sig")
+    (corpus / ".hidden-link.sig").symlink_to("b.sig")
+    (corpus / "dirlink").symlink_to("sub")
+    (corpus / "dangling.sig").symlink_to("missing.sig")
+    (corpus / "loop.sig").symlink_to("loop.sig")
+    store = FileStore.from_directory(corpus)
+    want = {path.stem: path for path in sorted(corpus.iterdir())
+            if path.is_file() and not path.name.startswith(".")}
+    assert list(store) == ["10", "9", "A", "_z", "a.", "a.b", "b", "link", "\u00e9"]
+    assert [(k, str(v)) for k, v in store._paths.items()] == [(k, str(v)) for k, v in want.items()]
+    assert list(store["link"].rows()) == list(store["b"].rows())
 
 
 def test_manifest_round_trip(tmp_path):
