@@ -27,8 +27,12 @@ wide. Any head, a member or not, is then scored against any subset of
 the members in one numpy pass: one join with the subset's rows finds
 every candidate triplet pair, the screens run once over all of them,
 and one greedy walk pairs them per member. A bucket sweep thus builds
-one index per bucket, however many heads it scores. Each result equals
-that pair scored alone; ``score_indexed`` is a one-member index.
+one index per bucket, however many heads it scores. A call that scores
+one member alone, as ``score_indexed`` and most ``identify`` hits do,
+builds no index: two binary searches per head row over the member's
+rows, already sorted by largest side, find its candidates (a sort-merge
+band join), and the same screens and walk follow. Each result equals
+that pair scored alone.
 
 This module is also the one home of the scoring protocol that
 ``identify``, ``deduplicate`` and ``exhaustive_dedup`` run (``_scorer``).
@@ -232,9 +236,25 @@ def index_signatures(signatures: Sequence[Signature],
 
 
 def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
-    """Feature matrices of prints sharing one minutiae count, in one pass."""
+    """Feature matrices of prints sharing one minutiae count, in one pass.
+
+    Edge headings are read straight from ``_heading_table`` when every
+    coordinate of the stack is an integer and none is -0.0, and
+    ``max_edge < _HEADING_RADIUS + 1``; any other stack goes through
+    ``_headings``, which tests each edge. The argument: an edge's
+    components are differences of integers, exact whenever they are at
+    most 2**53, and a zero difference of two numbers neither of which is
+    -0.0 is +0.0. Each component's magnitude is at most the edge's
+    computed length, which is ``sqrt(dx*dx + dy*dy)`` (``sqrt(d*d) ==
+    |d|`` and rounding is monotone), and a kept edge is at most
+    ``max_edge`` long. So both components of a kept edge are integers
+    within ``floor(max_edge)``, the table's radius.
+    """
     n = len(stack[0].xs)
     columns = np.array([(s.xs, s.ys, s.thetas) for s in stack], dtype=np.float64)
+    xy = columns[:, :2]
+    lattice = (p.max_edge < _HEADING_RADIUS + 1 and bool((xy == np.rint(xy)).all())
+               and not (np.signbit(xy) & (xy == 0.0)).any())
     x, y, theta = columns.transpose(1, 0, 2)  # each (B, n): B prints of n minutiae
     tri, opposite = _triangles(x, y, p)
     x, y, theta = x.ravel(), y.ravel(), theta.ravel()
@@ -246,7 +266,12 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     cos = np.clip((adj1 * adj1 + adj2 * adj2 - sides * sides) / (2.0 * adj1 * adj2), -1.0, 1.0)
     angles = np.fromiter(map(math.acos, cos.ravel().tolist()), np.float64, 3 * nt)
     nxt = ov[:, [1, 2, 0]]
-    heading = _headings((y[nxt] - y[ov]).ravel(), (x[nxt] - x[ov]).ravel(), p.max_edge)
+    dy, dx = (y[nxt] - y[ov]).ravel(), (x[nxt] - x[ov]).ravel()
+    if lattice:
+        radius = int(p.max_edge)
+        heading = _heading_table(radius)[dy.astype(np.intp) + radius, dx.astype(np.intp) + radius]
+    else:
+        heading = _headings(dy, dx, p.max_edge)
     orientations = normalize_angles(theta[ov].ravel() - heading)
     features = np.concatenate((sides, angles.reshape(nt, 3), orientations.reshape(nt, 3)), axis=1)
     # Rows come print by print; each print's are sorted by largest side.
@@ -433,59 +458,102 @@ class _JoinIndex:
         return ii, jj
 
     def pair_counts(self, fa: np.ndarray, live: np.ndarray) -> list[int]:
-        """Paired-triplet count of ``fa`` against each matrix, 0 where ``live`` is False.
-
-        One join with the live rows; the screens then decide exactly as
-        for a single pair: the largest-side window, each side, each
-        interior angle and each orientation (on the circle) within
-        tolerance, and the pairing order uses the same combined distance.
-        """
-        tol, angle_tol = self.p.side_tolerance, self.p.angle_tolerance
-        cols = self.cols
-        s1a, s2a, s3a = fa[:, 0], fa[:, 1], fa[:, 2]
-        s1b, s2b, s3b = cols[0], cols[1], cols[2]
-        lo3, hi3 = s3a - tol, s3a + tol
+        """Paired-triplet count of ``fa`` against each matrix, 0 where ``live`` is False."""
         ii, jj = self.candidates(fa, live)
+        return _pair_counts(fa, self.cols, self.seg, ii, jj, live.size, self.p)
 
-        s3 = s3b[jj]
-        keep = ((s3 >= lo3[ii]) & (s3 <= hi3[ii])
-                & (np.abs(s1a[ii] - s1b[jj]) <= tol) & (np.abs(s2a[ii] - s2b[jj]) <= tol))
-        ii, jj = ii[keep], jj[keep]
-        # One orientation alone before touching full rows: it rejects most pairs.
-        diff = np.abs(fa[:, 6][ii] - cols[6][jj])
-        keep = np.minimum(diff, TWO_PI - diff) <= angle_tol
-        ii, jj = ii[keep], jj[keep]
-        diff = np.abs(fa[ii].T - cols[:, jj])  # (9, candidates)
-        orient_d = np.minimum(diff[6:9], TWO_PI - diff[6:9])
-        keep = ((diff[3] <= angle_tol) & (diff[4] <= angle_tol) & (diff[5] <= angle_tol)
-                & (orient_d <= angle_tol).all(axis=0))
-        diff, orient_d, ii, jj = diff[:, keep], orient_d[:, keep], ii[keep], jj[keep]
 
-        combined = ((diff[0] + diff[1] + diff[2]) / tol
-                    + (diff[3] + diff[4] + diff[5]) / angle_tol
-                    + (orient_d[0] + orient_d[1] + orient_d[2]) / angle_tol)
-        return _greedy_pair_counts(combined, self.seg[jj], ii, jj, live.size)
+def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
+    """Paired-triplet count of ``fa`` against the one matrix ``fb``, joined by a window.
+
+    For each row of ``fa``, two binary searches over ``fb``'s largest
+    sides (column 2) give the rows with ``s3a - tol <= s3b <= s3a + tol``,
+    the very pairs the largest-side screen keeps (a sort-merge band
+    join). Rows of a ``TripletIndex`` come sorted by column 2; a matrix
+    that is not (built by hand, or holding a NaN) is searched through a
+    stable sort of its column, and the pairs keep its own row numbers.
+    """
+    tol = p.side_tolerance
+    s3a, s3b = fa[:, 2], fb[:, 2]
+    order = None if (s3b[:-1] <= s3b[1:]).all() else np.argsort(s3b, kind="stable")
+    if order is not None:
+        s3b = s3b[order]
+    lo = np.searchsorted(s3b, s3a - tol, side="left")
+    hi = np.searchsorted(s3b, s3a + tol, side="right")
+    counts = hi - lo
+    ii = np.repeat(np.arange(fa.shape[0]), counts)
+    jj = np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    if order is not None:
+        jj = order[jj]
+    return _pair_counts(fa, fb.T, np.zeros(fb.shape[0], dtype=np.intp), ii, jj, 1, p)[0]
+
+
+def _pair_counts(fa: np.ndarray, cols: np.ndarray, seg: np.ndarray, ii: np.ndarray,
+                 jj: np.ndarray, segments: int, p: MatchParams) -> list[int]:
+    """Screen candidate pairs, row ``ii`` of ``fa`` and column ``jj`` of ``cols``; pair per segment.
+
+    ``cols`` holds the candidates' rows column-major, (9, rows), and
+    ``seg`` the segment of each. The screens decide exactly as for a
+    single pair: the largest-side window, each side, each interior angle
+    and each orientation (on the circle) within tolerance; the pairing
+    order is one combined distance. Both joins, the window and the
+    (arc, s3) join, end here, so a pair scores the same through either.
+    """
+    tol, angle_tol = p.side_tolerance, p.angle_tolerance
+    s1a, s2a, s3a = fa[:, 0], fa[:, 1], fa[:, 2]
+    s1b, s2b, s3b = cols[0], cols[1], cols[2]
+    lo3, hi3 = s3a - tol, s3a + tol
+
+    s3 = s3b[jj]
+    keep = ((s3 >= lo3[ii]) & (s3 <= hi3[ii])
+            & (np.abs(s1a[ii] - s1b[jj]) <= tol) & (np.abs(s2a[ii] - s2b[jj]) <= tol))
+    ii, jj = ii[keep], jj[keep]
+    # One orientation alone before touching full rows: it rejects most pairs.
+    diff = np.abs(fa[:, 6][ii] - cols[6][jj])
+    keep = np.minimum(diff, TWO_PI - diff) <= angle_tol
+    ii, jj = ii[keep], jj[keep]
+    diff = np.abs(fa[ii].T - cols[:, jj])  # (9, candidates)
+    orient_d = np.minimum(diff[6:9], TWO_PI - diff[6:9])
+    keep = ((diff[3] <= angle_tol) & (diff[4] <= angle_tol) & (diff[5] <= angle_tol)
+            & (orient_d <= angle_tol).all(axis=0))
+    diff, orient_d, ii, jj = diff[:, keep], orient_d[:, keep], ii[keep], jj[keep]
+
+    combined = ((diff[0] + diff[1] + diff[2]) / tol
+                + (diff[3] + diff[4] + diff[5]) / angle_tol
+                + (orient_d[0] + orient_d[1] + orient_d[2]) / angle_tol)
+    return _greedy_pair_counts(combined, seg[jj], ii, jj, segments)
 
 
 def bucket_scorer(members: Sequence[TripletIndex], p: MatchParams
                   ) -> Callable[[TripletIndex, Sequence[int]], list[MatchResult]]:
     """``score(a, alive)``: ``a`` scored against ``members[j]`` for each j in ``alive``.
 
-    The members' join index is built here, once, bound to ``p``; each
-    call joins its head with the rows of the members it names alone, so
-    a sweep that scores each head against its shrinking worklist copies,
-    keys and sorts a bucket's rows once, not once per head. The head
-    need not be a member. Each result is the pair's own: triplets are
-    paired one-to-one within a pair only, and the score is the paired
-    count over the smaller triplet count, times 100.
+    The scorer is bound to ``p``. A call that scores one member (one
+    with triplets, in ``alive``) joins the head with that member's rows
+    by a largest-side window (``_window_pair_count``). A call that scores
+    two or more joins the head with the rows of the members it names
+    alone, through the members' join index, built on the first such call
+    and kept: a sweep that scores each head against its shrinking
+    worklist copies, keys and sorts a bucket's rows once, not once per
+    head, and a one-member scorer (``score_indexed``, an ``identify`` hit
+    on a one-record bucket) never builds it. Both joins end in the same
+    screens and the same greedy walk (``_pair_counts``). The head need
+    not be a member. Each result is the pair's own: triplets are paired
+    one-to-one within a pair only, and the score is the paired count
+    over the smaller triplet count, times 100.
     """
     sizes = [m.features.shape[0] for m in members]
-    join = _JoinIndex([m.features for m in members], p)
+    join: _JoinIndex | None = None
 
     def score(a: TripletIndex, alive: Sequence[int]) -> list[MatchResult]:
+        nonlocal join
         na = a.features.shape[0]
         scored = [j for j in alive if sizes[j]] if na else []
-        if scored:
+        if len(scored) == 1:
+            matched = {scored[0]: _window_pair_count(a.features, members[scored[0]].features, p)}
+        elif scored:
+            if join is None:
+                join = _JoinIndex([m.features for m in members], p)
             live = np.zeros(len(members), dtype=bool)
             live[scored] = True
             matched = join.pair_counts(a.features, live)
@@ -519,10 +587,10 @@ def _scorer(matcher: Matcher | None) -> tuple[Prepare, Index]:
     prepared form against the members at positions ``alive``, one result
     per position, in that order. The built-in scorer prepares the
     signatures' triplet indexes in stacked passes (``index_signatures``),
-    and builds the members' join index once per ``index`` call
-    (``bucket_scorer``); a custom ``matcher`` prepares nothing and is
-    called on each pair of signatures in ``alive`` order, with the ``p``
-    its index was given.
+    and builds the members' join index at most once per ``index`` call,
+    on its first compare of two or more members (``bucket_scorer``); a
+    custom ``matcher`` prepares nothing and is called on each pair of
+    signatures in ``alive`` order, with the ``p`` its index was given.
     """
     if matcher is None:
         return index_signatures, bucket_scorer

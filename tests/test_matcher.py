@@ -169,6 +169,48 @@ def test_headings_fallback_bit_for_bit(random_suite, monkeypatch, p):
     assert all(f.shape[0] > 0 for f in built[:3])
 
 
+
+@pytest.mark.parametrize("p", [MatchParams(), MatchParams(max_edge=256.9),
+                               MatchParams(min_edge=1.0, max_edge=3.0)],
+                         ids=["default", "largest-radius", "small"])
+def test_lattice_headings_bit_for_bit(random_suite, monkeypatch, p):
+    # a stack of integer coordinates, none -0.0, reads every heading from
+    # the table, with no per-edge test; each equals math.atan2 bit for bit
+    prints = random_suite[:12] + [
+        Signature("negative", [(x - 300, -y, t, c) for x, y, t, c in random_suite[1].rows()]),
+        Signature("integral-floats", [(float(x), float(y), t, c)
+                                      for x, y, t, c in random_suite[2].rows()]),
+        make_signature("dense", [(x, 2 * y) for x in range(5) for y in range(4)]),
+    ]
+    calls = []
+    real = matcher._headings
+    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(1) or real(*args))
+    built = [f.features for f in index_signatures(prints, p)]
+    assert calls == [] and sum(f.shape[0] for f in built) > 0
+    # no table radius leaves no lattice stack: every heading from math.atan2
+    monkeypatch.setattr(matcher, "_HEADING_RADIUS", 0)
+    monkeypatch.setattr(matcher, "_headings", _atan2_headings)
+    for s, features in zip(prints, built):
+        expected = index_signature(s, p).features
+        assert features.tobytes() == expected.tobytes(), s.record_id
+
+
+def test_lattice_needs_every_print_of_the_stack(random_suite, monkeypatch):
+    # one negative zero, one half-pixel coordinate, or a max_edge past the
+    # table sends the whole stack through the per-edge test
+    zero = Signature("zero", [(x, -0.0 if i == 0 else float(y), t, c)
+                              for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
+    half = Signature("half", [(x + 0.5 * (i == 0), y, t, c)
+                              for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
+    calls = []
+    real = matcher._headings
+    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(1) or real(*args))
+    for stack, p in (([random_suite[0], zero], PARAMS), ([half, random_suite[0]], PARAMS),
+                     ([random_suite[0]], MatchParams(max_edge=257.0))):
+        calls.clear()
+        index_signatures(stack, p)
+        assert calls == [1]
+
 def test_match_params_validation():
     with pytest.raises(ValueError):
         MatchParams(min_edge=100, max_edge=15)
@@ -590,6 +632,97 @@ def test_join_orientations_on_arc_edges(angle_tol, arcs):
         _assert_join_exact(fa, singles, p)
     counts = _assert_join_exact(rows, [rows], p)
     assert counts == [len(rows)]
+
+
+def _sorted_index(features: np.ndarray, record_id: str = "m") -> TripletIndex:
+    """A hand-built triplet index of ``features``, rows sorted by column 2."""
+    order = np.argsort(features[:, 2], kind="stable")
+    return TripletIndex(features[order], make_signature(record_id, [(0, 0)]))
+
+
+@pytest.mark.parametrize("p", [
+    MatchParams(), MatchParams(side_tolerance=0.75, angle_tolerance=0.5),
+    MatchParams(side_tolerance=1e-13), MatchParams(side_tolerance=1e-20),
+    MatchParams(side_tolerance=5e-324), MatchParams(angle_tolerance=1e-13),
+    MatchParams(angle_tolerance=1e-20), MatchParams(angle_tolerance=5e-324),
+], ids=["default", "narrow", "side-ulp", "side-tiny", "side-subnormal",
+        "angle-ulp", "angle-tiny", "angle-subnormal"])
+def test_one_member_window_matches_brute_force(p):
+    # a call scoring one member joins by the largest-side window, one
+    # scoring more by the (arc, s3) join: both give the brute-force count
+    rng = np.random.default_rng(1991)
+    for _ in range(40):
+        a = _sorted_index(_edge_features(rng, int(rng.integers(1, 12)), p), "a")
+        members = [_sorted_index(_edge_features(rng, int(rng.integers(1, 12)), p))
+                   for _ in range(3)]
+        score = bucket_scorer(members, p)
+        together = score(a, [0, 1, 2])
+        for j, m in enumerate(members):
+            (alone,) = score(a, [j])
+            assert alone.matched_descriptors == _brute_counts(a.features, m.features, p)
+            assert alone == together[j] == score_indexed(a, m, p)
+
+
+def test_one_member_window_on_prints(random_suite):
+    # real prints under the tiny tolerances, against copies 1 ulp off
+    for p in (MatchParams(side_tolerance=1e-13), MatchParams(angle_tolerance=1e-13)):
+        fa = index_signature(random_suite[0], p).features
+        longer = np.concatenate((np.nextafter(fa[:, :3], np.inf), fa[:, 3:]), axis=1)
+        turned = np.concatenate((fa[:, :6], np.nextafter(fa[:, 6:], np.inf)), axis=1)
+        members = [_sorted_index(f) for f in (fa, longer, turned,
+                                              index_signature(random_suite[1], p).features)]
+        a = _sorted_index(fa, "a")
+        together = bucket_scorer(members, p)(a, range(4))
+        for j, m in enumerate(members):
+            alone = score_indexed(a, m, p)
+            assert alone.matched_descriptors == _brute_counts(a.features, m.features, p)
+            assert alone == together[j]
+        assert together[0].score == 100.0 and together[1].matched_descriptors > 0
+
+
+def test_one_member_window_reads_unsorted_rows():
+    # a hand-built index whose rows are out of s3 order, or hold a NaN,
+    # is searched through a sort of its column and keeps its row numbers
+    rng = np.random.default_rng(17)
+    p = MatchParams()
+    for trial in range(40):
+        fa = _edge_features(rng, int(rng.integers(1, 12)), p)
+        fb = _edge_features(rng, int(rng.integers(2, 12)), p)[::-1].copy()
+        if trial % 4 == 0:
+            fb[int(rng.integers(0, fb.shape[0])), int(rng.integers(0, 9))] = math.nan
+        b = TripletIndex(fb, make_signature("b", [(0, 0)]))
+        a = TripletIndex(fa, make_signature("a", [(0, 0)]))
+        (alone,) = bucket_scorer([b], p)(a, [0])
+        expected = _JoinIndex([fb], p).pair_counts(fa, np.ones(1, dtype=bool))
+        assert alone.matched_descriptors == _brute_counts(fa, fb, p) == expected[0]
+
+
+def test_one_member_scorer_builds_no_join_index(monkeypatch, random_suite):
+    members = index_signatures(random_suite[:3] + [make_signature("two", [(10, 20), (40, 60)])],
+                               PARAMS)
+    query = index_signature(random_suite[5], PARAMS)
+    expected = [score_indexed(query, m, PARAMS) for m in members]
+    built = []
+
+    class Counting(_JoinIndex):
+        def __init__(self, fbs, p):
+            built.append(len(fbs))
+            super().__init__(fbs, p)
+
+    def refuse(fbs, p):
+        raise AssertionError("a join index was built for one member")
+
+    monkeypatch.setattr(matcher, "_JoinIndex", refuse)
+    assert score_indexed(query, members[1], PARAMS) == expected[1]
+    assert match_score(random_suite[5], random_suite[1], PARAMS) == expected[1]
+    score = bucket_scorer(members, PARAMS)
+    # one member with triplets per call: the triplet-less member does not count
+    assert score(query, [2]) == [expected[2]]
+    assert score(query, [3, 0]) == [expected[3], expected[0]]
+    monkeypatch.setattr(matcher, "_JoinIndex", Counting)
+    for alive in ([0, 1, 2, 3], [1], [2, 0], [3, 1, 0], [0]):
+        assert score(query, alive) == [expected[j] for j in alive]
+    assert built == [4]  # built once, on the first call of two members or more
 
 
 # ---------------------------------------------------------------------------

@@ -659,3 +659,75 @@ def test_serialized_store_round_trip():
     assert store["a"] == corpus[0]
     with pytest.raises(ValueError, match="duplicate"):
         store.add(corpus[0])
+
+
+# Values beside the canonical ones: angles the parser would normalize or
+# reject, coordinates at and past 32 bits, a float and a bool, type codes
+# past 64 bits and a bool.
+_ODD_ANGLES = [7.0, -0.5, -0.0, math.nan, math.inf]
+_ODD_COORDS = [2 ** 32 - 1, 2 ** 32, 2 ** 53, -1, 1.5, 3.0, True]
+_ODD_CODES = [-5, 2 ** 63, True]
+
+
+@st.composite
+def _store_signatures(draw) -> Signature:
+    """Signatures of canonical columns, a column's values sometimes swapped for odd ones."""
+    def column(canonical, odd):
+        mixed = draw(st.integers(0, 3)) == 0
+        return st.one_of(canonical, st.sampled_from(odd)) if mixed else canonical
+
+    coords = column(st.integers(0, 2 ** 32 - 1), _ODD_COORDS)
+    angles = column(st.floats(0.0, TWO_PI, exclude_max=True), _ODD_ANGLES)
+    codes = column(st.integers(-2 ** 63, 2 ** 63 - 1), _ODD_CODES)
+    size = draw(st.integers(0, 12))  # one in 13 signatures is empty
+    rows = draw(st.lists(st.tuples(coords, coords, angles, codes), min_size=size, max_size=size))
+    return Signature("r", rows)
+
+
+def _call_outcome(call):
+    """``("ok", value)``, or the exception's type and message."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return "error", type(exc), str(exc)
+
+
+def _columns(s: Signature) -> list[list[tuple[type, str]]]:
+    """Each column as (type, repr) per value, so -0.0 and 0.0 differ."""
+    return [[(type(v), repr(v)) for v in column]
+            for column in (s.xs, s.ys, s.thetas, s.type_codes)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_store_signatures())
+def test_serialized_store_equals_text_round_trip(s):
+    # store[rid] is parse_signature(serialize_signature(s), rid), column for
+    # column, or both raise the same error from the same call: add or []
+    store = SerializedStore()
+    added = _call_outcome(lambda: store.add(s))
+    text = _call_outcome(lambda: serialize_signature(s))
+    assert added[0] == text[0]
+    if added[0] == "error":
+        assert added[1:] == text[1:]
+        return
+    got = _call_outcome(lambda: store["r"])
+    want = _call_outcome(lambda: parse_signature(text[1], "r"))
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got[1:] == want[1:]
+    else:
+        assert _columns(got[1]) == _columns(want[1])
+
+
+def test_serialized_store_packs_canonical_signatures_only():
+    canonical = Signature("c", [(0, 2 ** 32 - 1, -0.0, -2 ** 63), (7, 8, 6.28, 2 ** 63 - 1)])
+    odd = [Signature("x", [(2 ** 32, 0, 0.5, 1)]), Signature("b", [(True, 0, 0.5, 1)]),
+           Signature("t", [(1, 2, 7.0, 1)]), Signature("k", [(1, 2, 0.5, 2 ** 63)])]
+    store = SerializedStore()
+    for s in [canonical, *odd]:
+        store.add(s)
+    assert [type(store._records[s.record_id]) for s in [canonical, *odd]] == [bytes] + [str] * 4
+    assert _columns(store["c"]) == _columns(parse_signature(serialize_signature(canonical), "c"))
+    assert math.copysign(1.0, store["c"].thetas[0]) == -1.0
+    with pytest.raises(ValueError, match="no minutiae"):
+        store.add(Signature("empty", []))
