@@ -15,8 +15,8 @@ import os
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -367,6 +367,34 @@ class FileStore(Mapping):
         return len(self._paths)
 
 
+# Bytes per packed minutia: angle and type code 8 each, x and y 4 each.
+_PACKED_BYTES = 24
+
+
+def _packed(s: Signature) -> bytes | None:
+    """A canonical signature's columns as one ``bytes`` value; None for any other.
+
+    The 8-byte columns come first, so every column starts aligned.
+    ``array`` rejects a coordinate outside [0, 2**32) or a type code
+    outside 64 bits with OverflowError; the ``type`` tests keep out
+    columns other than tuples, and ``bool`` and every other subclass of
+    ``int`` and ``float``, which the text form would not read back as
+    themselves.
+    """
+    xs, ys, thetas, codes = columns = s.xs, s.ys, s.thetas, s.type_codes
+    if not (s.record_id and set(map(type, columns)) == {tuple}
+            and len(xs) == len(ys) == len(thetas) == len(codes) > 0
+            and set(map(type, chain(xs, ys, codes))) == {int} and set(map(type, thetas)) == {float}
+            # min and max pass over a NaN; the sum of the angles does not.
+            and 0.0 <= min(thetas) and max(thetas) < TWO_PI and math.isfinite(sum(thetas))):
+        return None
+    try:
+        return b"".join((array("d", thetas).tobytes(), array("q", codes).tobytes(),
+                         array("I", xs).tobytes(), array("I", ys).tobytes()))
+    except OverflowError:
+        return None
+
+
 class SerializedStore(Mapping):
     """In-memory record_id -> Signature mapping holding each record packed.
 
@@ -405,32 +433,6 @@ class SerializedStore(Mapping):
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-# Bytes per packed minutia: angle and type code 8 each, x and y 4 each.
-_PACKED_BYTES = 24
-
-
-def _packed(s: Signature) -> bytes | None:
-    """A canonical signature's columns as one ``bytes`` value; None for any other.
-
-    The 8-byte columns come first, so every column starts aligned.
-    ``array`` rejects a coordinate outside [0, 2**32) or a type code
-    outside 64 bits with OverflowError; the ``type`` tests keep out
-    ``bool`` and every other subclass, which the text form would not
-    read back as themselves.
-    """
-    xs, ys, thetas, codes = s.xs, s.ys, s.thetas, s.type_codes
-    if not (s.record_id and len(xs) == len(ys) == len(thetas) == len(codes) > 0
-            and set(map(type, chain(xs, ys, codes))) == {int} and set(map(type, thetas)) == {float}
-            # min and max pass over a NaN; the sum of the angles does not.
-            and 0.0 <= min(thetas) and max(thetas) < TWO_PI and math.isfinite(sum(thetas))):
-        return None
-    try:
-        return b"".join((array("d", thetas).tobytes(), array("q", codes).tobytes(),
-                         array("I", xs).tobytes(), array("I", ys).tobytes()))
-    except OverflowError:
-        return None
 
 
 def _resolve(store: Mapping[str, Signature], record_id: str) -> Signature:

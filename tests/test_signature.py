@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpdedup import signature as signature_module
@@ -662,9 +662,9 @@ def test_serialized_store_round_trip():
 
 
 # Values beside the canonical ones: angles the parser would normalize or
-# reject, coordinates at and past 32 bits, a float and a bool, type codes
-# past 64 bits and a bool.
-_ODD_ANGLES = [7.0, -0.5, -0.0, math.nan, math.inf]
+# reject, an int and a numpy float, coordinates at and past 32 bits, a float
+# and a bool, type codes past 64 bits and a bool.
+_ODD_ANGLES = [7.0, -0.5, -0.0, math.nan, math.inf, 3, np.float64(0.5)]
 _ODD_COORDS = [2 ** 32 - 1, 2 ** 32, 2 ** 53, -1, 1.5, 3.0, True]
 _ODD_CODES = [-5, 2 ** 63, True]
 
@@ -700,6 +700,12 @@ def _columns(s: Signature) -> list[list[tuple[type, str]]]:
 
 @settings(max_examples=400, deadline=None)
 @given(_store_signatures())
+@example(Signature("r", [(1, 2, -0.5, 3)]))
+@example(Signature("r", [(1, 2, 0.5, 3), (4, 5, math.nan, 6)]))
+@example(Signature("r", [(1, 2, 0.5, 3), (4, 5, -0.0, 6)]))
+@example(Signature("r", [(1, 2, 0.5, True)]))
+@example(Signature("r", [(1, 2, np.float64(0.5), 3)]))
+@example(Signature("r", [(1, 2 ** 32, 0.5, 3)]))
 def test_serialized_store_equals_text_round_trip(s):
     # store[rid] is parse_signature(serialize_signature(s), rid), column for
     # column, or both raise the same error from the same call: add or []
@@ -722,11 +728,18 @@ def test_serialized_store_equals_text_round_trip(s):
 def test_serialized_store_packs_canonical_signatures_only():
     canonical = Signature("c", [(0, 2 ** 32 - 1, -0.0, -2 ** 63), (7, 8, 6.28, 2 ** 63 - 1)])
     odd = [Signature("x", [(2 ** 32, 0, 0.5, 1)]), Signature("b", [(True, 0, 0.5, 1)]),
-           Signature("t", [(1, 2, 7.0, 1)]), Signature("k", [(1, 2, 0.5, 2 ** 63)])]
+           Signature("t", [(1, 2, 7.0, 1)]), Signature("k", [(1, 2, 0.5, 2 ** 63)]),
+           Signature._from_columns("l", [1, 2], [3, 4], [0.5, 0.5], [1, 1]),
+           Signature._from_columns("", (1,), (2,), (0.5,), (1,)),
+           Signature._from_columns("m", (1, 2), (3,), (0.5, 0.5), (1, 1))]
     store = SerializedStore()
     for s in [canonical, *odd]:
         store.add(s)
-    assert [type(store._records[s.record_id]) for s in [canonical, *odd]] == [bytes] + [str] * 4
+    assert [type(store._records[s.record_id]) for s in [canonical, *odd]] == [bytes] + [str] * 7
+    assert store["l"].xs == (1, 2)  # list columns read back from their text as tuples
+    assert store["m"].xs == (1,)  # columns of unequal length: the text holds the shortest
+    with pytest.raises(ValueError, match="non-empty"):
+        store[""]
     assert _columns(store["c"]) == _columns(parse_signature(serialize_signature(canonical), "c"))
     assert math.copysign(1.0, store["c"].thetas[0]) == -1.0
     with pytest.raises(ValueError, match="no minutiae"):
