@@ -1,4 +1,4 @@
-"""The A/B benchmark driver's run order, read through its ``--dry-run``."""
+"""The A/B benchmark tool's run order, read through its ``--dry-run``."""
 
 from __future__ import annotations
 
