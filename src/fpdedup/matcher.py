@@ -238,10 +238,10 @@ def index_signatures(signatures: Sequence[Signature],
 def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     """Feature matrices of prints sharing one minutiae count, in one pass.
 
-    Edge headings are read straight from ``_heading_table`` when every
-    coordinate of the stack is an integer and none is -0.0, and
-    ``max_edge < _HEADING_RADIUS + 1``; any other stack goes through
-    ``_headings``, which tests each edge. The argument: an edge's
+    The stack is a lattice stack when every coordinate is an integer and
+    none is -0.0, and ``max_edge < _HEADING_RADIUS + 1``; ``_headings``
+    then reads every heading from ``_heading_table`` without testing each
+    edge, and tests each edge for any other stack. The argument: an edge's
     components are differences of integers, exact whenever they are at
     most 2**53, and a zero difference of two numbers neither of which is
     -0.0 is +0.0. Each component's magnitude is at most the edge's
@@ -267,11 +267,7 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     angles = np.fromiter(map(math.acos, cos.ravel().tolist()), np.float64, 3 * nt)
     nxt = ov[:, [1, 2, 0]]
     dy, dx = (y[nxt] - y[ov]).ravel(), (x[nxt] - x[ov]).ravel()
-    if lattice:
-        radius = int(p.max_edge)
-        heading = _heading_table(radius)[dy.astype(np.intp) + radius, dx.astype(np.intp) + radius]
-    else:
-        heading = _headings(dy, dx, p.max_edge)
+    heading = _headings(dy, dx, p.max_edge, lattice)
     orientations = normalize_angles(theta[ov].ravel() - heading)
     features = np.concatenate((sides, angles.reshape(nt, 3), orientations.reshape(nt, 3)), axis=1)
     # Rows come print by print; each print's are sorted by largest side.
@@ -292,22 +288,24 @@ def _heading_table(radius: int) -> np.ndarray:
                        len(span) ** 2).reshape(len(span), len(span))
 
 
-def _headings(dy: np.ndarray, dx: np.ndarray, max_edge: float) -> np.ndarray:
+def _headings(dy: np.ndarray, dx: np.ndarray, max_edge: float, lattice: bool) -> np.ndarray:
     """``math.atan2`` of each ``(dy, dx)``, bit for bit.
 
     An edge of a kept triangle between integer coordinates has integer
     components within ``floor(max_edge)``, so its heading is read from
-    ``_heading_table``, built once per radius. Any other edge (a
-    component not an integer or beyond the table, or ``dy`` a negative
-    zero, which turns pi into -pi) is computed element by element. The
-    sign of a zero ``dx`` does not matter: ``dy`` is then nonzero, as a
-    kept edge is at least ``min_edge`` long.
+    ``_heading_table``, built once per radius. With ``lattice`` (a stack
+    ``_stack_features`` proved to be all such edges) no edge is tested.
+    Otherwise any other edge (a component not an integer or beyond the
+    table, or ``dy`` a negative zero, which turns pi into -pi) is
+    computed element by element. The sign of a zero ``dx`` does not
+    matter: ``dy`` is then nonzero, as a kept edge is at least
+    ``min_edge`` long.
     """
     radius = int(min(max_edge, _HEADING_RADIUS))
     table = _heading_table(radius)
-    exact = ((np.abs(dy) <= radius) & (np.abs(dx) <= radius) & (dy == np.rint(dy))
-             & (dx == np.rint(dx)) & (np.signbit(dy) == (dy < 0)))
-    if exact.all():
+    if lattice or (exact := (np.abs(dy) <= radius) & (np.abs(dx) <= radius)
+                   & (dy == np.rint(dy)) & (dx == np.rint(dx))
+                   & (np.signbit(dy) == (dy < 0))).all():
         return table[dy.astype(np.intp) + radius, dx.astype(np.intp) + radius]
     heading = np.empty(dy.shape)
     heading[exact] = table[dy[exact].astype(np.intp) + radius, dx[exact].astype(np.intp) + radius]

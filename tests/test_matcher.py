@@ -137,7 +137,8 @@ def test_heading_table_equals_atan2():
     assert table.tobytes() == expected.tobytes()
 
 
-def _atan2_headings(dy: np.ndarray, dx: np.ndarray, _max_edge: float) -> np.ndarray:
+def _atan2_headings(dy: np.ndarray, dx: np.ndarray, _max_edge: float,
+                    _lattice: bool) -> np.ndarray:
     return np.array([math.atan2(a, b) for a, b in zip(dy.tolist(), dx.tolist())], dtype=float)
 
 
@@ -174,8 +175,9 @@ def test_headings_fallback_bit_for_bit(random_suite, monkeypatch, p):
                                MatchParams(min_edge=1.0, max_edge=3.0)],
                          ids=["default", "largest-radius", "small"])
 def test_lattice_headings_bit_for_bit(random_suite, monkeypatch, p):
-    # a stack of integer coordinates, none -0.0, reads every heading from
-    # the table, with no per-edge test; each equals math.atan2 bit for bit
+    # a stack of integer coordinates, none -0.0, is a lattice stack: every
+    # heading is read from the table with no per-edge test, and each equals
+    # math.atan2 bit for bit
     prints = random_suite[:12] + [
         Signature("negative", [(x - 300, -y, t, c) for x, y, t, c in random_suite[1].rows()]),
         Signature("integral-floats", [(float(x), float(y), t, c)
@@ -184,9 +186,9 @@ def test_lattice_headings_bit_for_bit(random_suite, monkeypatch, p):
     ]
     calls = []
     real = matcher._headings
-    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(args[3]) or real(*args))
     built = [f.features for f in index_signatures(prints, p)]
-    assert calls == [] and sum(f.shape[0] for f in built) > 0
+    assert calls and all(calls) and sum(f.shape[0] for f in built) > 0
     # no table radius leaves no lattice stack: every heading from math.atan2
     monkeypatch.setattr(matcher, "_HEADING_RADIUS", 0)
     monkeypatch.setattr(matcher, "_headings", _atan2_headings)
@@ -197,19 +199,19 @@ def test_lattice_headings_bit_for_bit(random_suite, monkeypatch, p):
 
 def test_lattice_needs_every_print_of_the_stack(random_suite, monkeypatch):
     # one negative zero, one half-pixel coordinate, or a max_edge past the
-    # table sends the whole stack through the per-edge test
+    # table makes the whole stack take the per-edge test
     zero = Signature("zero", [(x, -0.0 if i == 0 else float(y), t, c)
                               for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
     half = Signature("half", [(x + 0.5 * (i == 0), y, t, c)
                               for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
     calls = []
     real = matcher._headings
-    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(args[3]) or real(*args))
     for stack, p in (([random_suite[0], zero], PARAMS), ([half, random_suite[0]], PARAMS),
                      ([random_suite[0]], MatchParams(max_edge=257.0))):
         calls.clear()
         index_signatures(stack, p)
-        assert calls == [1]
+        assert calls == [False]
 
 def test_match_params_validation():
     with pytest.raises(ValueError):

@@ -20,8 +20,7 @@ def _dry_run(*args: str) -> list[tuple[str, str, int, int]]:
 
 
 def test_bench_ab_alternates_sides_across_workloads():
-    runs = _dry_run("--workloads", "identify,dedup-skewed", "--seeds", "107-109,111",
-                    "--traced", "--trace-seed", "101")
+    runs = _dry_run("--workloads", "identify,dedup-skewed", "--seeds", "107-109,111", "--traced")
     pairs = [runs[k:k + 2] for k in range(0, len(runs), 2)]
     assert [(w, s, t) for (_, w, s, t), _ in pairs] == (
         [("identify", s, 0) for s in (107, 108, 109, 111)]

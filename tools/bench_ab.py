@@ -1,23 +1,25 @@
 """Interleaved A/B runs of the benchmark: a base revision against a change.
 
     python3 tools/bench_ab.py --base REV [--head REV] [--workloads W,...]
-                              [--seeds 107-111] [--seconds 15] [--traced]
+                              [--seeds 107-111] [--traced] [--change TEXT]
                               [--out BENCH_name.json] [--workdir DIR] [--dry-run]
 
 The base revision, and the head revision when one is named, are
 extracted with ``git archive`` into fresh directories, so each side runs
 the committed files alone, as the benchmark does; without ``--head`` the
 change side is this working tree. For every workload and seed,
-``perfbench/run.py`` runs once on each side, back to back; the side that
+``perfbench/run.py`` runs once on each side for ``SECONDS``, the
+benchmark's own run length, back to back; the side that
 goes first alternates, the base first at even positions counted across
 all workloads. The last JSON line of each run is kept, and the file
 written holds every run, per-metric medians and quartiles per side, how
 many seed pairs the change won, and the machine.
 
-``--traced`` adds one ``--trace 1`` run per side and workload at
-``--trace-seed``, in the same alternation, with its wall time, ``correct``,
-``failed`` and per-layer metrics. ``--dry-run`` prints the run order and
-exits without extracting or running anything.
+``--traced`` adds one ``--trace 1`` run per side and workload at seed
+``TRACE_SEED``, in the same alternation, with its wall time, ``correct``,
+``failed`` and per-layer metrics. A run that takes longer than
+``TIMEOUT_S`` is stopped and recorded as not correct. ``--dry-run``
+prints the run order and exits without extracting or running anything.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ingest", "identify", "dedup-skewed")
 SIDES = ("parent", "change")
+SECONDS = 15      # measured seconds per run, as the benchmark runs it
+TRACE_SEED = 101  # seed of the traced runs
+TIMEOUT_S = 900   # wall seconds after which a run is stopped
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -48,8 +53,7 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def plan(workloads: list[str], seeds: list[int], traced: bool,
-         trace_seed: int) -> list[tuple[str, int, int, str]]:
+def plan(workloads: list[str], seeds: list[int], traced: bool) -> list[tuple[str, int, int, str]]:
     """Every run as ``(workload, seed, trace, side)``, in the order they run.
 
     Untraced pairs come first, workload by workload and seed by seed,
@@ -58,7 +62,7 @@ def plan(workloads: list[str], seeds: list[int], traced: bool,
     """
     pairs = [(w, s, 0) for w in workloads for s in seeds]
     if traced:
-        pairs += [(w, trace_seed, 1) for w in workloads]
+        pairs += [(w, TRACE_SEED, 1) for w in workloads]
     runs = []
     for k, (workload, seed, trace) in enumerate(pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -84,14 +88,14 @@ def short_rev(rev: str) -> str:
                           check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int,
-             timeout: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run: its last JSON line, plus wall time and exit code."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", f"{seconds:g}", "--trace", str(trace)]
+               "--seconds", str(SECONDS), "--trace", str(trace)]
     start = time.perf_counter()
     try:
-        done = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=timeout)
+        done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"exit": "timeout", "wall_s": round(time.perf_counter() - start, 1),
                 "correct": False}
@@ -140,10 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--head", help="revision of the change side (default: this working tree)")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="107-111")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--traced", action="store_true")
-    parser.add_argument("--trace-seed", type=int, default=101)
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per run")
     parser.add_argument("--change", default="", help="one line saying what the change does")
     parser.add_argument("--out", type=Path, help="JSON file to write")
     parser.add_argument("--workdir", type=Path, help="where the checkouts go (default: a temp dir)")
@@ -155,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown workloads: {sorted(unknown)}")
     seeds = parse_seeds(args.seeds)
-    runs = plan(workloads, seeds, args.traced, args.trace_seed)
+    runs = plan(workloads, seeds, args.traced)
     if args.dry_run:
         for workload, seed, trace, side in runs:
             print(f"{side} {workload} seed {seed} trace {trace}")
@@ -170,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         results: dict[str, list[dict]] = {w: [] for w in workloads}
         traced: dict[str, dict] = {}
         for workload, seed, trace, side in runs:
-            record = run_once(trees[side], workload, seed, args.seconds, trace, args.timeout)
+            record = run_once(trees[side], workload, seed, trace)
             print(f"{side} {workload} seed {seed} trace {trace}: "
                   f"wall {record['wall_s']} s, correct {record['correct']}", flush=True)
             if trace:
@@ -184,8 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     from perfbench.measure import machine_info
     report = {
         "change": args.change,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   "--trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "protocol": (f"parent (commit {short_rev(args.base)}) and change "
                      f"({'commit ' + short_rev(args.head) if args.head else 'working tree'}) "
                      "run back to back per seed, order alternating (parent first on even "
@@ -198,8 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.traced:
         report["traced_runs"] = {
-            "command": f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
-                       f"--seconds {args.seconds:g} --trace 1",
+            "command": f"python3 perfbench/run.py --workload W --seed {TRACE_SEED} "
+                       f"--seconds {SECONDS} --trace 1",
             "values_are": "[parent, change]",
             **{w: {key: [traced[w]["parent"].get(key), traced[w]["change"].get(key)]
                    for key in traced[w]["parent"]} for w in workloads},
