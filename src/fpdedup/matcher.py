@@ -235,26 +235,44 @@ def index_signatures(signatures: Sequence[Signature],
     return out
 
 
+def _plain_ints(stack: list[Signature]) -> bool:
+    """Whether every x and y of the stack is a plain ``int`` (not a ``bool``, not a numpy integer)."""
+    types: set[type] = set()
+    for s in stack:
+        types.update(map(type, s.xs), map(type, s.ys))
+    return types == {int}
+
+
 def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     """Feature matrices of prints sharing one minutiae count, in one pass.
 
     The stack is a lattice stack when every coordinate is an integer and
     none is -0.0, and ``max_edge < _HEADING_RADIUS + 1``; ``_headings``
     then reads every heading from ``_heading_table`` without testing each
-    edge, and tests each edge for any other stack. The argument: an edge's
-    components are differences of integers, exact whenever they are at
-    most 2**53, and a zero difference of two numbers neither of which is
-    -0.0 is +0.0. Each component's magnitude is at most the edge's
-    computed length, which is ``sqrt(dx*dx + dy*dy)`` (``sqrt(d*d) ==
-    |d|`` and rounding is monotone), and a kept edge is at most
-    ``max_edge`` long. So both components of a kept edge are integers
-    within ``floor(max_edge)``, the table's radius.
+    edge, and tests each edge for any other stack. A stack of plain
+    ``int`` coordinates (``_plain_ints``) is one with no array test:
+    ``bounding_box`` bounds them by 2**53, so each converts to float64
+    exactly, and never to -0.0. Any other stack is tested on its float64
+    coordinates, so integral floats, ``bool``s and numpy integers are
+    lattice too. The argument: an edge's components are differences of
+    integers, exact whenever they are at most 2**53, and a zero
+    difference of two numbers neither of which is -0.0 is +0.0. Each
+    component's magnitude is at most the edge's computed length, which
+    is ``sqrt(dx*dx + dy*dy)`` (``sqrt(d*d) == |d|`` and rounding is
+    monotone), and a kept edge is at most ``max_edge`` long. So both
+    components of a kept edge are integers within ``floor(max_edge)``,
+    the table's radius.
+
+    Rows come print by print. One stable sort keyed on (print, largest
+    side) orders every print's rows by column 2 at once, and each print's
+    matrix is its slice of the result.
     """
     n = len(stack[0].xs)
     columns = np.array([(s.xs, s.ys, s.thetas) for s in stack], dtype=np.float64)
-    xy = columns[:, :2]
-    lattice = (p.max_edge < _HEADING_RADIUS + 1 and bool((xy == np.rint(xy)).all())
-               and not (np.signbit(xy) & (xy == 0.0)).any())
+    lattice = p.max_edge < _HEADING_RADIUS + 1
+    if lattice and not _plain_ints(stack):
+        xy = columns[:, :2]
+        lattice = bool((xy == np.rint(xy)).all()) and not (np.signbit(xy) & (xy == 0.0)).any()
     x, y, theta = columns.transpose(1, 0, 2)  # each (B, n): B prints of n minutiae
     tri, opposite = _triangles(x, y, p)
     x, y, theta = x.ravel(), y.ravel(), theta.ravel()
@@ -270,10 +288,10 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     heading = _headings(dy, dx, p.max_edge, lattice)
     orientations = normalize_angles(theta[ov].ravel() - heading)
     features = np.concatenate((sides, angles.reshape(nt, 3), orientations.reshape(nt, 3)), axis=1)
-    # Rows come print by print; each print's are sorted by largest side.
-    bounds = [0] + np.cumsum(np.bincount(tri[:, 0] // n, minlength=len(stack))).tolist()
-    return [f[np.argsort(f[:, 2], kind="stable")]
-            for f in (features[lo:hi] for lo, hi in zip(bounds, bounds[1:]))]
+    owner = tri[:, 0] // n
+    features = features[np.lexsort((features[:, 2], owner))]
+    bounds = [0] + np.cumsum(np.bincount(owner, minlength=len(stack))).tolist()
+    return [features[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 # Largest radius of the heading table: 513 * 513 entries, 2.1 MB.
@@ -319,6 +337,11 @@ def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletInde
     return index_signatures([s], p)[0]
 
 
+def _one_to_one(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether no value repeats in ``rows`` and none in ``cols``, both non-negative integers."""
+    return bool(np.bincount(rows).max() == 1 and np.bincount(cols).max() == 1)
+
+
 def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
                         jj: np.ndarray, segments: int) -> list[int]:
     """Per segment, the size of the greedy one-to-one pairing of candidate pairs.
@@ -330,9 +353,15 @@ def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
     when no pair sharing its row or column precedes it, and removing
     such locally dominant pairs round after round yields the greedy
     matching (Preis, STACS 1999). Segments never share a column, so
-    only rows need the segment in their key.
+    only rows need the segment in their key. When no row and no column
+    repeats, no pair blocks another and the walk keeps every pair: each
+    segment's count is then its pair count, with no sort and no walk.
     """
-    rows = seg * (int(ii.max()) + 1 if ii.size else 0) + ii
+    if not ii.size:
+        return [0] * segments
+    rows = seg * (int(ii.max()) + 1) + ii
+    if _one_to_one(rows, jj):
+        return np.bincount(seg, minlength=segments).tolist()
     counts = [0] * segments
     order = np.lexsort((jj, ii, dist, seg))
     used_rows: set[int] = set()
@@ -470,6 +499,10 @@ def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
     join). Rows of a ``TripletIndex`` come sorted by column 2; a matrix
     that is not (built by hand, or holding a NaN) is searched through a
     stable sort of its column, and the pairs keep its own row numbers.
+    The first-orientation screen runs before the side screen here: on
+    window candidates it keeps fewer pairs (about 13% against 15% on
+    ``identify`` hits) for two gathers against seven. The screens are a
+    conjunction, so the order moves no pair.
     """
     tol = p.side_tolerance
     s3a, s3b = fa[:, 2], fb[:, 2]
@@ -483,33 +516,47 @@ def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
     jj = np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
     if order is not None:
         jj = order[jj]
-    return _pair_counts(fa, fb.T, np.zeros(fb.shape[0], dtype=np.intp), ii, jj, 1, p)[0]
+    return _pair_counts(fa, fb.T, np.zeros(fb.shape[0], dtype=np.intp), ii, jj, 1, p,
+                        (_orientation_kept, _side_kept))[0]
+
+
+def _side_kept(fa: np.ndarray, cols: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+               p: MatchParams) -> np.ndarray:
+    """Per candidate pair: the largest-side window, and s1 and s2 within tolerance."""
+    tol = p.side_tolerance
+    s3a, s3 = fa[:, 2], cols[2][jj]
+    return ((s3 >= (s3a - tol)[ii]) & (s3 <= (s3a + tol)[ii])
+            & (np.abs(fa[:, 0][ii] - cols[0][jj]) <= tol)
+            & (np.abs(fa[:, 1][ii] - cols[1][jj]) <= tol))
+
+
+def _orientation_kept(fa: np.ndarray, cols: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                      p: MatchParams) -> np.ndarray:
+    """Per candidate pair: the first orientation within tolerance on the circle."""
+    diff = np.abs(fa[:, 6][ii] - cols[6][jj])
+    return np.minimum(diff, TWO_PI - diff) <= p.angle_tolerance
 
 
 def _pair_counts(fa: np.ndarray, cols: np.ndarray, seg: np.ndarray, ii: np.ndarray,
-                 jj: np.ndarray, segments: int, p: MatchParams) -> list[int]:
+                 jj: np.ndarray, segments: int, p: MatchParams,
+                 screens: Sequence[Callable[..., np.ndarray]] = (_side_kept, _orientation_kept)
+                 ) -> list[int]:
     """Screen candidate pairs, row ``ii`` of ``fa`` and column ``jj`` of ``cols``; pair per segment.
 
     ``cols`` holds the candidates' rows column-major, (9, rows), and
     ``seg`` the segment of each. The screens decide exactly as for a
     single pair: the largest-side window, each side, each interior angle
     and each orientation (on the circle) within tolerance; the pairing
-    order is one combined distance. Both joins, the window and the
-    (arc, s3) join, end here, so a pair scores the same through either.
+    order is one combined distance. ``screens`` run first, in the order
+    given, each on the pairs the one before kept: the side screen and
+    then one orientation alone, which between them reject most pairs
+    before full rows are touched. Both joins, the window and the (arc,
+    s3) join, end here, so a pair scores the same through either.
     """
+    for screen in screens:
+        keep = screen(fa, cols, ii, jj, p)
+        ii, jj = ii[keep], jj[keep]
     tol, angle_tol = p.side_tolerance, p.angle_tolerance
-    s1a, s2a, s3a = fa[:, 0], fa[:, 1], fa[:, 2]
-    s1b, s2b, s3b = cols[0], cols[1], cols[2]
-    lo3, hi3 = s3a - tol, s3a + tol
-
-    s3 = s3b[jj]
-    keep = ((s3 >= lo3[ii]) & (s3 <= hi3[ii])
-            & (np.abs(s1a[ii] - s1b[jj]) <= tol) & (np.abs(s2a[ii] - s2b[jj]) <= tol))
-    ii, jj = ii[keep], jj[keep]
-    # One orientation alone before touching full rows: it rejects most pairs.
-    diff = np.abs(fa[:, 6][ii] - cols[6][jj])
-    keep = np.minimum(diff, TWO_PI - diff) <= angle_tol
-    ii, jj = ii[keep], jj[keep]
     diff = np.abs(fa[ii].T - cols[:, jj])  # (9, candidates)
     orient_d = np.minimum(diff[6:9], TWO_PI - diff[6:9])
     keep = ((diff[3] <= angle_tol) & (diff[4] <= angle_tol) & (diff[5] <= angle_tol)

@@ -213,6 +213,42 @@ def test_lattice_needs_every_print_of_the_stack(random_suite, monkeypatch):
         index_signatures(stack, p)
         assert calls == [False]
 
+
+def test_lattice_by_coordinate_type(random_suite, monkeypatch):
+    # plain int coordinates make a lattice stack with no array test; a
+    # bool, a numpy integer or an integral float sends the stack through
+    # the array test, which still finds it a lattice stack
+    base = random_suite[3]
+    rows = list(base.rows())
+    stacks = {
+        "int": [base, Signature("negative", [(x - 300, -y, t, c) for x, y, t, c in rows])],
+        "bool": [base, Signature("bool", [(True if i == 0 else x, y, t, c)
+                                          for i, (x, y, t, c) in enumerate(rows)])],
+        "bool-only": [Signature("corners", [(a, b, 0.5 * (a + 2 * b), 1) for a in (False, True)
+                                            for b in (False, True)])],
+        "numpy": [Signature("int64", [(np.int64(x), np.int64(y), t, c) for x, y, t, c in rows])],
+        "float": [base, Signature("integral-floats", [(float(x), y, t, c) for x, y, t, c in rows])],
+    }
+    assert matcher._plain_ints(stacks["int"])
+    assert not any(matcher._plain_ints(stacks[name]) for name in stacks if name != "int")
+    small = MatchParams(min_edge=0.5, max_edge=3.0)
+    calls = []
+    real = matcher._headings
+    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(args[3]) or real(*args))
+    built = {}
+    for name, stack in stacks.items():
+        calls.clear()
+        built[name] = index_signatures(stack, small if name == "bool-only" else PARAMS)
+        assert calls == [True], name
+    assert built["bool-only"][0].features.shape[0] == 4
+    monkeypatch.setattr(matcher, "_HEADING_RADIUS", 0)
+    monkeypatch.setattr(matcher, "_headings", _atan2_headings)
+    for name, stack in stacks.items():
+        for s, index in zip(stack, built[name]):
+            expected = index_signature(s, small if name == "bool-only" else PARAMS).features
+            assert index.features.shape[0] > 0
+            assert index.features.tobytes() == expected.tobytes(), name
+
 def test_match_params_validation():
     with pytest.raises(ValueError):
         MatchParams(min_edge=100, max_edge=15)
@@ -393,6 +429,40 @@ def test_greedy_pairing_equals_plain_loop():
                                        np.arange(m) + 10)
         assert _greedy_pair_counts(dist, seg, ii, jj, segments) == \
             _plain_greedy(dist, seg, ii, jj, segments)
+
+
+def test_greedy_one_to_one_shortcut_equals_walk(monkeypatch):
+    # candidate sets with and without repeated rows or columns, tied
+    # distances, several segments and none at all: the count with the
+    # one-to-one shortcut equals the walk's with the shortcut disabled
+    rng = np.random.default_rng(1999)
+    cases = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+              np.empty(0, dtype=np.intp), 3)]
+    for trial in range(300):
+        segments = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 80))
+        seg = np.sort(rng.integers(0, segments, size=m))
+        ii = rng.permutation(m)  # distinct rows
+        jj = seg * 1000 + rng.permutation(m)  # distinct columns
+        kind = trial % 4
+        if kind == 1:
+            ii[rng.integers(0, m)] = ii[0]  # a repeated row (one of a segment's, maybe)
+        elif kind == 2:
+            jj[rng.integers(0, m)] = jj[0]  # a repeated column
+        elif kind == 3:
+            ii = rng.integers(0, 6, size=m)  # rows repeated across segments only, or within
+        dist = rng.integers(0, 3, size=m).astype(float)  # ties
+        cases.append((dist, seg, ii, jj, segments))
+    real = matcher._one_to_one
+    fired = []
+    monkeypatch.setattr(matcher, "_one_to_one",
+                        lambda rows, cols: fired.append(real(rows, cols)) or fired[-1])
+    shortcut = [_greedy_pair_counts(*case) for case in cases]
+    monkeypatch.setattr(matcher, "_one_to_one", lambda rows, cols: False)
+    walked = [_greedy_pair_counts(*case) for case in cases]
+    assert shortcut == walked == [_plain_greedy(*case) for case in cases]
+    assert shortcut[0] == [0, 0, 0]
+    assert 50 < sum(fired) < len(fired)  # the shortcut fired on some cases, not on all
 
 
 # ---------------------------------------------------------------------------

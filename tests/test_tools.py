@@ -1,10 +1,13 @@
-"""The A/B benchmark tool's run order, read through its ``--dry-run``."""
+"""The A/B benchmark tool: its run order, read through its ``--dry-run``, and its reading of a run."""
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_ab.py"
 
@@ -39,3 +42,33 @@ def test_bench_ab_untraced_plan_by_default():
     assert runs == [("parent", "ingest", 5, 0), ("change", "ingest", 5, 0),
                     ("change", "identify", 5, 0), ("parent", "identify", 5, 0),
                     ("parent", "dedup-skewed", 5, 0), ("change", "dedup-skewed", 5, 0)]
+
+
+def _tool_module():
+    spec = importlib.util.spec_from_file_location("bench_ab", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SAMPLE_STDOUT = """\
+machine: {"cpus": 2}
+workload dedup-skewed seed 101 seconds 15 trace 1
+dedup: 3 passes
+latency samples 6540 over 12 operations; highest percentile with >= 10 samples beyond it: p99.9
+1234 spans written to .perfbench/trace-dedup-skewed.jsonl; replay mismatches: 0
+matcher.score_us                 123.4 us
+{"correct": true, "attempted": 6540, "failed": 0, "metrics": {"matcher.score_us": {"value": 123.45678, "unit": "us"}}}
+"""
+
+
+def test_bench_ab_reads_operations_and_verdict():
+    tool = _tool_module()
+    record = tool.read_stdout(SAMPLE_STDOUT)
+    assert record == {"correct": True, "attempted": 6540, "failed": 0, "operations": 12,
+                      "matcher.score_us": 123.4568}
+    without = SAMPLE_STDOUT.replace("latency samples 6540 over 12 operations", "latency samples")
+    assert tool.read_stdout(without)["operations"] is None
+    for broken in ("", "machine: {}\nno summary\n"):
+        with pytest.raises(ValueError):
+            tool.read_stdout(broken)

@@ -15,9 +15,14 @@ all workloads. The last JSON line of each run is kept, and the file
 written holds every run, per-metric medians and quartiles per side, how
 many seed pairs the change won, and the machine.
 
-``--traced`` adds one ``--trace 1`` run per side and workload at seed
-``TRACE_SEED``, in the same alternation, with its wall time, ``correct``,
-``failed`` and per-layer metrics. A run that takes longer than
+Each run also records its operation count, read from run.py's
+``latency samples ... over N operations`` line: queries for
+``identify``, passes for the batch workloads. ``--traced`` adds one
+``--trace 1`` run per side and workload at seed ``TRACE_SEED``, in the
+same alternation, with its wall time, wall time per operation,
+``correct``, ``failed`` and per-layer metrics; a traced run repeats
+whole passes until its measured time is reached, so its wall time alone
+moves by a pass at a time. A run that takes longer than
 ``TIMEOUT_S`` is stopped and recorded as not correct. ``--dry-run``
 prints the run order and exits without extracting or running anything.
 """
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -42,6 +48,7 @@ SIDES = ("parent", "change")
 SECONDS = 15      # measured seconds per run, as the benchmark runs it
 TRACE_SEED = 101  # seed of the traced runs
 TIMEOUT_S = 900   # wall seconds after which a run is stopped
+OPERATIONS = re.compile(r"^latency samples \d+ over (\d+) operations;", re.MULTILINE)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -88,8 +95,26 @@ def short_rev(rev: str) -> str:
                           check=True, capture_output=True, text=True).stdout.strip()
 
 
+def read_stdout(stdout: str) -> dict:
+    """A run's verdict, metrics and operation count, read from its stdout.
+
+    The verdict and metrics come from the last line, run.py's JSON
+    summary; a stdout with no JSON last line raises ``ValueError``. The
+    operation count is None when no ``latency samples`` line is found.
+    """
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("no output")
+    last = json.loads(lines[-1])
+    found = OPERATIONS.search(stdout)
+    record = {"correct": last["correct"], "attempted": last["attempted"],
+              "failed": last["failed"], "operations": int(found[1]) if found else None}
+    record.update({name: round(m["value"], 4) for name, m in last["metrics"].items()})
+    return record
+
+
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One ``perfbench/run.py`` run: its last JSON line, plus wall time and exit code."""
+    """One ``perfbench/run.py`` run: what its stdout reports, plus wall time and exit code."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(SECONDS), "--trace", str(trace)]
     start = time.perf_counter()
@@ -100,15 +125,14 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
         return {"exit": "timeout", "wall_s": round(time.perf_counter() - start, 1),
                 "correct": False}
     wall = time.perf_counter() - start
-    lines = done.stdout.strip().splitlines()
     try:
-        last = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        reported = read_stdout(done.stdout)
+    except ValueError:  # json.JSONDecodeError included
         return {"exit": done.returncode, "wall_s": round(wall, 1), "correct": False,
                 "stderr": done.stderr[-400:]}
-    record = {"exit": done.returncode, "wall_s": round(wall, 1), "correct": last["correct"],
-              "attempted": last["attempted"], "failed": last["failed"]}
-    record.update({name: round(m["value"], 4) for name, m in last["metrics"].items()})
+    record = {"exit": done.returncode, "wall_s": round(wall, 1), **reported}
+    if trace and reported["operations"]:
+        record["wall_ms_per_op"] = round(wall / reported["operations"] * 1e3, 2)
     return record
 
 
