@@ -23,7 +23,7 @@ from .dedup import (ORACLE_CAP, DuplicateReport, OracleCapExceededError, compari
 from .grid import GridParams, compute_index
 from .identify import identify
 from .matcher import MatchParams
-from .signature import (FileStore, ParseError, Signature, check_record_ids,
+from .signature import (FileStore, ParseError, Signature, _read_text, check_record_ids,
                         read_signature_file, write_corpus_dir)
 from .stats import (REFERENCE_SIZE_AVG_PAIRS, TABLE_COLUMNS, CorpusStats, estimate_workload,
                     fit_regression, format_rate, predict_avg, scaling_run, sweep_stats)
@@ -74,7 +74,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file values over defaults."""
     values = dict(_DEFAULTS)
     if getattr(args, "config", None) is not None:
-        loaded = json.loads(Path(args.config).read_text())
+        loaded = json.loads(_read_text(Path(args.config)))
         if not isinstance(loaded, dict):
             raise ParseError("config file must hold a JSON object")
         unknown = set(loaded) - set(_DEFAULTS)
@@ -234,7 +234,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_regress(args: argparse.Namespace) -> int:
     if args.points:
         points = []
-        for line_no, line in enumerate(Path(args.points).read_text().splitlines(), 1):
+        for line_no, line in enumerate(_read_text(Path(args.points)).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -12,7 +12,7 @@ from itertools import chain
 from pathlib import Path
 
 from .grid import IndexKey
-from .signature import check_record_ids
+from .signature import _read_text, check_record_ids
 
 TABLE_FORMAT_HEADER = "fpdedup-cluster-table v1"
 
@@ -73,7 +73,7 @@ def load_table(path: str | Path) -> ClusterTable:
     (for example in a repeated bucket line) raises
     DuplicateRecordIdError; an empty record id raises ValueError.
     """
-    text = Path(path).read_text()
+    text = _read_text(Path(path))
     lines = text.splitlines()
     if not lines or lines[0] != TABLE_FORMAT_HEADER:
         raise ValueError(f"{path}: not a cluster table file (missing {TABLE_FORMAT_HEADER!r})")

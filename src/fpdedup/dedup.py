@@ -181,10 +181,9 @@ def exhaustive_dedup(store: Mapping[str, Signature],
             i = parent[i]
         return i
 
+    compare = index(prepared, params)
     for i in range(n - 1):
-        # One index per head over the rest alone: an index over all n
-        # would join each head with the rows of every earlier record too.
-        results = index(prepared[i + 1:], params)(prepared[i], range(n - i - 1))
+        results = compare(prepared[i], range(i + 1, n))
         for j, result in enumerate(results, start=i + 1):
             if is_match(result, params):
                 ri, rj = find(i), find(j)

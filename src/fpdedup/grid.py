@@ -24,8 +24,8 @@ class GridParams:
     n: int = 5
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"grid side must be >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"grid side must be an integer >= 1, got {self.n!r}")
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,10 @@ class MatchParams:
     angle_tolerance: float = 0.2618  # radians (~15 deg), per-angle pairing tolerance
 
     def __post_init__(self) -> None:
+        for name in ("neighbors_k", "min_matched_descriptors"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0 < self.min_edge < self.max_edge):
             raise ValueError("require 0 < min_edge < max_edge")
         if self.neighbors_k < 2:

@@ -257,6 +257,14 @@ def check_record_ids(ids: Iterable[str], what: str = "record id") -> None:
             raise ParseError(f"{what} {record_id!r} contains a separator character")
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; one that does not decode raises ParseError naming the file."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def read_signature_file(path: str | Path, record_id: str | None = None) -> Signature:
     """Read one signature file; record id defaults to the filename stem.
 
@@ -264,7 +272,7 @@ def read_signature_file(path: str | Path, record_id: str | None = None) -> Signa
     """
     path = Path(path)
     rid = record_id if record_id is not None else path.stem
-    text = path.read_text()
+    text = _read_text(path)
     try:
         return parse_signature(text, rid)
     except ParseError as exc:
@@ -344,7 +352,7 @@ class FileStore(Mapping):
         manifest = Path(manifest)
         base = manifest.parent
         paths: dict[str, Path] = {}
-        for line_no, raw in enumerate(manifest.read_text().splitlines(), start=1):
+        for line_no, raw in enumerate(_read_text(manifest).splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue

@@ -257,6 +257,30 @@ def test_malformed_corpus_file_named(generated, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_input", ["signature", "table", "manifest", "config", "points"])
+def test_undecodable_input_named(generated, tmp_path, capsys, bad_input):
+    """A file that is not UTF-8 is a data error whose message names the file."""
+    _, source, table = generated
+    corpus = tmp_path / "corpus"
+    write_corpus_dir(FileStore.from_directory(source).values(), corpus)
+    files = {"table": tmp_path / "table.tsv", "manifest": tmp_path / "manifest.tsv",
+             "config": tmp_path / "config.json", "points": tmp_path / "points.csv",
+             # an exact planted copy shares its source's bucket, so the sweep reads it
+             "signature": corpus / "D00000.sig"}
+    files["table"].write_bytes(table.read_bytes())
+    files["manifest"].write_text(
+        "".join(f"{f.stem}\tcorpus/{f.name}\n" for f in sorted(corpus.iterdir())))
+    files["config"].write_text("{}")
+    files["points"].write_text("1000,1.0\n2000,2.0\n")
+    bad = files[bad_input]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    rc = main(["regress", "--points", str(bad)] if bad_input == "points" else
+              ["dedup", "--manifest", str(files["manifest"]), "--table", str(files["table"]),
+               "--config", str(files["config"])])
+    assert rc == EXIT_DATA
+    assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
 def test_missing_file_data_error(tmp_path, capsys):
     rc = main(["identify", "--query", str(tmp_path / "nope.sig"),
                "--table", str(tmp_path / "nope.tsv"), "--corpus", str(tmp_path)])

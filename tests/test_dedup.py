@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpdedup import dedup as dedup_module
+from fpdedup import matcher as matcher_module
 from fpdedup.cluster import build_table
 from fpdedup.dedup import (DuplicateReport, OracleCapExceededError, _windows, comparison_count,
                            deduplicate, exhaustive_dedup, format_report, pair_relation)
 from fpdedup.grid import compute_index
 from fpdedup.identify import identify
-from fpdedup.matcher import (MatchParams, MatchResult, bucket_scorer, index_signature, is_match,
-                             match_score)
+from fpdedup.matcher import (MatchParams, MatchResult, _JoinIndex, bucket_scorer, index_signature,
+                             is_match, match_score)
 from fpdedup.signature import Signature
 from fpdedup.synth import GenSpec, generate
 
@@ -344,6 +345,35 @@ def test_oracle_pair_plus_singleton():
     c = make_signature("C", [(0, 0), (90, 0), (0, 90), (45, 45)])
     groups = exhaustive_dedup({"A": a, "B": b, "C": c}, PARAMS)
     assert sorted(map(sorted, groups)) == [["A", "B"], ["C"]]
+
+
+def test_oracle_indexes_the_corpus_once(monkeypatch):
+    """One scorer index over every record; each head is scored against the later ones."""
+    signatures, _ = generate(GenSpec(subjects=12, dup_fraction=0.25, seed=44))
+    store = {s.record_id: s for s in signatures}
+    expected = exhaustive_dedup(store, PARAMS, matcher=match_score)
+    indexed, built = [], []
+    scorer = dedup_module._scorer
+
+    def counting_scorer(matcher):
+        prepare, index = scorer(matcher)
+
+        def counting_index(members, p):
+            indexed.append(len(members))
+            return index(members, p)
+
+        return prepare, counting_index
+
+    class Counting(_JoinIndex):
+        def __init__(self, fbs, p):
+            built.append(len(fbs))
+            super().__init__(fbs, p)
+
+    monkeypatch.setattr(dedup_module, "_scorer", counting_scorer)
+    monkeypatch.setattr(matcher_module, "_JoinIndex", Counting)
+    assert exhaustive_dedup(store, PARAMS) == expected
+    assert indexed == [len(store)]
+    assert built == [len(store)]
 
 
 def test_oracle_cap_refused():

@@ -104,8 +104,9 @@ def test_key_text_shape():
 
 
 def test_grid_params_validation():
-    with pytest.raises(ValueError):
-        GridParams(0)
+    for bad in (0, 5.0, True):
+        with pytest.raises(ValueError, match="grid side must be an integer >= 1"):
+            GridParams(bad)
 
 
 @given(points_strategy)

@@ -256,6 +256,10 @@ def test_match_params_validation():
         MatchParams(neighbors_k=1)
     with pytest.raises(ValueError):
         MatchParams(score_threshold=101)
+    for bad in (4.0, 0.5, True):
+        for field in ("neighbors_k", "min_matched_descriptors"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                MatchParams(**{field: bad})
     for bad in (float("nan"), float("inf"), 0.0):
         for field in ("side_tolerance", "angle_tolerance"):
             with pytest.raises(ValueError, match="tolerances must be positive and finite"):
