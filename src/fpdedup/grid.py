@@ -48,14 +48,17 @@ def bounding_box(s: Signature) -> BoundingBox:
     """Componentwise min/max over the signature's minutiae coordinates.
 
     Raises ValueError on an empty signature, or on a coordinate beyond
-    +-2**53 that float64 arithmetic would round or overflow on.
+    +-2**53 that float64 arithmetic would round or overflow on, or NaN.
     """
     xs, ys = s.xs, s.ys
     if not xs:
         raise ValueError(f"signature {s.record_id!r} is empty")
-    box = min(xs), min(ys), max(xs), max(ys)
-    if max(box) > _MAX_COORD or min(box) < -_MAX_COORD:
-        raise ValueError(f"signature {s.record_id!r} has a coordinate beyond +-2**53")
+    box = x_min, y_min, x_max, y_max = min(xs), min(ys), max(xs), max(ys)
+    # min and max return a NaN only when it comes first, where the range test
+    # rejects it; the sum, reached only when the rest are in range, finds any other.
+    if not (-_MAX_COORD <= x_min and x_max <= _MAX_COORD and -_MAX_COORD <= y_min
+            and y_max <= _MAX_COORD) or math.isnan(sum(xs) + sum(ys)):
+        raise ValueError(f"signature {s.record_id!r} has a coordinate beyond +-2**53 or NaN")
     return box
 
 

@@ -12,9 +12,11 @@ builds a list of prints a stack of one minutiae count at a time, each
 print's features bit for bit those it has built alone.
 
 Headings of triangle edges are read from a table of ``math.atan2`` over
-integer vectors, and each minutia's nearest neighbors come from a
-partition of its distance row rather than a sort of all of it; both give
-bit for bit what ``math.atan2`` and a stable sort give.
+integer vectors when every coordinate of a stack is a plain ``int`` and
+``max_edge`` is within the table, and computed by ``math.atan2`` for any
+other stack. Each minutia's nearest neighbors come from a partition of
+its distance row rather than a sort of all of it; both give bit for bit
+what ``math.atan2`` and a stable sort give.
 
 Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
@@ -219,7 +221,7 @@ def index_signatures(signatures: Sequence[Signature],
     min_edge apart, so that direction is always defined (a centroid
     reference would degenerate on collinear triples). ``math.acos`` is
     applied element by element, and each direction is ``math.atan2``'s
-    (``_headings``, mostly a table lookup), because numpy's versions can
+    (``_headings``, a table lookup on a lattice stack), because numpy's versions can
     differ from them in the last bit. A 40-minutia print takes about
     580 us built alone, 470 us in a stack of 2 and 340-360 us in a
     stack of 4 or more (medians of 61 interleaved rounds, one process,
@@ -250,22 +252,16 @@ def _plain_ints(stack: list[Signature]) -> bool:
 def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     """Feature matrices of prints sharing one minutiae count, in one pass.
 
-    The stack is a lattice stack when every coordinate is an integer and
-    none is -0.0, and ``max_edge < _HEADING_RADIUS + 1``; ``_headings``
-    then reads every heading from ``_heading_table`` without testing each
-    edge, and tests each edge for any other stack. A stack of plain
-    ``int`` coordinates (``_plain_ints``) is one with no array test:
-    ``bounding_box`` bounds them by 2**53, so each converts to float64
-    exactly, and never to -0.0. Any other stack is tested on its float64
-    coordinates, so integral floats, ``bool``s and numpy integers are
-    lattice too. The argument: an edge's components are differences of
-    integers, exact whenever they are at most 2**53, and a zero
-    difference of two numbers neither of which is -0.0 is +0.0. Each
-    component's magnitude is at most the edge's computed length, which
-    is ``sqrt(dx*dx + dy*dy)`` (``sqrt(d*d) == |d|`` and rounding is
-    monotone), and a kept edge is at most ``max_edge`` long. So both
-    components of a kept edge are integers within ``floor(max_edge)``,
-    the table's radius.
+    The stack is a lattice stack when ``max_edge < _HEADING_RADIUS + 1``
+    and every coordinate is a plain ``int`` (``_plain_ints``); ``_headings``
+    then reads every heading from ``_heading_table``, and computes every
+    heading of any other stack with ``math.atan2``. The argument:
+    ``bounding_box`` bounds plain ints by 2**53, so their float64
+    differences are exact integers, and never -0.0. Each component's
+    magnitude is at most the edge's computed length (``sqrt(d*d) == |d|``
+    and rounding is monotone), and a kept edge is at most ``max_edge``
+    long, so both components of a kept edge are integers within
+    ``floor(max_edge)``, the table's radius.
 
     Rows come print by print. One stable sort keyed on (print, largest
     side) orders every print's rows by column 2 at once, and each print's
@@ -273,10 +269,7 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     """
     n = len(stack[0].xs)
     columns = np.array([(s.xs, s.ys, s.thetas) for s in stack], dtype=np.float64)
-    lattice = p.max_edge < _HEADING_RADIUS + 1
-    if lattice and not _plain_ints(stack):
-        xy = columns[:, :2]
-        lattice = bool((xy == np.rint(xy)).all()) and not (np.signbit(xy) & (xy == 0.0)).any()
+    lattice = p.max_edge < _HEADING_RADIUS + 1 and _plain_ints(stack)
     x, y, theta = columns.transpose(1, 0, 2)  # each (B, n): B prints of n minutiae
     tri, opposite = _triangles(x, y, p)
     x, y, theta = x.ravel(), y.ravel(), theta.ravel()
@@ -313,27 +306,15 @@ def _heading_table(radius: int) -> np.ndarray:
 def _headings(dy: np.ndarray, dx: np.ndarray, max_edge: float, lattice: bool) -> np.ndarray:
     """``math.atan2`` of each ``(dy, dx)``, bit for bit.
 
-    An edge of a kept triangle between integer coordinates has integer
-    components within ``floor(max_edge)``, so its heading is read from
-    ``_heading_table``, built once per radius. With ``lattice`` (a stack
-    ``_stack_features`` proved to be all such edges) no edge is tested.
-    Otherwise any other edge (a component not an integer or beyond the
-    table, or ``dy`` a negative zero, which turns pi into -pi) is
-    computed element by element. The sign of a zero ``dx`` does not
-    matter: ``dy`` is then nonzero, as a kept edge is at least
-    ``min_edge`` long.
+    A ``lattice`` stack's edges (see ``_stack_features``) are integers
+    within ``floor(max_edge)``, so their headings are read from
+    ``_heading_table``, built once per radius; any other stack's are
+    computed element by element.
     """
-    radius = int(min(max_edge, _HEADING_RADIUS))
-    table = _heading_table(radius)
-    if lattice or (exact := (np.abs(dy) <= radius) & (np.abs(dx) <= radius)
-                   & (dy == np.rint(dy)) & (dx == np.rint(dx))
-                   & (np.signbit(dy) == (dy < 0))).all():
-        return table[dy.astype(np.intp) + radius, dx.astype(np.intp) + radius]
-    heading = np.empty(dy.shape)
-    heading[exact] = table[dy[exact].astype(np.intp) + radius, dx[exact].astype(np.intp) + radius]
-    rest = ~exact
-    heading[rest] = list(map(math.atan2, dy[rest].tolist(), dx[rest].tolist()))
-    return heading
+    if lattice:
+        radius = int(max_edge)
+        return _heading_table(radius)[dy.astype(np.intp) + radius, dx.astype(np.intp) + radius]
+    return np.fromiter(map(math.atan2, dy.tolist(), dx.tolist()), np.float64, len(dy))
 
 
 def index_signature(s: Signature, p: MatchParams = MatchParams()) -> TripletIndex:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpdedup.grid import GridParams, IndexKey, block_of, bounding_box, compute_index
+from fpdedup.matcher import match_score
 from fpdedup.signature import Minutia, Signature
 from fpdedup.synth import GenSpec, generate
 
@@ -37,15 +38,19 @@ def test_bounding_box_empty_errors():
         bounding_box(Signature("s", []))
 
 
-@pytest.mark.parametrize("big", [2 ** 53 + 1, 10 ** 400, -(10 ** 400)],
-                         ids=["2**53+1", "10**400", "-10**400"])
+@pytest.mark.parametrize("big", [2 ** 53 + 1, 10 ** 400, -(10 ** 400), float("nan")],
+                         ids=["2**53+1", "10**400", "-10**400", "nan"])
 def test_coordinate_beyond_float_range_errors(big):
-    # a Signature built in code skips the parser's range check
-    for x, y in ((big, 0), (0, big)):
-        s = Signature("big", [Minutia(0, 0, 0.0, 1), Minutia(x, y, 0.0, 1),
-                              Minutia(5, 9, 0.1, 1)])
-        with pytest.raises(ValueError, match="'big' has a coordinate beyond"):
-            compute_index(s)
+    # a Signature built in code skips the parser's range check; min and max
+    # return a NaN only when it comes first, so each position is tried
+    for position in range(3):
+        for axis in range(2):
+            rows = [[0, 0, 0.0, 1], [7, 3, 0.2, 1], [5, 9, 0.1, 1]]
+            rows[position][axis] = big
+            s = Signature("big", map(tuple, rows))
+            for check in (compute_index, lambda s: match_score(s, s)):
+                with pytest.raises(ValueError, match="'big' has a coordinate beyond"):
+                    check(s)
     edge = Signature("edge", [Minutia(0, 0, 0.0, 1), Minutia(2 ** 53, 2 ** 53, 0.0, 1)])
     assert bounding_box(edge) == (0, 0, 2 ** 53, 2 ** 53)
 

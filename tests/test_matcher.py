@@ -175,31 +175,35 @@ def test_headings_fallback_bit_for_bit(random_suite, monkeypatch, p):
                                MatchParams(min_edge=1.0, max_edge=3.0)],
                          ids=["default", "largest-radius", "small"])
 def test_lattice_headings_bit_for_bit(random_suite, monkeypatch, p):
-    # a stack of integer coordinates, none -0.0, is a lattice stack: every
-    # heading is read from the table with no per-edge test, and each equals
-    # math.atan2 bit for bit
+    # a stack of plain int coordinates is a lattice stack: every heading is
+    # read from the table with no per-edge test, and each equals math.atan2
+    # bit for bit; integral floats make a non-lattice stack, whose headings
+    # are math.atan2's
     prints = random_suite[:12] + [
         Signature("negative", [(x - 300, -y, t, c) for x, y, t, c in random_suite[1].rows()]),
-        Signature("integral-floats", [(float(x), float(y), t, c)
-                                      for x, y, t, c in random_suite[2].rows()]),
         make_signature("dense", [(x, 2 * y) for x in range(5) for y in range(4)]),
     ]
+    floats = Signature("integral-floats", [(float(x), float(y), t, c)
+                                           for x, y, t, c in random_suite[2].rows()])
     calls = []
     real = matcher._headings
     monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(args[3]) or real(*args))
     built = [f.features for f in index_signatures(prints, p)]
     assert calls and all(calls) and sum(f.shape[0] for f in built) > 0
+    calls.clear()
+    built.append(index_signature(floats, p).features)
+    assert calls == [False]
     # no table radius leaves no lattice stack: every heading from math.atan2
     monkeypatch.setattr(matcher, "_HEADING_RADIUS", 0)
     monkeypatch.setattr(matcher, "_headings", _atan2_headings)
-    for s, features in zip(prints, built):
+    for s, features in zip(prints + [floats], built):
         expected = index_signature(s, p).features
         assert features.tobytes() == expected.tobytes(), s.record_id
 
 
 def test_lattice_needs_every_print_of_the_stack(random_suite, monkeypatch):
     # one negative zero, one half-pixel coordinate, or a max_edge past the
-    # table makes the whole stack take the per-edge test
+    # table makes the whole stack a non-lattice stack
     zero = Signature("zero", [(x, -0.0 if i == 0 else float(y), t, c)
                               for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
     half = Signature("half", [(x + 0.5 * (i == 0), y, t, c)
@@ -215,9 +219,9 @@ def test_lattice_needs_every_print_of_the_stack(random_suite, monkeypatch):
 
 
 def test_lattice_by_coordinate_type(random_suite, monkeypatch):
-    # plain int coordinates make a lattice stack with no array test; a
-    # bool, a numpy integer or an integral float sends the stack through
-    # the array test, which still finds it a lattice stack
+    # plain int coordinates make a lattice stack; a bool, a numpy integer
+    # or an integral float makes a non-lattice stack, whose headings are
+    # math.atan2's
     base = random_suite[3]
     rows = list(base.rows())
     stacks = {
@@ -239,7 +243,7 @@ def test_lattice_by_coordinate_type(random_suite, monkeypatch):
     for name, stack in stacks.items():
         calls.clear()
         built[name] = index_signatures(stack, small if name == "bool-only" else PARAMS)
-        assert calls == [True], name
+        assert calls == [name == "int"], name
     assert built["bool-only"][0].features.shape[0] == 4
     monkeypatch.setattr(matcher, "_HEADING_RADIUS", 0)
     monkeypatch.setattr(matcher, "_headings", _atan2_headings)
@@ -248,6 +252,28 @@ def test_lattice_by_coordinate_type(random_suite, monkeypatch):
             expected = index_signature(s, small if name == "bool-only" else PARAMS).features
             assert index.features.shape[0] > 0
             assert index.features.tobytes() == expected.tobytes(), name
+
+
+def test_non_lattice_stack_reads_no_table(random_suite, monkeypatch):
+    # a max_edge past the table's radius, or one half-pixel coordinate, makes
+    # a non-lattice stack: every heading comes from math.atan2 and none from
+    # the table, not even those of edges the table would hold
+    half = Signature("half", [(x + 0.5 * (i == 0), y, t, c)
+                              for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
+    cases = [(random_suite[:6], MatchParams(max_edge=600.0)), ([half, random_suite[0]], PARAMS)]
+
+    def no_table(radius):
+        raise AssertionError(f"table of radius {radius} read for a non-lattice stack")
+
+    monkeypatch.setattr(matcher, "_heading_table", no_table)
+    built = [index_signatures(stack, p) for stack, p in cases]
+    monkeypatch.setattr(matcher, "_headings", _atan2_headings)
+    for (stack, p), indexes in zip(cases, built):
+        for s, index in zip(stack, indexes):
+            assert index.features.shape[0] > 0, s.record_id
+            expected = index_signature(s, p).features
+            assert index.features.tobytes() == expected.tobytes(), s.record_id
+
 
 def test_match_params_validation():
     with pytest.raises(ValueError):
