@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
@@ -112,18 +113,20 @@ def _table(args: argparse.Namespace, cfg: RunConfig,
            store: Mapping[str, Signature]) -> ClusterTable:
     """Load --table, checked against the grid and the store, or else build it from the store.
 
-    A loaded key must hold grid_n**2 counts; otherwise every lookup with
-    this grid would miss and report nothing found. A loaded table must
-    list exactly the store's record ids; otherwise new records would go
-    unseen and removed ones would still be reported.
+    A loaded key must be grid_n**2 counts, canonical non-negative
+    decimals joined by '-' as ``IndexKey`` writes them; otherwise every
+    lookup with this grid would miss and report nothing found. A loaded
+    table must list exactly the store's record ids; otherwise new records
+    would go unseen and removed ones would still be reported.
     """
     if getattr(args, "table", None) is not None:
         table = load_table(args.table)
         cells = cfg.grid.n ** 2
+        counts = re.compile(rf"(?:0|[1-9][0-9]*)(?:-(?:0|[1-9][0-9]*)){{{cells - 1}}}")
         for key in table.buckets:
-            if len(key.split("-")) != cells:
+            if not counts.fullmatch(key):
                 raise ParseError(f"{args.table}: key {key!r} does not have {cells} counts "
-                                 f"(grid_n={cfg.grid.n})")
+                                 f"(grid_n={cfg.grid.n}), non-negative integers joined by '-'")
         table_ids = {rid for bucket in table.buckets.values() for rid in bucket}
         store_ids = set(store)
         if table_ids != store_ids:

@@ -23,18 +23,20 @@ triplets under per-feature tolerances; the matched-pair count,
 normalized by the smaller triplet-set size, gives a 0-100 score.
 ``bucket_scorer`` indexes a list of prints once, bound to one
 ``MatchParams``: their rows are concatenated with each row's member
-position, and keyed and sorted on (arc, s3), the circle of first
-orientations being cut into equal arcs at least ``angle_tolerance``
-wide. Any head, a member or not, is then scored against any subset of
-the members in one numpy pass: one join with the subset's rows finds
-every candidate triplet pair, the screens run once over all of them,
-and one greedy walk pairs them per member. A bucket sweep thus builds
-one index per bucket, however many heads it scores. A call that scores
-one member alone, as ``score_indexed`` and most ``identify`` hits do,
+position, and keyed and sorted on (arc, s3) as one integer, the arc
+of the first orientation (the circle cut into equal arcs at least
+``angle_tolerance`` wide) and the rank of s3 among the indexed rows.
+Any head, a member or not, is then scored against any subset of the
+members in one numpy pass: one join with the subset's rows finds every
+candidate triplet pair, the screens run once over all of them, and one
+greedy walk pairs them per member. A bucket sweep thus builds one index
+per bucket, however many heads it scores. A call that scores one
+member alone, as ``score_indexed`` and most ``identify`` hits do,
 builds no index: two binary searches per head row over the member's
 rows, already sorted by largest side, find its candidates (a sort-merge
-band join), and the same screens and walk follow. Each result equals
-that pair scored alone.
+band join). Both joins take a head row's largest-side window by the
+same two searches, so each emits exactly the pairs within it, and the
+same screens and walk follow. Each result equals that pair scored alone.
 
 This module is also the one home of the scoring protocol that
 ``identify``, ``deduplicate`` and ``exhaustive_dedup`` run (``_scorer``).
@@ -185,7 +187,8 @@ class TripletIndex:
     """Matchable form of one signature: its triplet features as arrays.
 
     ``features`` columns: sides (0-2), interior angles (3-5), relative
-    orientations (6-8). Rows are sorted by the largest side (column 2);
+    orientations (6-8), every one finite when built by
+    ``index_signatures``. Rows are sorted by the largest side (column 2);
     row numbers break ties when triplets are paired. ``minutiae_key``
     backs the degenerate case where no triplets exist and only exact
     minutiae equality can score; it is built from ``signature`` on first use.
@@ -226,6 +229,10 @@ def index_signatures(signatures: Sequence[Signature],
     580 us built alone, 470 us in a stack of 2 and 340-360 us in a
     stack of 4 or more (medians of 61 interleaved rounds, one process,
     2-vCPU host, whose speed moves by up to 1.5x between runs).
+
+    Raises ValueError, naming the record, on an empty signature, a
+    coordinate ``bounding_box`` rejects, or a NaN or infinite angle; the
+    features of any other signature are finite.
     """
     by_count: dict[int, list[int]] = {}
     for position, s in enumerate(signatures):
@@ -269,6 +276,9 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     """
     n = len(stack[0].xs)
     columns = np.array([(s.xs, s.ys, s.thetas) for s in stack], dtype=np.float64)
+    if not np.isfinite(columns[:, 2]).all():
+        bad = next(s for s in stack if not np.isfinite(s.thetas).all())
+        raise ValueError(f"signature {bad.record_id!r} has a NaN or infinite angle")
     lattice = p.max_edge < _HEADING_RADIUS + 1 and _plain_ints(stack)
     x, y, theta = columns.transpose(1, 0, 2)  # each (B, n): B prints of n minutiae
     tri, opposite = _triangles(x, y, p)
@@ -359,9 +369,8 @@ def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
     return counts
 
 
-# At most 2**24 arcs: join keys then stay below 2**24 times the key width,
-# where floats are at most width * 2**-28 apart, and s3, below width / 4,
-# keeps 26 bits in its key.
+# At most 2**24 arcs: a join key, ``arc * (rows + 1) + rank``, then stays below
+# 2**24 * (rows + 1), within int64 for any index of fewer than 2**39 rows.
 _MAX_ARCS = 2 ** 24
 
 
@@ -378,6 +387,19 @@ def _arc_count(angle_tolerance: float) -> int:
     return arcs if arcs >= 4 else 1
 
 
+def _s3_window(s3b: np.ndarray, s3a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per head row ``s3a``, the positions ``lo:hi`` of ``s3b`` within its largest-side window.
+
+    ``s3b`` ascends, NaN last, as ``np.sort`` leaves it. A position is in
+    the window exactly when ``s3a - tol <= s3b <= s3a + tol`` as
+    computed, since ``searchsorted`` compares as those tests do; a NaN,
+    which fails both, is cut from every window, a NaN head's included.
+    """
+    lo = np.searchsorted(s3b, s3a - tol, side="left")
+    hi = np.searchsorted(s3b, s3a + tol, side="right")
+    return lo, np.minimum(hi, np.searchsorted(s3b, np.inf, side="right"))
+
+
 class _JoinIndex:
     """The rows of a list of feature matrices, keyed once for the candidate join.
 
@@ -385,26 +407,28 @@ class _JoinIndex:
     and ``seg`` the matrix each row comes from. The join is keyed on
     (arc, s3): the circle of first orientations (column 6) is cut into
     ``_arc_count`` equal arcs of width ``arc``, and a row of arc k keys
-    as ``k * width + s3``, ``width`` a power of two above four times
-    every |s3|. The keys are sorted here, once; ``candidates`` and
-    ``pair_counts`` then serve any number of heads, members or not, each
-    against the rows of the matrices it marks alive, with the tolerances
-    of ``p``, the ``MatchParams`` the index was built with, read on each
-    call.
+    as the integer ``k * (rows + 1) + rank``, ``rank`` the count of
+    indexed s3 values below its own (its position in ``s3``, the sorted
+    column). A row whose orientation falls in no arc (a NaN) keys into
+    arc 0, where the orientation screen rejects it. The keys are sorted
+    here, once; ``candidates`` and ``pair_counts`` then serve any number
+    of heads, members or not, each against the rows of the matrices it
+    marks alive, with the tolerances of ``p``, the ``MatchParams`` the
+    index was built with, read on each call.
     """
 
     def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
         self.p = p
         self.cols = np.concatenate([f.T for f in fbs], axis=1) if fbs else np.empty((9, 0))
         self.seg = np.repeat(np.arange(len(fbs)), [f.shape[0] for f in fbs])
-        s3 = self.cols[2]
-        self.s3_range = (float(s3.min()), float(s3.max())) if s3.size else (0.0, 0.0)
+        self.s3 = np.sort(self.cols[2])
         self.arcs = _arc_count(p.angle_tolerance)
         self.arc = TWO_PI / self.arcs
-        self.width = 4.0 * 2.0 ** math.frexp(max(-self.s3_range[0], self.s3_range[1]))[1]
         arc_of = np.floor(self.cols[6] / self.arc)
-        arc_of[arc_of == self.arcs] = 0.0  # a quotient that rounds up onto arcs wraps to 0
-        key = arc_of * self.width + s3
+        # a quotient that rounds up onto arcs wraps to 0, as does a NaN (numpy warns casting one)
+        arc_of[~((0 <= arc_of) & (arc_of < self.arcs))] = 0.0
+        key = (arc_of.astype(np.int64) * (self.s3.size + 1)
+               + np.searchsorted(self.s3, self.cols[2], side="left"))
         self.order = np.argsort(key)
         self.key = key[self.order]
         self.seg_by_key = self.seg[self.order]
@@ -415,21 +439,13 @@ class _JoinIndex:
         Only rows of the matrices ``live`` marks (a bool per matrix) take
         part: they are picked out of the sorted keys, which keeps them
         sorted. Each row of ``fa`` probes the arcs its orientation window
-        ``oa -/+ reach`` reaches, taken mod ``arcs``, and in each the s3
-        values between its own screen thresholds ``s3 -/+ side_tolerance``,
-        clipped to the index's s3 range. Every pair that passes the
-        largest-side window and the orientation screen
-        ``min(d, TWO_PI - d) <= angle_tolerance`` (d the computed
-        ``|oa - ob|``) is among them, for orientations in [0, TWO_PI].
-
-        The probes. Clipping is exact, so an s3 within a row's thresholds
-        is within the clipped ones; those, like every indexed s3, are at
-        most M in magnitude (M the largest indexed |s3|), and width > 4M.
-        Rounding is monotone, so a row of arc k keys between its probes'
-        ``k * width + lo`` and ``k * width + hi`` as computed, and since
-        ``k * width -/+ width / 4`` are floats, the keys and probes of arc
-        k all round to within width / 4 of ``k * width``: a probe meets no
-        other arc's keys, for any head, a member of the index or not.
+        ``oa -/+ reach`` reaches, taken mod ``arcs``, and in each the ranks
+        of its largest-side window (``_s3_window``), which stop short of
+        the next arc's keys. The pairs are thus exactly those within the
+        window on the probed arcs: every pair that also passes the
+        orientation screen ``min(d, TWO_PI - d) <= angle_tolerance`` (d
+        the computed ``|oa - ob|``) is among them, for orientations in
+        [0, TWO_PI].
 
         The reach. With u = 2**-53, t the angle tolerance and T = TWO_PI,
         a pair passes only if ``ob - oa`` lies within w = t(1 + 2u) + uT of
@@ -446,12 +462,9 @@ class _JoinIndex:
         tolerance above T, which leaves a single arc as any above T/4 does,
         is cut to T.
         """
-        tol = self.p.side_tolerance
+        lo, hi = _s3_window(self.s3, fa[:, 2], self.p.side_tolerance)
         oa = fa[:, 6]
-        s3_lo, s3_hi = self.s3_range
-        lo3 = np.minimum(np.maximum(fa[:, 2] - tol, s3_lo), s3_hi)
-        hi3 = np.minimum(np.maximum(fa[:, 2] + tol, s3_lo), s3_hi)
-        arcs, arc, width = self.arcs, self.arc, self.width
+        arcs, arc = self.arcs, self.arc
         t = min(self.p.angle_tolerance, TWO_PI)
         reach = t + (t + TWO_PI) * 2.0 ** -49
         first = np.floor((oa - reach) / arc)
@@ -459,11 +472,11 @@ class _JoinIndex:
         step = np.arange(n.max() + 1)
         probe = step <= n[:, None]
         row = np.nonzero(probe)[0]
-        base = ((first[:, None] + step) % arcs * width)[probe]
+        base = ((first[:, None] + step) % arcs)[probe].astype(np.int64) * (self.s3.size + 1)
         kept = np.flatnonzero(live[self.seg_by_key])
         key, order = self.key.take(kept), self.order.take(kept)
-        start = np.searchsorted(key, base + lo3[row], side="left")
-        stop = np.searchsorted(key, base + hi3[row], side="right")
+        start = np.searchsorted(key, base + lo[row], side="left")
+        stop = np.searchsorted(key, base + hi[row], side="left")
         counts = stop - start
         ii = np.repeat(row, counts)
         jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
@@ -478,24 +491,20 @@ class _JoinIndex:
 def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
     """Paired-triplet count of ``fa`` against the one matrix ``fb``, joined by a window.
 
-    For each row of ``fa``, two binary searches over ``fb``'s largest
-    sides (column 2) give the rows with ``s3a - tol <= s3b <= s3a + tol``,
-    the very pairs the largest-side screen keeps (a sort-merge band
-    join). Rows of a ``TripletIndex`` come sorted by column 2; a matrix
-    that is not (built by hand, or holding a NaN) is searched through a
-    stable sort of its column, and the pairs keep its own row numbers.
-    The first-orientation screen runs before the side screen here: on
-    window candidates it keeps fewer pairs (about 13% against 15% on
-    ``identify`` hits) for two gathers against seven. The screens are a
-    conjunction, so the order moves no pair.
+    For each row of ``fa``, ``_s3_window`` over ``fb``'s largest sides
+    (column 2) gives the rows with ``s3a - tol <= s3b <= s3a + tol`` (a
+    sort-merge band join), as the (arc, s3) join does. Rows of a
+    ``TripletIndex`` come sorted by column 2; a matrix that is not (built
+    by hand, or holding a NaN) is searched through a stable sort of its
+    column, and the pairs keep its own row numbers. The first-orientation
+    screen runs before the side screen here: on window candidates it
+    keeps fewer pairs (about 13% against 15% on ``identify`` hits) for
+    two gathers against four. The screens are a conjunction, so the
+    order moves no pair.
     """
-    tol = p.side_tolerance
-    s3a, s3b = fa[:, 2], fb[:, 2]
+    s3b = fb[:, 2]
     order = None if (s3b[:-1] <= s3b[1:]).all() else np.argsort(s3b, kind="stable")
-    if order is not None:
-        s3b = s3b[order]
-    lo = np.searchsorted(s3b, s3a - tol, side="left")
-    hi = np.searchsorted(s3b, s3a + tol, side="right")
+    lo, hi = _s3_window(s3b if order is None else s3b[order], fa[:, 2], p.side_tolerance)
     counts = hi - lo
     ii = np.repeat(np.arange(fa.shape[0]), counts)
     jj = np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
@@ -507,11 +516,9 @@ def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
 
 def _side_kept(fa: np.ndarray, cols: np.ndarray, ii: np.ndarray, jj: np.ndarray,
                p: MatchParams) -> np.ndarray:
-    """Per candidate pair: the largest-side window, and s1 and s2 within tolerance."""
+    """Per candidate pair: s1 and s2 within tolerance; both joins keep s3 within its window."""
     tol = p.side_tolerance
-    s3a, s3 = fa[:, 2], cols[2][jj]
-    return ((s3 >= (s3a - tol)[ii]) & (s3 <= (s3a + tol)[ii])
-            & (np.abs(fa[:, 0][ii] - cols[0][jj]) <= tol)
+    return ((np.abs(fa[:, 0][ii] - cols[0][jj]) <= tol)
             & (np.abs(fa[:, 1][ii] - cols[1][jj]) <= tol))
 
 
@@ -529,14 +536,15 @@ def _pair_counts(fa: np.ndarray, cols: np.ndarray, seg: np.ndarray, ii: np.ndarr
     """Screen candidate pairs, row ``ii`` of ``fa`` and column ``jj`` of ``cols``; pair per segment.
 
     ``cols`` holds the candidates' rows column-major, (9, rows), and
-    ``seg`` the segment of each. The screens decide exactly as for a
-    single pair: the largest-side window, each side, each interior angle
-    and each orientation (on the circle) within tolerance; the pairing
-    order is one combined distance. ``screens`` run first, in the order
-    given, each on the pairs the one before kept: the side screen and
-    then one orientation alone, which between them reject most pairs
-    before full rows are touched. Both joins, the window and the (arc,
-    s3) join, end here, so a pair scores the same through either.
+    ``seg`` the segment of each. Both joins, the window and the (arc,
+    s3) join, emit exactly the pairs within the largest-side window and
+    end here, so a pair scores the same through either. The screens
+    then decide exactly as for a single pair: s1, s2, each interior
+    angle and each orientation (on the circle) within tolerance; the
+    pairing order is one combined distance. ``screens`` run first, in
+    the order given, each on the pairs the one before kept: the side
+    screen and then one orientation alone, which between them reject
+    most pairs before full rows are touched.
     """
     for screen in screens:
         keep = screen(fa, cols, ii, jj, p)

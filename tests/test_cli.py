@@ -118,6 +118,30 @@ def test_table_of_another_grid_data_error(generated, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0].split("\t") == [query.stem, "100.0000", "true"]
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda counts: ["x"] * len(counts),
+    lambda counts: ["01"] + counts[1:],
+    lambda counts: counts[:-1] + ["+1"],
+    lambda counts: counts[:12] + ["1.0"] + counts[13:],
+], ids=["letters", "leading-zero", "plus-sign", "decimal-point"])
+def test_table_key_of_non_counts_data_error(generated, tmp_path, capsys, rewrite):
+    # a key of 25 '-'-separated fields that are not all counts would match no
+    # query's key: identify would report nothing found and dedup nothing swept
+    root, corpus, table = generated
+    lines = table.read_text().splitlines()
+    key, ids = lines[1].split("\t")
+    bad_key = "-".join(rewrite(key.split("-")))
+    assert len(bad_key.split("-")) == 25
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("\n".join([lines[0], f"{bad_key}\t{ids}", *lines[2:]]) + "\n")
+    query = sorted(corpus.iterdir())[0]
+    for command in (["identify", "--query", str(query)], ["dedup"]):
+        capsys.readouterr()
+        assert main(command + ["--table", str(bad), "--corpus", str(corpus)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"key {bad_key!r} does not have 25 counts" in err
+
+
 def test_table_and_corpus_record_ids_must_agree(generated, tmp_path, capsys):
     root, corpus, table = generated
     query = sorted(corpus.iterdir())[0]

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 from fpdedup import matcher
+from fpdedup.cluster import build_table
+from fpdedup.dedup import deduplicate
+from fpdedup.grid import compute_index
+from fpdedup.identify import identify
 from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _JoinIndex,
                              _arc_count, _greedy_pair_counts, _heading_table, _nearest,
                              _triangles, bucket_scorer, index_signature, index_signatures,
@@ -345,6 +349,26 @@ def test_empty_signature_errors(reference_signature):
         match_score(reference_signature, Signature("e", []), PARAMS)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_angle_errors(random_suite, angle):
+    # a Signature built in code skips the parser's angle check; scoring one
+    # pair, identifying in a three-record bucket and sweeping a bucket of two
+    # or three all reject it by name, whichever join would score it
+    good = random_suite[0]
+    bad = Signature("bad", [(x, y, angle if i == len(good.xs) // 2 else t, c)
+                            for i, (x, y, t, c) in enumerate(good.rows())])
+    copies = [translate(good, 0, 0, rid) for rid in ("c1", "c2")]
+    store = {s.record_id: s for s in (bad, *copies)}
+    key = compute_index(good).key_text
+    bucket = build_table((rid, key) for rid in store)
+    pair = build_table((rid, key) for rid in ("bad", "c1"))
+    for call in (lambda: match_score(bad, good, PARAMS), lambda: match_score(good, bad, PARAMS),
+                 lambda: identify(bad, bucket, store), lambda: identify(good, bucket, store),
+                 lambda: deduplicate(bucket, store), lambda: deduplicate(pair, store)):
+        with pytest.raises(ValueError, match="'bad' has a NaN or infinite angle"):
+            call()
+
+
 def test_below_three_minutiae_identical_sets_score_100():
     a = make_signature("a", [(10, 20), (40, 60)])
     b = make_signature("b", [(10, 20), (40, 60)])
@@ -584,12 +608,16 @@ def _brute_counts(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
 
 
 def _assert_join_exact(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
-    """The join emits each pair at most once and every screened pair; counts match brute force."""
+    """The join emits each pair at most once, every screened pair, and only pairs within the
+    largest-side window, so that the side screen need not test s3; counts match brute force."""
+    tol = p.side_tolerance
     for fb in fbs:
         ii, jj = _JoinIndex([fb], p).candidates(fa, np.ones(1, dtype=bool))
         emitted = list(zip(ii.tolist(), jj.tolist()))
         assert len(set(emitted)) == len(emitted)
         assert {(i, j) for _, i, j in _screened(fa, fb, p)} <= set(emitted)
+        s3a, s3b = fa[:, 2], fb[:, 2][jj]
+        assert ((s3b >= (s3a - tol)[ii]) & (s3b <= (s3a + tol)[ii])).all()
     counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
     assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
     return counts
@@ -734,6 +762,30 @@ def test_join_orientations_on_arc_edges(angle_tol, arcs):
         _assert_join_exact(fa, singles, p)
     counts = _assert_join_exact(rows, [rows], p)
     assert counts == [len(rows)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("column", [2, 6], ids=["s3", "orientation"])
+def test_join_rows_holding_nan(column):
+    # hand-built rows whose largest side or first orientation is NaN: such a
+    # row is in no s3 window, or keys into arc 0 without a NaN cast, and every
+    # other row of the index still joins; a head whose s3 is NaN joins nothing
+    p = MatchParams()
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        fa = _edge_features(rng, int(rng.integers(2, 12)), p)
+        fbs = [fa.copy()] + [_edge_features(rng, int(rng.integers(1, 12)), p)
+                             for _ in range(int(rng.integers(1, 4)))]
+        for fb in fbs:
+            fb[int(rng.integers(0, fb.shape[0])), column] = math.nan
+        counts = _assert_join_exact(fa, fbs, p)
+        assert counts[0] > 0
+        heads = fbs[0] if column == 2 else fa
+        _assert_join_exact(heads, fbs, p)
+        a = TripletIndex(heads, make_signature("a", [(0, 0)]))
+        for fb in fbs:
+            (alone,) = bucket_scorer([TripletIndex(fb, make_signature("b", [(0, 0)]))], p)(a, [0])
+            assert alone.matched_descriptors == _brute_counts(heads, fb, p)
 
 
 def _sorted_index(features: np.ndarray, record_id: str = "m") -> TripletIndex:
