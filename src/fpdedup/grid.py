@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .signature import _MAX_COORD, Minutia, Signature
+from .signature import Minutia, Signature
 
 
 @dataclass(frozen=True)
@@ -45,21 +45,8 @@ BoundingBox = tuple[int, int, int, int]  # (x_min, y_min, x_max, y_max)
 
 
 def bounding_box(s: Signature) -> BoundingBox:
-    """Componentwise min/max over the signature's minutiae coordinates.
-
-    Raises ValueError on an empty signature, or on a coordinate beyond
-    +-2**53 that float64 arithmetic would round or overflow on, or NaN.
-    """
-    xs, ys = s.xs, s.ys
-    if not xs:
-        raise ValueError(f"signature {s.record_id!r} is empty")
-    box = x_min, y_min, x_max, y_max = min(xs), min(ys), max(xs), max(ys)
-    # min and max return a NaN only when it comes first, where the range test
-    # rejects it; the sum, reached only when the rest are in range, finds any other.
-    if not (-_MAX_COORD <= x_min and x_max <= _MAX_COORD and -_MAX_COORD <= y_min
-            and y_max <= _MAX_COORD) or math.isnan(sum(xs) + sum(ys)):
-        raise ValueError(f"signature {s.record_id!r} has a coordinate beyond +-2**53 or NaN")
-    return box
+    """Componentwise min/max over the signature's minutiae coordinates."""
+    return min(s.xs), min(s.ys), max(s.xs), max(s.ys)
 
 
 def _block_sizes(box: BoundingBox, n: int) -> tuple[float, float]:

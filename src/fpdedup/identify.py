@@ -42,12 +42,9 @@ def identify(query: Signature,
     ``matcher`` overrides the built-in triplet scorer.
 
     Raises:
-        ValueError: empty query.
         KeyError: a bucket member missing from the store (table and
             store disagree about the corpus).
     """
-    if not query.xs:
-        raise ValueError(f"query signature {query.record_id!r} is empty")
     key = compute_index(query, grid)
     bucket = table.lookup(key)
     if not bucket:

@@ -12,11 +12,10 @@ builds a list of prints a stack of one minutiae count at a time, each
 print's features bit for bit those it has built alone.
 
 Headings of triangle edges are read from a table of ``math.atan2`` over
-integer vectors when every coordinate of a stack is a plain ``int`` and
-``max_edge`` is within the table, and computed by ``math.atan2`` for any
-other stack. Each minutia's nearest neighbors come from a partition of
-its distance row rather than a sort of all of it; both give bit for bit
-what ``math.atan2`` and a stable sort give.
+integer vectors when ``max_edge`` is within the table, and computed by
+``math.atan2`` otherwise. Each minutia's nearest neighbors come from a
+partition of its distance row rather than a sort of all of it; both
+give bit for bit what ``math.atan2`` and a stable sort give.
 
 Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
@@ -56,7 +55,6 @@ from typing import Any
 
 import numpy as np
 
-from .grid import bounding_box
 from .signature import TWO_PI, Signature, normalize_angles
 
 
@@ -187,9 +185,10 @@ class TripletIndex:
     """Matchable form of one signature: its triplet features as arrays.
 
     ``features`` columns: sides (0-2), interior angles (3-5), relative
-    orientations (6-8), every one finite when built by
-    ``index_signatures``. Rows are sorted by the largest side (column 2);
-    row numbers break ties when triplets are paired. ``minutiae_key``
+    orientations (6-8) in [0, 2*pi). Every value is finite and rows
+    ascend in the largest side (column 2): ``index_signatures`` builds
+    them so, the joins rely on it, and an index built by hand must keep
+    it. Row numbers break ties when triplets are paired. ``minutiae_key``
     backs the degenerate case where no triplets exist and only exact
     minutiae equality can score; it is built from ``signature`` on first use.
     """
@@ -224,19 +223,16 @@ def index_signatures(signatures: Sequence[Signature],
     min_edge apart, so that direction is always defined (a centroid
     reference would degenerate on collinear triples). ``math.acos`` is
     applied element by element, and each direction is ``math.atan2``'s
-    (``_headings``, a table lookup on a lattice stack), because numpy's versions can
-    differ from them in the last bit. A 40-minutia print takes about
-    580 us built alone, 470 us in a stack of 2 and 340-360 us in a
-    stack of 4 or more (medians of 61 interleaved rounds, one process,
-    2-vCPU host, whose speed moves by up to 1.5x between runs).
-
-    Raises ValueError, naming the record, on an empty signature, a
-    coordinate ``bounding_box`` rejects, or a NaN or infinite angle; the
-    features of any other signature are finite.
+    (``_headings``, a table lookup when ``max_edge`` allows), because
+    numpy's versions can differ from them in the last bit. A ``Signature``
+    holds integer coordinates within 2**53 and finite angles, so every
+    feature is finite. A 40-minutia print takes about 580 us built alone,
+    470 us in a stack of 2 and 340-360 us in a stack of 4 or more (medians
+    of 61 interleaved rounds, one process, 2-vCPU host, whose speed moves
+    by up to 1.5x between runs).
     """
     by_count: dict[int, list[int]] = {}
     for position, s in enumerate(signatures):
-        bounding_box(s)  # rejects an empty signature or an out-of-range coordinate
         by_count.setdefault(len(s.xs), []).append(position)
     out: list[TripletIndex] = [None] * len(signatures)  # type: ignore[list-item]
     for positions in by_count.values():
@@ -248,27 +244,8 @@ def index_signatures(signatures: Sequence[Signature],
     return out
 
 
-def _plain_ints(stack: list[Signature]) -> bool:
-    """Whether every x and y of the stack is a plain ``int`` (not a ``bool``, not a numpy integer)."""
-    types: set[type] = set()
-    for s in stack:
-        types.update(map(type, s.xs), map(type, s.ys))
-    return types == {int}
-
-
 def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     """Feature matrices of prints sharing one minutiae count, in one pass.
-
-    The stack is a lattice stack when ``max_edge < _HEADING_RADIUS + 1``
-    and every coordinate is a plain ``int`` (``_plain_ints``); ``_headings``
-    then reads every heading from ``_heading_table``, and computes every
-    heading of any other stack with ``math.atan2``. The argument:
-    ``bounding_box`` bounds plain ints by 2**53, so their float64
-    differences are exact integers, and never -0.0. Each component's
-    magnitude is at most the edge's computed length (``sqrt(d*d) == |d|``
-    and rounding is monotone), and a kept edge is at most ``max_edge``
-    long, so both components of a kept edge are integers within
-    ``floor(max_edge)``, the table's radius.
 
     Rows come print by print. One stable sort keyed on (print, largest
     side) orders every print's rows by column 2 at once, and each print's
@@ -276,10 +253,6 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     """
     n = len(stack[0].xs)
     columns = np.array([(s.xs, s.ys, s.thetas) for s in stack], dtype=np.float64)
-    if not np.isfinite(columns[:, 2]).all():
-        bad = next(s for s in stack if not np.isfinite(s.thetas).all())
-        raise ValueError(f"signature {bad.record_id!r} has a NaN or infinite angle")
-    lattice = p.max_edge < _HEADING_RADIUS + 1 and _plain_ints(stack)
     x, y, theta = columns.transpose(1, 0, 2)  # each (B, n): B prints of n minutiae
     tri, opposite = _triangles(x, y, p)
     x, y, theta = x.ravel(), y.ravel(), theta.ravel()
@@ -292,7 +265,7 @@ def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     angles = np.fromiter(map(math.acos, cos.ravel().tolist()), np.float64, 3 * nt)
     nxt = ov[:, [1, 2, 0]]
     dy, dx = (y[nxt] - y[ov]).ravel(), (x[nxt] - x[ov]).ravel()
-    heading = _headings(dy, dx, p.max_edge, lattice)
+    heading = _headings(dy, dx, p.max_edge)
     orientations = normalize_angles(theta[ov].ravel() - heading)
     features = np.concatenate((sides, angles.reshape(nt, 3), orientations.reshape(nt, 3)), axis=1)
     owner = tri[:, 0] // n
@@ -313,15 +286,19 @@ def _heading_table(radius: int) -> np.ndarray:
                        len(span) ** 2).reshape(len(span), len(span))
 
 
-def _headings(dy: np.ndarray, dx: np.ndarray, max_edge: float, lattice: bool) -> np.ndarray:
-    """``math.atan2`` of each ``(dy, dx)``, bit for bit.
+def _headings(dy: np.ndarray, dx: np.ndarray, max_edge: float) -> np.ndarray:
+    """``math.atan2`` of each kept edge's ``(dy, dx)``, bit for bit.
 
-    A ``lattice`` stack's edges (see ``_stack_features``) are integers
-    within ``floor(max_edge)``, so their headings are read from
-    ``_heading_table``, built once per radius; any other stack's are
-    computed element by element.
+    When ``max_edge < _HEADING_RADIUS + 1`` every heading is read from
+    ``_heading_table``, built once per radius; otherwise each is computed
+    element by element. The argument: a ``Signature`` holds ints within
+    [0, 2**53], so their float64 differences are exact integers, and
+    never -0.0. Each component's magnitude is at most the edge's computed
+    length (``sqrt(d*d) == |d|`` and rounding is monotone), and a kept
+    edge is at most ``max_edge`` long, so both components are integers
+    within ``floor(max_edge)``, the table's radius.
     """
-    if lattice:
+    if max_edge < _HEADING_RADIUS + 1:
         radius = int(max_edge)
         return _heading_table(radius)[dy.astype(np.intp) + radius, dx.astype(np.intp) + radius]
     return np.fromiter(map(math.atan2, dy.tolist(), dx.tolist()), np.float64, len(dy))
@@ -390,14 +367,12 @@ def _arc_count(angle_tolerance: float) -> int:
 def _s3_window(s3b: np.ndarray, s3a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Per head row ``s3a``, the positions ``lo:hi`` of ``s3b`` within its largest-side window.
 
-    ``s3b`` ascends, NaN last, as ``np.sort`` leaves it. A position is in
-    the window exactly when ``s3a - tol <= s3b <= s3a + tol`` as
-    computed, since ``searchsorted`` compares as those tests do; a NaN,
-    which fails both, is cut from every window, a NaN head's included.
+    ``s3b`` ascends and both are finite (the ``TripletIndex`` contract).
+    A position is in the window exactly when ``s3a - tol <= s3b <= s3a +
+    tol`` as computed, since ``searchsorted`` compares as those tests do.
     """
-    lo = np.searchsorted(s3b, s3a - tol, side="left")
-    hi = np.searchsorted(s3b, s3a + tol, side="right")
-    return lo, np.minimum(hi, np.searchsorted(s3b, np.inf, side="right"))
+    return (np.searchsorted(s3b, s3a - tol, side="left"),
+            np.searchsorted(s3b, s3a + tol, side="right"))
 
 
 class _JoinIndex:
@@ -409,12 +384,11 @@ class _JoinIndex:
     ``_arc_count`` equal arcs of width ``arc``, and a row of arc k keys
     as the integer ``k * (rows + 1) + rank``, ``rank`` the count of
     indexed s3 values below its own (its position in ``s3``, the sorted
-    column). A row whose orientation falls in no arc (a NaN) keys into
-    arc 0, where the orientation screen rejects it. The keys are sorted
-    here, once; ``candidates`` and ``pair_counts`` then serve any number
-    of heads, members or not, each against the rows of the matrices it
-    marks alive, with the tolerances of ``p``, the ``MatchParams`` the
-    index was built with, read on each call.
+    column). The keys are sorted here, once; ``candidates`` and
+    ``pair_counts`` then serve any number of heads, members or not, each
+    against the rows of the matrices it marks alive, with the tolerances
+    of ``p``, the ``MatchParams`` the index was built with, read on each
+    call.
     """
 
     def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
@@ -425,8 +399,7 @@ class _JoinIndex:
         self.arcs = _arc_count(p.angle_tolerance)
         self.arc = TWO_PI / self.arcs
         arc_of = np.floor(self.cols[6] / self.arc)
-        # a quotient that rounds up onto arcs wraps to 0, as does a NaN (numpy warns casting one)
-        arc_of[~((0 <= arc_of) & (arc_of < self.arcs))] = 0.0
+        arc_of[arc_of >= self.arcs] = 0.0  # a quotient that rounds up onto arcs wraps to 0
         key = (arc_of.astype(np.int64) * (self.s3.size + 1)
                + np.searchsorted(self.s3, self.cols[2], side="left"))
         self.order = np.argsort(key)
@@ -493,23 +466,17 @@ def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
 
     For each row of ``fa``, ``_s3_window`` over ``fb``'s largest sides
     (column 2) gives the rows with ``s3a - tol <= s3b <= s3a + tol`` (a
-    sort-merge band join), as the (arc, s3) join does. Rows of a
-    ``TripletIndex`` come sorted by column 2; a matrix that is not (built
-    by hand, or holding a NaN) is searched through a stable sort of its
-    column, and the pairs keep its own row numbers. The first-orientation
-    screen runs before the side screen here: on window candidates it
-    keeps fewer pairs (about 13% against 15% on ``identify`` hits) for
-    two gathers against four. The screens are a conjunction, so the
-    order moves no pair.
+    sort-merge band join), as the (arc, s3) join does; ``fb``'s rows
+    ascend in column 2 (the ``TripletIndex`` contract). The
+    first-orientation screen runs before the side screen here: on window
+    candidates it keeps fewer pairs (about 13% against 15% on
+    ``identify`` hits) for two gathers against four. The screens are a
+    conjunction, so the order moves no pair.
     """
-    s3b = fb[:, 2]
-    order = None if (s3b[:-1] <= s3b[1:]).all() else np.argsort(s3b, kind="stable")
-    lo, hi = _s3_window(s3b if order is None else s3b[order], fa[:, 2], p.side_tolerance)
+    lo, hi = _s3_window(fb[:, 2], fa[:, 2], p.side_tolerance)
     counts = hi - lo
     ii = np.repeat(np.arange(fa.shape[0]), counts)
     jj = np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-    if order is not None:
-        jj = order[jj]
     return _pair_counts(fa, fb.T, np.zeros(fb.shape[0], dtype=np.intp), ii, jj, 1, p,
                         (_orientation_kept, _side_kept))[0]
 
@@ -648,8 +615,7 @@ def match_score(a: Signature, b: Signature, p: MatchParams = MatchParams()) -> M
     """Score two signatures on the 0-100 scale.
 
     Deterministic for a given ordered pair; symmetric in its arguments;
-    100 for identical minutiae sets. Raises ValueError when either
-    signature is empty.
+    100 for identical minutiae sets.
     """
     return score_indexed(*index_signatures([a, b], p), p)
 

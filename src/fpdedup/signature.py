@@ -6,6 +6,11 @@ code. The angle field accepts both comma and dot decimal separators on
 input; output always uses the dot. A corpus is either a directory with
 one file per record (filename stem = record id) or a manifest file of
 ``record_id<TAB>path`` lines.
+
+One print rule holds for every ``Signature``, parsed or built in code:
+at least one minutia, integer coordinates in [0, 2**53], integer type
+codes, and angles in [0, 2*pi). It is checked where a print is made, and
+nowhere after.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ import math
 import os
 import re
 from array import array
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain
+from operator import index
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,7 +67,7 @@ class Minutia(NamedTuple):
 
 @dataclass(init=False, slots=True)
 class Signature:
-    """An ordered set of minutiae for one fingerprint record, held as columns.
+    """An ordered, non-empty set of minutiae for one fingerprint record, held as columns.
 
     ``xs``, ``ys``, ``thetas`` and ``type_codes`` are tuples with one entry
     per minutia, in order. The cyclic GC stops tracking a tuple of plain
@@ -71,6 +76,13 @@ class Signature:
     rows)`` takes any iterable of ``(x, y, theta, type_code)`` rows,
     ``Minutia`` included, and transposes it once; ``minutiae`` is a
     read-only view that builds a tuple of ``Minutia`` on each access.
+
+    A signature holds what a signature file can: the constructor converts
+    coordinates and type codes with ``operator.index`` (a numpy integer or
+    a ``bool`` becomes a plain ``int``; a float, even an integral one, is
+    refused) and angles with ``float``, and ``_in_range`` must then hold.
+    Otherwise, or for no rows, it raises ValueError naming the record. The
+    code after it trusts these columns and checks none of them again.
     """
 
     record_id: str
@@ -79,16 +91,29 @@ class Signature:
     thetas: tuple[float, ...]
     type_codes: tuple[int, ...]
 
-    def __init__(self, record_id: str, rows: Iterable[tuple[int, int, float, int]] = ()):
+    def __init__(self, record_id: str, rows: Iterable[tuple[int, int, float, int]]):
         if not record_id:
             raise ValueError("record_id must be non-empty")
+        rows = tuple(rows)
+        if not rows:
+            raise ValueError(f"signature {record_id!r} has no minutiae")
+        try:
+            xs, ys, thetas, codes = zip(*rows, strict=True)
+            columns = (_converted(xs, int, index), _converted(ys, int, index),
+                       _converted(thetas, float, float), _converted(codes, int, index))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"signature {record_id!r} has a row that is not "
+                             f"(int x, int y, real theta, int type_code): {exc}") from None
+        if not _in_range(*columns[:3]):
+            raise ValueError(f"signature {record_id!r} has a coordinate outside [0, 2**53] "
+                             "or an angle outside [0, 2*pi)")
         self.record_id = record_id
-        self.xs, self.ys, self.thetas, self.type_codes = tuple(zip(*rows)) or ((),) * 4
+        self.xs, self.ys, self.thetas, self.type_codes = columns
 
     @classmethod
     def _from_columns(cls, record_id: str, xs: tuple[int, ...], ys: tuple[int, ...],
                       thetas: tuple[float, ...], type_codes: tuple[int, ...]) -> Signature:
-        """A signature holding the given columns as they are, for a non-empty id."""
+        """A signature of columns that already keep the constructor's rule, held as they are."""
         s = cls.__new__(cls)
         s.record_id, s.xs, s.ys, s.thetas, s.type_codes = record_id, xs, ys, thetas, type_codes
         return s
@@ -113,6 +138,25 @@ class Signature:
 # The largest integer a float64 holds exactly; the grid and the matcher
 # compute in float64, so larger coordinates are rejected on input.
 _MAX_COORD = 2 ** 53
+
+
+def _converted(column: tuple, kind: type, convert: Callable) -> tuple:
+    """``column`` itself when every value is a plain ``kind``, else each value ``convert``ed.
+
+    Most prints arrive plain. Copying their columns anyway made the
+    ``dedup-skewed`` benchmark's sweep, over a store filled from such
+    prints, about 5% slower: the heap the copies leave behind is what the
+    sweep then allocates in.
+    """
+    return column if set(map(type, column)) == {kind} else tuple(map(convert, column))
+
+
+def _in_range(xs: tuple[int, ...], ys: tuple[int, ...], thetas: tuple[float, ...]) -> bool:
+    """The print rule on non-empty columns: coordinates in [0, 2**53], angles in
+    [0, 2*pi) with a finite sum."""
+    # min and max pass over a NaN; the sum of the angles does not.
+    return (0 <= min(xs) and max(xs) <= _MAX_COORD and 0 <= min(ys) and max(ys) <= _MAX_COORD
+            and 0.0 <= min(thetas) and max(thetas) < TWO_PI and math.isfinite(sum(thetas)))
 
 
 def _coordinate_error(line_no: int, what: str, text: str, value: int) -> ParseError:
@@ -141,12 +185,13 @@ def parse_signature(text: str, record_id: str) -> Signature:
     angle may use ``,`` or ``.`` as decimal separator and is normalized
     into [0, 2*pi). Blank lines and surrounding whitespace are ignored.
 
-    The fields are converted a column at a time and the ranges checked
-    on whole columns. Any text that pass does not take as it stands (a
-    field that does not convert, a line of other than four fields, a
-    coordinate out of range, an angle to normalize, no minutiae, an
-    empty record id) is parsed again line by line by ``_parse_lines``,
-    which alone raises errors and normalizes angles.
+    The fields are converted a column at a time and the print rule's
+    ranges (``_in_range``) checked on whole columns. Any text that pass
+    does not take as it stands (a field that does not convert, a line of
+    other than four fields, a coordinate out of range, an angle to
+    normalize, no minutiae, an empty record id) is parsed again line by
+    line by ``_parse_lines``, which alone raises errors and normalizes
+    angles.
 
     Raises:
         ParseError: on a malformed line (naming its line number) or when
@@ -171,9 +216,7 @@ def parse_signature(text: str, record_id: str) -> Signature:
         type_codes = tuple(map(lookup, fc))
     except ValueError:
         return _parse_lines(text, record_id)
-    # min and max pass over a NaN; the sum of the angles does not.
-    if not (0 <= min(xs) and max(xs) <= _MAX_COORD and 0 <= min(ys) and max(ys) <= _MAX_COORD
-            and 0.0 <= min(thetas) and max(thetas) < TWO_PI and math.isfinite(sum(thetas))):
+    if not _in_range(xs, ys, thetas):
         return _parse_lines(text, record_id)
     return Signature._from_columns(record_id, xs, ys, thetas, type_codes)
 
@@ -228,10 +271,8 @@ def serialize_signature(s: Signature) -> str:
     """Render a signature in file format, one ``x;y;theta;type`` line per minutia.
 
     Emits the dot decimal separator; ``parse_signature`` round-trips the
-    result exactly. Rejects signatures without minutiae.
+    result exactly.
     """
-    if not s.xs:
-        raise ValueError(f"signature {s.record_id!r} has no minutiae to serialize")
     return "\n".join(f"{x};{y};{theta!r};{code}" for x, y, theta, code in s.rows())
 
 
@@ -380,25 +421,15 @@ _PACKED_BYTES = 24
 
 
 def _packed(s: Signature) -> bytes | None:
-    """A canonical signature's columns as one ``bytes`` value; None for any other.
+    """A signature's columns as one ``bytes`` value; None when ``array`` cannot hold them.
 
     The 8-byte columns come first, so every column starts aligned.
-    ``array`` rejects a coordinate outside [0, 2**32) or a type code
-    outside 64 bits with OverflowError; the ``type`` tests keep out
-    columns other than tuples, and ``bool`` and every other subclass of
-    ``int`` and ``float``, which the text form would not read back as
-    themselves.
+    ``array`` refuses a coordinate of 2**32 or more, or a type code
+    beyond 64 bits, with OverflowError.
     """
-    xs, ys, thetas, codes = columns = s.xs, s.ys, s.thetas, s.type_codes
-    if not (s.record_id and set(map(type, columns)) == {tuple}
-            and len(xs) == len(ys) == len(thetas) == len(codes) > 0
-            and set(map(type, chain(xs, ys, codes))) == {int} and set(map(type, thetas)) == {float}
-            # min and max pass over a NaN; the sum of the angles does not.
-            and 0.0 <= min(thetas) and max(thetas) < TWO_PI and math.isfinite(sum(thetas))):
-        return None
     try:
-        return b"".join((array("d", thetas).tobytes(), array("q", codes).tobytes(),
-                         array("I", xs).tobytes(), array("I", ys).tobytes()))
+        return b"".join((array("d", s.thetas).tobytes(), array("q", s.type_codes).tobytes(),
+                         array("I", s.xs).tobytes(), array("I", s.ys).tobytes()))
     except OverflowError:
         return None
 
@@ -406,15 +437,12 @@ def _packed(s: Signature) -> bytes | None:
 class SerializedStore(Mapping):
     """In-memory record_id -> Signature mapping holding each record packed.
 
-    A canonical signature, one whose coordinates are plain ``int``s in
-    [0, 2**32), whose angles are plain ``float``s in [0, 2*pi) with a
-    finite sum and whose type codes are plain ``int``s of 64 bits, is
-    held as one ``bytes`` value of its columns (angles and type codes
-    8 bytes each, coordinates 4), about 24 bytes per minutia, and is
-    rebuilt from them on access. Any other signature is held as its
-    serialized text and parsed on access. Either way ``store[rid]`` is
-    ``parse_signature(serialize_signature(s), rid)``, and an error is
-    raised by the same call, ``add`` or ``[]``, with the same message.
+    A signature is held as one ``bytes`` value of its columns (angles and
+    type codes 8 bytes each, coordinates 4), about 24 bytes per minutia,
+    and rebuilt from them on access; one whose coordinates reach 2**32 or
+    whose type codes pass 64 bits is held as its serialized text and
+    parsed on access. Either way ``store[rid]`` equals ``s``, column for
+    column.
     """
 
     def __init__(self):

@@ -11,10 +11,6 @@ import numpy as np
 import pytest
 
 from fpdedup import matcher
-from fpdedup.cluster import build_table
-from fpdedup.dedup import deduplicate
-from fpdedup.grid import compute_index
-from fpdedup.identify import identify
 from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _JoinIndex,
                              _arc_count, _greedy_pair_counts, _heading_table, _nearest,
                              _triangles, bucket_scorer, index_signature, index_signatures,
@@ -71,12 +67,13 @@ def test_three_distant_minutiae_filtered_out():
 
 
 def test_coordinate_beyond_float_range_errors():
-    s = Signature("big", [Minutia(0, 0, 0.0, 1), Minutia(10 ** 400, 0, 0.0, 1),
+    # the constructor refuses what float64 features could not hold, so
+    # index_signature checks nothing
+    with pytest.raises(ValueError, match="'big' has a coordinate outside"):
+        Signature("big", [Minutia(0, 0, 0.0, 1), Minutia(10 ** 400, 0, 0.0, 1),
                           Minutia(5, 9, 0.1, 1)])
-    with pytest.raises(ValueError, match="'big' has a coordinate beyond"):
-        index_signature(s, PARAMS)
-    with pytest.raises(ValueError, match="'empty' is empty"):
-        index_signature(Signature("empty", []), PARAMS)
+    with pytest.raises(ValueError, match="'empty' has no minutiae"):
+        Signature("empty", [])
 
 
 def test_edge_filter_and_count_bound(random_suite):
@@ -141,8 +138,7 @@ def test_heading_table_equals_atan2():
     assert table.tobytes() == expected.tobytes()
 
 
-def _atan2_headings(dy: np.ndarray, dx: np.ndarray, _max_edge: float,
-                    _lattice: bool) -> np.ndarray:
+def _atan2_headings(dy: np.ndarray, dx: np.ndarray, _max_edge: float) -> np.ndarray:
     return np.array([math.atan2(a, b) for a, b in zip(dy.tolist(), dx.tolist())], dtype=float)
 
 
@@ -152,15 +148,13 @@ def _atan2_headings(dy: np.ndarray, dx: np.ndarray, _max_edge: float,
 def test_headings_fallback_bit_for_bit(random_suite, monkeypatch, p):
     rng = np.random.default_rng(2210)
     prints = [
-        # float coordinates: halves, negative zeros, integer-valued floats
-        Signature("floats", [(x + 0.5 * (i % 2), float(y), t, 1) for i, (x, y, t, _)
-                             in enumerate(random_suite[0].rows())]),
-        # zeros of both signs on the line y = 0, so some edges have dy = -0.0
-        # and dx < 0, where atan2 gives -pi, not pi; at a ridge angle of 3.9
-        # the orientations theta + pi and theta - pi differ in the last bit
-        Signature("zeros", [(40.0 * i, 0.0 if i % 2 else -0.0, 3.9, 1) for i in range(6)]
-                  + [(40.0 * i + 20.0, 30.0, 0.3 + 0.9 * i, 1) for i in range(5)]),
-        Signature("negative", [(x - 300, -y, t, c) for x, y, t, c in random_suite[1].rows()]),
+        # points on the line y = 0, so some edges have dy = 0 and dx < 0,
+        # where atan2 gives pi; at a ridge angle of 3.9 the orientations
+        # theta + pi and theta - pi differ in the last bit
+        Signature("line", [(40 * i, 0, 3.9, 1) for i in range(6)]
+                  + [(40 * i + 20, 30, 0.3 + 0.9 * i, 1) for i in range(5)]),
+        random_suite[0],
+        random_suite[1],
         # spread over 2000 px: most edges beyond the table's largest radius
         make_signature("sparse", [(int(x), int(y)) for x, y in rng.uniform(0, 2000, (40, 2))]),
         random_suite[2],
@@ -179,104 +173,96 @@ def test_headings_fallback_bit_for_bit(random_suite, monkeypatch, p):
                                MatchParams(min_edge=1.0, max_edge=3.0)],
                          ids=["default", "largest-radius", "small"])
 def test_lattice_headings_bit_for_bit(random_suite, monkeypatch, p):
-    # a stack of plain int coordinates is a lattice stack: every heading is
-    # read from the table with no per-edge test, and each equals math.atan2
-    # bit for bit; integral floats make a non-lattice stack, whose headings
-    # are math.atan2's
+    # with max_edge within the table every stack is a lattice stack: every
+    # heading is read from the table with no per-edge test, and each equals
+    # math.atan2 bit for bit
     prints = random_suite[:12] + [
-        Signature("negative", [(x - 300, -y, t, c) for x, y, t, c in random_suite[1].rows()]),
         make_signature("dense", [(x, 2 * y) for x in range(5) for y in range(4)]),
     ]
-    floats = Signature("integral-floats", [(float(x), float(y), t, c)
-                                           for x, y, t, c in random_suite[2].rows()])
-    calls = []
-    real = matcher._headings
-    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(args[3]) or real(*args))
+    radii = []
+    real = matcher._heading_table
+    monkeypatch.setattr(matcher, "_heading_table", lambda r: radii.append(r) or real(r))
     built = [f.features for f in index_signatures(prints, p)]
-    assert calls and all(calls) and sum(f.shape[0] for f in built) > 0
-    calls.clear()
-    built.append(index_signature(floats, p).features)
-    assert calls == [False]
+    assert radii == [int(p.max_edge)] * len({len(s.xs) for s in prints})
+    assert sum(f.shape[0] for f in built) > 0
     # no table radius leaves no lattice stack: every heading from math.atan2
     monkeypatch.setattr(matcher, "_HEADING_RADIUS", 0)
     monkeypatch.setattr(matcher, "_headings", _atan2_headings)
-    for s, features in zip(prints + [floats], built):
+    for s, features in zip(prints, built):
         expected = index_signature(s, p).features
         assert features.tobytes() == expected.tobytes(), s.record_id
 
 
 def test_lattice_needs_every_print_of_the_stack(random_suite, monkeypatch):
-    # one negative zero, one half-pixel coordinate, or a max_edge past the
-    # table makes the whole stack a non-lattice stack
-    zero = Signature("zero", [(x, -0.0 if i == 0 else float(y), t, c)
-                              for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
-    half = Signature("half", [(x + 0.5 * (i == 0), y, t, c)
-                              for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
-    calls = []
-    real = matcher._headings
-    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(args[3]) or real(*args))
-    for stack, p in (([random_suite[0], zero], PARAMS), ([half, random_suite[0]], PARAMS),
-                     ([random_suite[0]], MatchParams(max_edge=257.0))):
-        calls.clear()
-        index_signatures(stack, p)
-        assert calls == [False]
+    # no print can make a stack non-lattice: a negative zero or a
+    # half-pixel coordinate is refused when the print is built, and only a
+    # max_edge past the table makes a stack whose headings skip the table
+    rows = list(random_suite[0].rows())
+    for bad in (-0.0, rows[0][1] + 0.5, float(rows[0][1])):
+        with pytest.raises(ValueError, match="'bad' has a row that is not"):
+            Signature("bad", [(rows[0][0], bad, *rows[0][2:])] + rows[1:])
+    radii = []
+    real = matcher._heading_table
+    monkeypatch.setattr(matcher, "_heading_table", lambda r: radii.append(r) or real(r))
+    for p, read in ((PARAMS, [100]), (MatchParams(max_edge=256.99), [256]),
+                    (MatchParams(max_edge=257.0), [])):
+        radii.clear()
+        index_signatures(random_suite[:2], p)
+        assert radii == read * len({len(s.xs) for s in random_suite[:2]})
 
 
 def test_lattice_by_coordinate_type(random_suite, monkeypatch):
-    # plain int coordinates make a lattice stack; a bool, a numpy integer
-    # or an integral float makes a non-lattice stack, whose headings are
-    # math.atan2's
+    # the constructor takes a bool or a numpy integer as a plain int, so a
+    # print of them is a lattice print, its features those of the same print
+    # of ints bit for bit; it refuses a float, even an integral one
     base = random_suite[3]
     rows = list(base.rows())
-    stacks = {
-        "int": [base, Signature("negative", [(x - 300, -y, t, c) for x, y, t, c in rows])],
-        "bool": [base, Signature("bool", [(True if i == 0 else x, y, t, c)
-                                          for i, (x, y, t, c) in enumerate(rows)])],
-        "bool-only": [Signature("corners", [(a, b, 0.5 * (a + 2 * b), 1) for a in (False, True)
-                                            for b in (False, True)])],
-        "numpy": [Signature("int64", [(np.int64(x), np.int64(y), t, c) for x, y, t, c in rows])],
-        "float": [base, Signature("integral-floats", [(float(x), y, t, c) for x, y, t, c in rows])],
+    converted = {
+        "bool": Signature("bool", [(True if i == 0 else x, y, t, c)
+                                   for i, (x, y, t, c) in enumerate(rows)]),
+        "numpy": Signature("int64", [(np.int64(x), np.uint16(y), t, np.int8(c))
+                                     for x, y, t, c in rows]),
+        "bool-only": Signature("corners", [(a, b, 0.5 * (a + 2 * b), True)
+                                           for a in (False, True) for b in (False, True)]),
     }
-    assert matcher._plain_ints(stacks["int"])
-    assert not any(matcher._plain_ints(stacks[name]) for name in stacks if name != "int")
+    for s in converted.values():
+        assert {type(v) for v in s.xs + s.ys + s.type_codes} == {int}
+    assert converted["numpy"].xs == base.xs and converted["bool"].xs[0] == 1
+    with pytest.raises(ValueError, match="'integral-floats' has a row that is not"):
+        Signature("integral-floats", [(float(x), y, t, c) for x, y, t, c in rows])
     small = MatchParams(min_edge=0.5, max_edge=3.0)
-    calls = []
-    real = matcher._headings
-    monkeypatch.setattr(matcher, "_headings", lambda *args: calls.append(args[3]) or real(*args))
-    built = {}
-    for name, stack in stacks.items():
-        calls.clear()
-        built[name] = index_signatures(stack, small if name == "bool-only" else PARAMS)
-        assert calls == [name == "int"], name
-    assert built["bool-only"][0].features.shape[0] == 4
+    radii = []
+    real = matcher._heading_table
+    monkeypatch.setattr(matcher, "_heading_table", lambda r: radii.append(r) or real(r))
+    built = {name: index_signature(s, small if name == "bool-only" else PARAMS).features
+             for name, s in converted.items()}
+    assert radii == [100, 100, 3]
+    assert built["bool-only"].shape[0] == 4
+    assert built["numpy"].tobytes() == index_signature(base, PARAMS).features.tobytes()
     monkeypatch.setattr(matcher, "_HEADING_RADIUS", 0)
     monkeypatch.setattr(matcher, "_headings", _atan2_headings)
-    for name, stack in stacks.items():
-        for s, index in zip(stack, built[name]):
-            expected = index_signature(s, small if name == "bool-only" else PARAMS).features
-            assert index.features.shape[0] > 0
-            assert index.features.tobytes() == expected.tobytes(), name
+    for name, s in converted.items():
+        expected = index_signature(s, small if name == "bool-only" else PARAMS).features
+        assert built[name].shape[0] > 0
+        assert built[name].tobytes() == expected.tobytes(), name
 
 
 def test_non_lattice_stack_reads_no_table(random_suite, monkeypatch):
-    # a max_edge past the table's radius, or one half-pixel coordinate, makes
-    # a non-lattice stack: every heading comes from math.atan2 and none from
-    # the table, not even those of edges the table would hold
-    half = Signature("half", [(x + 0.5 * (i == 0), y, t, c)
-                              for i, (x, y, t, c) in enumerate(random_suite[0].rows())])
-    cases = [(random_suite[:6], MatchParams(max_edge=600.0)), ([half, random_suite[0]], PARAMS)]
+    # a max_edge past the table's radius makes a non-lattice stack: every
+    # heading comes from math.atan2 and none from the table, not even those
+    # of edges the table would hold
+    stack, p = random_suite[:6], MatchParams(max_edge=600.0)
 
     def no_table(radius):
         raise AssertionError(f"table of radius {radius} read for a non-lattice stack")
 
     monkeypatch.setattr(matcher, "_heading_table", no_table)
-    built = [index_signatures(stack, p) for stack, p in cases]
+    built = index_signatures(stack, p)
     monkeypatch.setattr(matcher, "_headings", _atan2_headings)
-    for (stack, p), indexes in zip(cases, built):
-        for s, index in zip(stack, indexes):
-            assert index.features.shape[0] > 0, s.record_id
-            expected = index_signature(s, p).features
-            assert index.features.tobytes() == expected.tobytes(), s.record_id
+    for s, index in zip(stack, built):
+        assert index.features.shape[0] > 0, s.record_id
+        expected = index_signature(s, p).features
+        assert index.features.tobytes() == expected.tobytes(), s.record_id
 
 
 def test_match_params_validation():
@@ -342,31 +328,22 @@ def test_unrelated_signatures_zero_matches():
     assert result.score == 0.0
 
 
-def test_empty_signature_errors(reference_signature):
-    with pytest.raises(ValueError, match="empty"):
-        match_score(Signature("e", []), reference_signature, PARAMS)
-    with pytest.raises(ValueError, match="empty"):
-        match_score(reference_signature, Signature("e", []), PARAMS)
+def test_empty_signature_errors():
+    # no empty print can be built, so match_score never sees one
+    for rows in ([], iter([])):
+        with pytest.raises(ValueError, match="'e' has no minutiae"):
+            Signature("e", rows)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_angle_errors(random_suite, angle):
-    # a Signature built in code skips the parser's angle check; scoring one
-    # pair, identifying in a three-record bucket and sweeping a bucket of two
-    # or three all reject it by name, whichever join would score it
+    # the constructor refuses a NaN or infinite angle by name, anywhere in
+    # the print, so no feature build, score, identify or sweep sees one
     good = random_suite[0]
-    bad = Signature("bad", [(x, y, angle if i == len(good.xs) // 2 else t, c)
-                            for i, (x, y, t, c) in enumerate(good.rows())])
-    copies = [translate(good, 0, 0, rid) for rid in ("c1", "c2")]
-    store = {s.record_id: s for s in (bad, *copies)}
-    key = compute_index(good).key_text
-    bucket = build_table((rid, key) for rid in store)
-    pair = build_table((rid, key) for rid in ("bad", "c1"))
-    for call in (lambda: match_score(bad, good, PARAMS), lambda: match_score(good, bad, PARAMS),
-                 lambda: identify(bad, bucket, store), lambda: identify(good, bucket, store),
-                 lambda: deduplicate(bucket, store), lambda: deduplicate(pair, store)):
-        with pytest.raises(ValueError, match="'bad' has a NaN or infinite angle"):
-            call()
+    for position in (0, len(good.xs) // 2, len(good.xs) - 1):
+        with pytest.raises(ValueError, match="'bad' has a coordinate outside .* or an angle"):
+            Signature("bad", [(x, y, angle if i == position else t, c)
+                              for i, (x, y, t, c) in enumerate(good.rows())])
 
 
 def test_below_three_minutiae_identical_sets_score_100():
@@ -590,7 +567,8 @@ def _screened(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> list[tuple[floa
                 continue
             d = [abs(x - y) for x, y in zip(a, b)]
             o = [min(x, 2.0 * math.pi - x) for x in d[6:9]]
-            if max(d[0:2]) <= tol and max(d[3:6]) <= angle_tol and max(o) <= angle_tol:
+            if (all(x <= tol for x in d[0:2]) and all(x <= angle_tol for x in d[3:6])
+                    and all(x <= angle_tol for x in o)):
                 dist = ((d[0] + d[1] + d[2]) / tol + (d[3] + d[4] + d[5]) / angle_tol
                         + (o[0] + o[1] + o[2]) / angle_tol)
                 candidates.append((dist, i, j))
@@ -764,30 +742,6 @@ def test_join_orientations_on_arc_edges(angle_tol, arcs):
     assert counts == [len(rows)]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("column", [2, 6], ids=["s3", "orientation"])
-def test_join_rows_holding_nan(column):
-    # hand-built rows whose largest side or first orientation is NaN: such a
-    # row is in no s3 window, or keys into arc 0 without a NaN cast, and every
-    # other row of the index still joins; a head whose s3 is NaN joins nothing
-    p = MatchParams()
-    rng = np.random.default_rng(53)
-    for _ in range(30):
-        fa = _edge_features(rng, int(rng.integers(2, 12)), p)
-        fbs = [fa.copy()] + [_edge_features(rng, int(rng.integers(1, 12)), p)
-                             for _ in range(int(rng.integers(1, 4)))]
-        for fb in fbs:
-            fb[int(rng.integers(0, fb.shape[0])), column] = math.nan
-        counts = _assert_join_exact(fa, fbs, p)
-        assert counts[0] > 0
-        heads = fbs[0] if column == 2 else fa
-        _assert_join_exact(heads, fbs, p)
-        a = TripletIndex(heads, make_signature("a", [(0, 0)]))
-        for fb in fbs:
-            (alone,) = bucket_scorer([TripletIndex(fb, make_signature("b", [(0, 0)]))], p)(a, [0])
-            assert alone.matched_descriptors == _brute_counts(heads, fb, p)
-
-
 def _sorted_index(features: np.ndarray, record_id: str = "m") -> TripletIndex:
     """A hand-built triplet index of ``features``, rows sorted by column 2."""
     order = np.argsort(features[:, 2], kind="stable")
@@ -832,23 +786,6 @@ def test_one_member_window_on_prints(random_suite):
             assert alone.matched_descriptors == _brute_counts(a.features, m.features, p)
             assert alone == together[j]
         assert together[0].score == 100.0 and together[1].matched_descriptors > 0
-
-
-def test_one_member_window_reads_unsorted_rows():
-    # a hand-built index whose rows are out of s3 order, or hold a NaN,
-    # is searched through a sort of its column and keeps its row numbers
-    rng = np.random.default_rng(17)
-    p = MatchParams()
-    for trial in range(40):
-        fa = _edge_features(rng, int(rng.integers(1, 12)), p)
-        fb = _edge_features(rng, int(rng.integers(2, 12)), p)[::-1].copy()
-        if trial % 4 == 0:
-            fb[int(rng.integers(0, fb.shape[0])), int(rng.integers(0, 9))] = math.nan
-        b = TripletIndex(fb, make_signature("b", [(0, 0)]))
-        a = TripletIndex(fa, make_signature("a", [(0, 0)]))
-        (alone,) = bucket_scorer([b], p)(a, [0])
-        expected = _JoinIndex([fb], p).pair_counts(fa, np.ones(1, dtype=bool))
-        assert alone.matched_descriptors == _brute_counts(fa, fb, p) == expected[0]
 
 
 def test_one_member_scorer_builds_no_join_index(monkeypatch, random_suite):
@@ -1013,10 +950,37 @@ def test_index_signatures_equal_single_builds():
 
 
 def test_index_signatures_rejects_bad_print_anywhere():
-    good = make_signature("good", [(0, 0), (50, 0), (25, 43)])
-    big = Signature("big", [Minutia(0, 0, 0.0, 1), Minutia(10 ** 400, 0, 0.0, 1)])
-    with pytest.raises(ValueError, match="'big' has a coordinate beyond"):
-        index_signatures([good, good, big], PARAMS)
-    with pytest.raises(ValueError, match="'empty' is empty"):
-        index_signatures([good, Signature("empty", [])], PARAMS)
+    # a bad print is refused when it is built, wherever it would have stood
+    # in the list; an empty list builds nothing
+    rows = [(0, 0, 0.5, 1), (50, 0, 0.5, 1), (25, 43, 0.5, 1)]
+    for position in range(3):
+        for field, bad in ((0, 10 ** 400), (1, -1), (2, math.nan), (3, 1.5)):
+            broken = [list(row) for row in rows]
+            broken[position][field] = bad
+            with pytest.raises(ValueError, match="^signature 'bad' has a "):
+                Signature("bad", map(tuple, broken))
     assert index_signatures([], PARAMS) == []
+
+
+def _assert_contract(indexes: list[TripletIndex]) -> int:
+    """Every index's features finite and ascending in column 2; returns the row count."""
+    for index in indexes:
+        f = index.features
+        assert f.dtype == np.float64 and f.ndim == 2 and f.shape[1] == 9
+        assert np.isfinite(f).all(), index.signature.record_id
+        assert (f[:-1, 2] <= f[1:, 2]).all(), index.signature.record_id
+    return sum(index.features.shape[0] for index in indexes)
+
+
+@pytest.mark.parametrize("p", [MatchParams(), MatchParams(max_edge=600.0),
+                               MatchParams(neighbors_k=7)],
+                         ids=["default", "non-lattice", "k7"])
+def test_index_signatures_keep_the_join_contract(random_suite, p):
+    # the joins trust what index_signatures builds: finite features, rows
+    # ascending in the largest side; prints of 1-2 minutiae build none
+    tiny = [make_signature("one", [(5, 9)]), make_signature("two", [(10, 20), (40, 60)]),
+            make_signature("two-b", [(0, 0), (30, 0)], theta=6.2)]
+    indexes = index_signatures(random_suite + tiny, p)
+    assert _assert_contract(indexes) > 0
+    assert all(index.features.shape == (0, 9) for index in indexes[-3:])
+    assert _assert_contract(index_signatures(_stacking_corpus(), p)) > 0

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpdedup import signature as signature_module
-from fpdedup.grid import bounding_box, compute_index
+from fpdedup.grid import compute_index
 from fpdedup.matcher import index_signature, score_indexed
 from fpdedup.signature import (FileStore, Minutia, ParseError, SerializedStore, Signature,
                                _parse_lines, check_record_ids, normalize_angle,
@@ -91,8 +91,9 @@ def test_theta_normalized_on_load():
 
 
 def test_serialize_rejects_empty():
-    with pytest.raises(ValueError, match="no minutiae"):
-        serialize_signature(Signature("A", []))
+    # no empty print can be built, so none reaches the serializer
+    with pytest.raises(ValueError, match=r"^signature 'A' has no minutiae$"):
+        Signature("A", [])
 
 
 def test_serialize_single_minutia():
@@ -182,8 +183,12 @@ def _reference_parse_int(text: str, line_no: int, what: str) -> int:
     return value
 
 
-def _reference_parse_signature(text: str, record_id: str) -> Signature:
-    """The parser before the one-loop rewrite, which had no coordinate bound."""
+def _reference_parse_signature(text: str, record_id: str) -> list[Minutia]:
+    """The parser before the one-loop rewrite, which had no coordinate bound.
+
+    It returns its ``Minutia`` list: a ``Signature`` refuses a coordinate
+    above 2**53, which this parser accepted.
+    """
     minutiae: list[Minutia] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -207,7 +212,7 @@ def _reference_parse_signature(text: str, record_id: str) -> Signature:
         minutiae.append(Minutia(x, y, normalize_angle(theta), type_code))
     if not minutiae:
         raise ParseError(f"signature {record_id!r} has no minutiae")
-    return Signature(record_id, minutiae)
+    return minutiae
 
 
 _PADDING = st.sampled_from(["", "", " ", "\t", "  ", "\u00a0", "\u2003"])
@@ -255,12 +260,14 @@ def _signature_texts(draw) -> str:
 
 
 def _outcome(parse, text: str):
-    """Minutiae with theta as bytes, or the ParseError message."""
+    """Minutiae with theta as bytes, or the ParseError message; ``parse``
+    returns a Signature or, as the reference does, a ``Minutia`` list."""
     try:
         s = parse(text, "r")
     except ParseError as exc:
         return str(exc)
-    return [(m.x, m.y, struct.pack("<d", m.theta), m.type_code) for m in s.minutiae]
+    return [(m.x, m.y, struct.pack("<d", m.theta), m.type_code)
+            for m in (s.minutiae if isinstance(s, Signature) else s)]
 
 
 @settings(max_examples=500)
@@ -400,12 +407,6 @@ def test_serialized_text_takes_the_column_pass(reference_signature):
 # Columnar storage and the minutiae view
 
 
-def _reference_minutiae(text: str) -> list[Minutia]:
-    """The reference parser's own ``Minutia`` list, before any Signature holds it."""
-    with mock.patch(f"{__name__}.Signature", lambda record_id, minutiae: minutiae):
-        return _reference_parse_signature(text, "r")
-
-
 @settings(max_examples=300)
 @given(_signature_texts())
 def test_minutiae_view_equals_reference_minutiae(text):
@@ -413,7 +414,7 @@ def test_minutiae_view_equals_reference_minutiae(text):
         s = parse_signature(text, "r")
     except ParseError:
         return  # rejected texts are the differential test's
-    want = _reference_minutiae(text)
+    want = _reference_parse_signature(text, "r")
     got = s.minutiae
     assert all(type(m) is Minutia for m in got)
     assert ([(m.x, m.y, struct.pack("<d", m.theta), m.type_code) for m in got]
@@ -433,14 +434,15 @@ def test_signature_rebuilt_from_its_minutiae_is_equal():
 
 
 def test_empty_signature_messages_unchanged():
-    empty = Signature("e")
-    assert len(empty) == 0 and empty.minutiae == ()
-    with pytest.raises(ValueError, match=r"^signature 'e' is empty$"):
-        bounding_box(empty)
-    with pytest.raises(ValueError, match=r"^signature 'e' is empty$"):
-        index_signature(empty)
-    with pytest.raises(ValueError, match=r"^signature 'e' has no minutiae to serialize$"):
-        serialize_signature(empty)
+    # the constructor refuses an empty print with the parser's message
+    with pytest.raises(ParseError) as parsed:
+        parse_signature("\n", "e")
+    for rows in ([], iter(()), ()):
+        with pytest.raises(ValueError) as built:
+            Signature("e", rows)
+        assert str(built.value) == str(parsed.value) == "signature 'e' has no minutiae"
+    with pytest.raises(TypeError):
+        Signature("e")  # no default rows
 
 
 def test_minutiae_view_is_read_only():
@@ -524,7 +526,7 @@ def test_corpus_dir_round_trip(tmp_path):
                          ids=["hidden", "escaping", "nested"])
 def test_corpus_dir_rejects_ids_that_do_not_read_back(tmp_path, record_id):
     # a hidden file is skipped on reading, and a separator names a file elsewhere
-    rows = _tiny_corpus()[0].rows()
+    rows = list(_tiny_corpus()[0].rows())
     corpus = [Signature("a", rows), Signature(record_id, rows), Signature("c.d", rows)]
     with pytest.raises(ParseError, match=re.escape(repr(record_id))):
         write_corpus_dir(corpus, tmp_path / "c")
@@ -661,35 +663,42 @@ def test_serialized_store_round_trip():
         store.add(corpus[0])
 
 
-# Values beside the canonical ones: angles the parser would normalize or
-# reject, an int and a numpy float, coordinates at and past 32 bits, a float
-# and a bool, type codes past 64 bits and a bool.
-_ODD_ANGLES = [7.0, -0.5, -0.0, math.nan, math.inf, 3, np.float64(0.5)]
-_ODD_COORDS = [2 ** 32 - 1, 2 ** 32, 2 ** 53, -1, 1.5, 3.0, True]
-_ODD_CODES = [-5, 2 ** 63, True]
+# Values beside the canonical ones: numpy integers and bools, which the
+# constructor takes as plain ints; floats, integral or not, NaN and +-inf;
+# negatives; coordinates at and past 2**32 and 2**53; type codes past 64 bits.
+_INTEGERS = st.one_of(st.integers(0, 2 ** 32 - 1).map(np.int64), st.booleans())
+_FLOATS = st.one_of(st.floats(), st.sampled_from([10.5, 3.0, -0.0, math.nan, math.inf]))
+_ODD_COORDS = st.one_of(_INTEGERS, _FLOATS, st.integers(-2 ** 60, -1),
+                        st.sampled_from([2 ** 32 - 1, 2 ** 32, 2 ** 53, 2 ** 53 + 1, 10 ** 400]))
+_ODD_ANGLES = st.one_of(_FLOATS, _INTEGERS, st.integers(-10, 10),
+                        st.floats(0.0, 1.0).map(np.float64),
+                        st.sampled_from([TWO_PI, math.nextafter(TWO_PI, 0.0), -math.inf]))
+_ODD_CODES = st.one_of(_INTEGERS, _FLOATS, st.integers(-2 ** 70, 2 ** 70))
 
 
 @st.composite
-def _store_signatures(draw) -> Signature:
-    """Signatures of canonical columns, a column's values sometimes swapped for odd ones."""
+def _drawn_rows(draw) -> list[tuple]:
+    """Rows of canonical columns, a column's values sometimes swapped for odd ones."""
     def column(canonical, odd):
         mixed = draw(st.integers(0, 3)) == 0
-        return st.one_of(canonical, st.sampled_from(odd)) if mixed else canonical
+        return st.one_of(canonical, odd) if mixed else canonical
 
     coords = column(st.integers(0, 2 ** 32 - 1), _ODD_COORDS)
     angles = column(st.floats(0.0, TWO_PI, exclude_max=True), _ODD_ANGLES)
     codes = column(st.integers(-2 ** 63, 2 ** 63 - 1), _ODD_CODES)
-    size = draw(st.integers(0, 12))  # one in 13 signatures is empty
-    rows = draw(st.lists(st.tuples(coords, coords, angles, codes), min_size=size, max_size=size))
-    return Signature("r", rows)
+    size = draw(st.integers(0, 12))  # one in 13 prints is empty
+    return draw(st.lists(st.tuples(coords, coords, angles, codes), min_size=size, max_size=size))
 
 
-def _call_outcome(call):
-    """``("ok", value)``, or the exception's type and message."""
-    try:
-        return "ok", call()
-    except Exception as exc:  # noqa: BLE001 - the type and message are compared
-        return "error", type(exc), str(exc)
+def _keeps_rule(rows: list[tuple]) -> bool:
+    """The print rule, checked value by value: integer coordinates in [0, 2**53],
+    integer type codes and real angles in [0, 2*pi); at least one row."""
+    def integer(v) -> bool:
+        return isinstance(v, (int, np.integer))
+
+    return bool(rows) and all(
+        integer(x) and integer(y) and integer(c) and 0 <= x <= 2 ** 53 and 0 <= y <= 2 ** 53
+        and 0.0 <= t < TWO_PI for x, y, t, c in rows)
 
 
 def _columns(s: Signature) -> list[list[tuple[type, str]]]:
@@ -699,48 +708,46 @@ def _columns(s: Signature) -> list[list[tuple[type, str]]]:
 
 
 @settings(max_examples=400, deadline=None)
-@given(_store_signatures())
-@example(Signature("r", [(1, 2, -0.5, 3)]))
-@example(Signature("r", [(1, 2, 0.5, 3), (4, 5, math.nan, 6)]))
-@example(Signature("r", [(1, 2, 0.5, 3), (4, 5, -0.0, 6)]))
-@example(Signature("r", [(1, 2, 0.5, True)]))
-@example(Signature("r", [(1, 2, np.float64(0.5), 3)]))
-@example(Signature("r", [(1, 2 ** 32, 0.5, 3)]))
-def test_serialized_store_equals_text_round_trip(s):
-    # store[rid] is parse_signature(serialize_signature(s), rid), column for
-    # column, or both raise the same error from the same call: add or []
-    store = SerializedStore()
-    added = _call_outcome(lambda: store.add(s))
-    text = _call_outcome(lambda: serialize_signature(s))
-    assert added[0] == text[0]
-    if added[0] == "error":
-        assert added[1:] == text[1:]
+@given(_drawn_rows())
+@example([(-5, 20, 0.5, 1), (30, 40, 1.0, 0)])
+@example([(10.5, 20, 0.5, 1), (30, 40, 1.0, 0)])
+@example([(True, np.int64(2 ** 32), np.float64(0.5), False), (7, 8, -0.0, 2 ** 63)])
+@example([(1, 2, 0.5, 3), (4, 5, math.nan, 6)])
+@example([(1, 2, TWO_PI, 3)])
+@example([(2 ** 53, 0, 0.5, -2 ** 63)])
+@example([])
+def test_signature_round_trips_or_is_refused(tmp_path_factory, rows):
+    # a print either fails to build, or reads back as itself, column for
+    # column, from its text, from a corpus directory and from a store
+    try:
+        s = Signature("r", rows)
+    except ValueError:
+        assert not _keeps_rule(rows)
         return
-    got = _call_outcome(lambda: store["r"])
-    want = _call_outcome(lambda: parse_signature(text[1], "r"))
-    assert got[0] == want[0]
-    if got[0] == "error":
-        assert got[1:] == want[1:]
-    else:
-        assert _columns(got[1]) == _columns(want[1])
+    assert _keeps_rule(rows)
+    want = _columns(s)
+    assert {t for t, _ in want[0] + want[1] + want[3]} == {int}
+    assert {t for t, _ in want[2]} == {float}
+    assert _columns(parse_signature(serialize_signature(s), "r")) == want
+    directory = tmp_path_factory.mktemp("corpus")
+    write_corpus_dir([s], directory)
+    assert _columns(FileStore.from_directory(directory)["r"]) == want
+    store = SerializedStore()
+    store.add(s)
+    assert _columns(store["r"]) == want
 
 
 def test_serialized_store_packs_canonical_signatures_only():
-    canonical = Signature("c", [(0, 2 ** 32 - 1, -0.0, -2 ** 63), (7, 8, 6.28, 2 ** 63 - 1)])
-    odd = [Signature("x", [(2 ** 32, 0, 0.5, 1)]), Signature("b", [(True, 0, 0.5, 1)]),
-           Signature("t", [(1, 2, 7.0, 1)]), Signature("k", [(1, 2, 0.5, 2 ** 63)]),
-           Signature._from_columns("l", [1, 2], [3, 4], [0.5, 0.5], [1, 1]),
-           Signature._from_columns("", (1,), (2,), (0.5,), (1,)),
-           Signature._from_columns("m", (1, 2), (3,), (0.5, 0.5), (1, 1))]
+    # every print is packed, unless array cannot hold a column: a coordinate
+    # of 2**32 or more, or a type code beyond 64 bits, is held as text
+    packed = Signature("c", [(0, 2 ** 32 - 1, -0.0, -2 ** 63),
+                             (True, np.int64(8), 6.28, 2 ** 63 - 1)])
+    text = [Signature("x", [(2 ** 32, 0, 0.5, 1)]), Signature("k", [(1, 2, 0.5, 2 ** 63)])]
     store = SerializedStore()
-    for s in [canonical, *odd]:
+    for s in [packed, *text]:
         store.add(s)
-    assert [type(store._records[s.record_id]) for s in [canonical, *odd]] == [bytes] + [str] * 7
-    assert store["l"].xs == (1, 2)  # list columns read back from their text as tuples
-    assert store["m"].xs == (1,)  # columns of unequal length: the text holds the shortest
-    with pytest.raises(ValueError, match="non-empty"):
-        store[""]
-    assert _columns(store["c"]) == _columns(parse_signature(serialize_signature(canonical), "c"))
+    assert [type(store._records[s.record_id]) for s in [packed, *text]] == [bytes, str, str]
+    for s in [packed, *text]:
+        assert store[s.record_id] == s
+        assert _columns(store[s.record_id]) == _columns(s)
     assert math.copysign(1.0, store["c"].thetas[0]) == -1.0
-    with pytest.raises(ValueError, match="no minutiae"):
-        store.add(Signature("empty", []))
