@@ -20,7 +20,7 @@ import os
 import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import index
 from pathlib import Path
 from typing import NamedTuple
@@ -65,7 +65,7 @@ class Minutia(NamedTuple):
     type_code: int
 
 
-@dataclass(init=False, slots=True)
+@dataclass(init=False, frozen=True)
 class Signature:
     """An ordered, non-empty set of minutiae for one fingerprint record, held as columns.
 
@@ -80,10 +80,18 @@ class Signature:
     A signature holds what a signature file can: the constructor converts
     coordinates and type codes with ``operator.index`` (a numpy integer or
     a ``bool`` becomes a plain ``int``; a float, even an integral one, is
-    refused) and angles with ``float``, and ``_in_range`` must then hold.
-    Otherwise, or for no rows, it raises ValueError naming the record. The
-    code after it trusts these columns and checks none of them again.
+    refused) and angles with ``float``, and ``_in_range`` must then hold,
+    and every type code must be one ``str`` can write (Python's int/str
+    digit limit, 4,300 digits by default). Otherwise, or for no rows, it
+    raises ValueError naming the record. A signature is frozen: its
+    fields are set once, when it is built, so the code after it trusts
+    these columns and checks none of them again.
     """
+
+    # Slots named here, not by slots=True: the class that slots=True
+    # rebuilds raises TypeError, not FrozenInstanceError, on assigning a
+    # name that is not a field (CPython before 3.12).
+    __slots__ = ("record_id", "xs", "ys", "thetas", "type_codes")
 
     record_id: str
     xs: tuple[int, ...]
@@ -107,16 +115,21 @@ class Signature:
         if not _in_range(*columns[:3]):
             raise ValueError(f"signature {record_id!r} has a coordinate outside [0, 2**53] "
                              "or an angle outside [0, 2*pi)")
-        self.record_id = record_id
-        self.xs, self.ys, self.thetas, self.type_codes = columns
+        codes = columns[3]
+        if not -_PLAIN_CODE <= min(codes) <= max(codes) < _PLAIN_CODE:
+            try:
+                for code in codes:
+                    str(code)
+            except ValueError as exc:
+                raise ValueError(f"signature {record_id!r} has a type code that a signature "
+                                 f"file cannot hold: {exc}") from None
+        _fill(self, record_id, *columns)
 
     @classmethod
     def _from_columns(cls, record_id: str, xs: tuple[int, ...], ys: tuple[int, ...],
                       thetas: tuple[float, ...], type_codes: tuple[int, ...]) -> Signature:
         """A signature of columns that already keep the constructor's rule, held as they are."""
-        s = cls.__new__(cls)
-        s.record_id, s.xs, s.ys, s.thetas, s.type_codes = record_id, xs, ys, thetas, type_codes
-        return s
+        return _fill(cls.__new__(cls), record_id, xs, ys, thetas, type_codes)
 
     def rows(self) -> Iterator[tuple[int, int, float, int]]:
         """The ``(x, y, theta, type_code)`` of each minutia, in order."""
@@ -131,6 +144,24 @@ class Signature:
         return len(self.xs)
 
 
+# The slot setters of Signature's fields, whose assignment a frozen
+# dataclass refuses: _fill sets each field once, through its slot, in
+# about half the time object.__setattr__ takes.
+_SET_ID, _SET_XS, _SET_YS, _SET_THETAS, _SET_CODES = (
+    Signature.__dict__[field.name].__set__ for field in fields(Signature))
+
+
+def _fill(s: Signature, record_id: str, xs: tuple[int, ...], ys: tuple[int, ...],
+          thetas: tuple[float, ...], type_codes: tuple[int, ...]) -> Signature:
+    """``s`` with its fields set to these values."""
+    _SET_ID(s, record_id)
+    _SET_XS(s, xs)
+    _SET_YS(s, ys)
+    _SET_THETAS(s, thetas)
+    _SET_CODES(s, type_codes)
+    return s
+
+
 # ---------------------------------------------------------------------------
 # Parsing and serialization
 
@@ -138,6 +169,10 @@ class Signature:
 # The largest integer a float64 holds exactly; the grid and the matcher
 # compute in float64, so larger coordinates are rejected on input.
 _MAX_COORD = 2 ** 53
+
+# str() writes any integer below this bound: 19 digits, within every
+# digit limit Python allows (640 at least).
+_PLAIN_CODE = 2 ** 63
 
 
 def _converted(column: tuple, kind: type, convert: Callable) -> tuple:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fpdedup import grid
 from fpdedup.grid import GridParams, IndexKey, block_of, bounding_box, compute_index
 from fpdedup.signature import Minutia, Signature
 from fpdedup.synth import GenSpec, generate
@@ -166,6 +169,64 @@ def test_degenerate_box_all_share_x():
     key = compute_index(s, GridParams(5))
     assert sum(key.counts) == 3
     assert all(c == 0 for c in key.counts[5:])  # only x-block 0 occupied
+
+
+# ---------------------------------------------------------------------------
+# Block tables: every entry is the per-point rule's own result
+
+
+def _rule(offsets: np.ndarray, span: int, n: int) -> np.ndarray:
+    """``floor(d / (span / n))`` clamped to ``n - 1``, for each offset ``d``."""
+    return np.minimum(np.floor(offsets / (span / n)), n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 10, 64])
+def test_block_tables_equal_the_rule(n):
+    # every offset of every span up to one past the table cap, the last
+    # read from the rule itself; the float quotient of offset span - 1 can
+    # round up onto n, where the clamp decides
+    try:
+        for span in range(1, grid._TABLE_SPAN + 2):
+            blocks = list(map(grid._blocks(span, n).__getitem__, range(span)))
+            assert np.array_equal(blocks, _rule(np.arange(span), span, n)), span
+    finally:
+        grid._block_table.cache_clear()
+
+
+def test_span_past_the_cap_builds_no_table():
+    # a side of 5,001 px applies the rule per point: no table is built or read
+    cap = grid._TABLE_SPAN
+    s = make_signature("wide", [(0, 0), (5000, 5000), (2500, 1000), (1000, 4999)])
+    before = grid._block_table.cache_info()
+    key = compute_index(s, GridParams(5))
+    assert block_of(Minutia(5000, 0, 0.0, 1), bounding_box(s)) == (4, 0)
+    assert grid._block_table.cache_info() == before
+    # blocks 1,000.2 px wide: (2500, 1000) in cell (2, 0), (1000, 4999) in (0, 4)
+    assert key.key_text == "1-0-0-0-1-0-0-0-0-0-1-0-0-0-0-0-0-0-0-0-0-0-0-0-1"
+    # the cap itself is tabled, and keys as the rule does
+    edge = make_signature("edge", [(0, 0), (cap - 1, cap - 1), (cap // 5, 3 * cap // 5)])
+    compute_index(edge)
+    after = grid._block_table.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 2
+    assert grid._block_table(cap, 5)[cap - 1] == 4
+
+
+def test_keys_equal_the_rule_at_every_grid_size():
+    # keys counted from the tables equal counts of the rule's blocks, on
+    # seeded prints and on small random boxes where every span is short
+    signatures, _ = generate(GenSpec(subjects=200, dup_fraction=0.0, seed=11))
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        side = int(rng.integers(1, 40))
+        points = rng.integers(0, side, size=(int(rng.integers(1, 30)), 2))
+        signatures.append(make_signature(f"small-{i}", map(tuple, points.tolist())))
+    for n in (1, 2, 3, 5, 6, 7, 10):
+        for s in signatures:
+            x_min, y_min, x_max, y_max = bounding_box(s)
+            bx = _rule(np.array(s.xs) - x_min, x_max - x_min + 1, n).astype(int)
+            by = _rule(np.array(s.ys) - y_min, y_max - y_min + 1, n).astype(int)
+            want = np.bincount(bx * n + by, minlength=n * n)
+            assert compute_index(s, GridParams(n)).counts == tuple(want.tolist())
 
 
 # ---------------------------------------------------------------------------

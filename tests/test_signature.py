@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import re
 import struct
+import sys
 from unittest import mock
 
 import numpy as np
@@ -458,6 +460,43 @@ def test_minutiae_view_is_read_only():
     assert s.xs == (1, 3) and s == parse_signature("1;2;0.5;1\n3;4;1.5;0", "A")
 
 
+def test_signature_fields_are_set_once():
+    # a built, parsed or stored print refuses the assignment of each field,
+    # so no column can be swapped after the constructor checked it
+    built = Signature("t", [(1, 2, 0.5, 1)])
+    store = SerializedStore()
+    store.add(built)
+    values = {"record_id": "u", "xs": (-5,), "ys": (-5,), "thetas": (9.0,), "type_codes": (2,)}
+    assert [field.name for field in dataclasses.fields(Signature)] == list(values)
+    for s in (built, parse_signature("1;2;0.5;1", "t"), store["t"]):
+        for name, value in values.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, value)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        assert s == built and serialize_signature(s) == "1;2;0.5;1"
+
+
+def test_type_code_a_file_cannot_hold_is_refused(tmp_path):
+    # str() and int() refuse an integer of more digits than Python's int/str
+    # limit, so no file can hold such a type code, and no print has one
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the int/str digit limit is off")
+    for code in (10 ** (limit + 700), -(10 ** limit)):
+        with pytest.raises(ValueError, match=r"^signature 'r' has a type code that a signature "
+                                             r"file cannot hold: Exceeds the limit"):
+            Signature("r", [(1, 2, 0.5, 7), (3, 4, 0.1, code)])
+    # the longest type codes the limit allows build, and read back as themselves
+    s = Signature("w", [(1, 2, 0.5, 10 ** limit - 1), (3, 4, 0.1, 1 - 10 ** limit)])
+    assert parse_signature(serialize_signature(s), "w") == s
+    write_corpus_dir([s], tmp_path)
+    assert FileStore.from_directory(tmp_path)["w"] == s
+    store = SerializedStore()
+    store.add(s)
+    assert store["w"] == s
+
+
 def _tracked_objects(root: object) -> int:
     """Objects reachable from ``root``, itself included, that the cyclic GC tracks.
 
@@ -665,7 +704,8 @@ def test_serialized_store_round_trip():
 
 # Values beside the canonical ones: numpy integers and bools, which the
 # constructor takes as plain ints; floats, integral or not, NaN and +-inf;
-# negatives; coordinates at and past 2**32 and 2**53; type codes past 64 bits.
+# negatives; coordinates at and past 2**32 and 2**53; type codes past 64 bits
+# and past the int/str digit limit.
 _INTEGERS = st.one_of(st.integers(0, 2 ** 32 - 1).map(np.int64), st.booleans())
 _FLOATS = st.one_of(st.floats(), st.sampled_from([10.5, 3.0, -0.0, math.nan, math.inf]))
 _ODD_COORDS = st.one_of(_INTEGERS, _FLOATS, st.integers(-2 ** 60, -1),
@@ -673,7 +713,8 @@ _ODD_COORDS = st.one_of(_INTEGERS, _FLOATS, st.integers(-2 ** 60, -1),
 _ODD_ANGLES = st.one_of(_FLOATS, _INTEGERS, st.integers(-10, 10),
                         st.floats(0.0, 1.0).map(np.float64),
                         st.sampled_from([TWO_PI, math.nextafter(TWO_PI, 0.0), -math.inf]))
-_ODD_CODES = st.one_of(_INTEGERS, _FLOATS, st.integers(-2 ** 70, 2 ** 70))
+_ODD_CODES = st.one_of(_INTEGERS, _FLOATS, st.integers(-2 ** 70, 2 ** 70),
+                       st.sampled_from([10 ** 5000, -(10 ** 5000)]))
 
 
 @st.composite
@@ -692,13 +733,21 @@ def _drawn_rows(draw) -> list[tuple]:
 
 def _keeps_rule(rows: list[tuple]) -> bool:
     """The print rule, checked value by value: integer coordinates in [0, 2**53],
-    integer type codes and real angles in [0, 2*pi); at least one row."""
+    integer type codes that str() writes, and real angles in [0, 2*pi); at
+    least one row."""
     def integer(v) -> bool:
         return isinstance(v, (int, np.integer))
 
+    def writable(v) -> bool:
+        try:
+            str(v)
+        except ValueError:
+            return False
+        return True
+
     return bool(rows) and all(
-        integer(x) and integer(y) and integer(c) and 0 <= x <= 2 ** 53 and 0 <= y <= 2 ** 53
-        and 0.0 <= t < TWO_PI for x, y, t, c in rows)
+        integer(x) and integer(y) and integer(c) and writable(c) and 0 <= x <= 2 ** 53
+        and 0 <= y <= 2 ** 53 and 0.0 <= t < TWO_PI for x, y, t, c in rows)
 
 
 def _columns(s: Signature) -> list[list[tuple[type, str]]]:

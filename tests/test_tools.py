@@ -62,6 +62,24 @@ matcher.score_us                 123.4 us
 """
 
 
+UNTRACED_STDOUT = """\
+workload identify seed 107 seconds 15 trace 0
+latency samples 10000 over 10000 operations; highest percentile with >= 10 samples beyond it: p99.9
+set-up runs, measured s: 0.3012, 0.2488, 0.2501
+setup_s                          0.2501 s
+{"correct": true, "attempted": 10000, "failed": 0, "metrics": {"setup_s": {"value": 0.25012, "unit": "s"}}}
+"""
+
+
+def test_bench_ab_reads_the_cold_set_up():
+    # the first set-up run is the cold one; a traced run prints no set-up line
+    tool = _tool_module()
+    assert tool.read_stdout(UNTRACED_STDOUT) == {
+        "correct": True, "attempted": 10000, "failed": 0, "operations": 10000,
+        "setup_s": 0.2501, "setup_first_s": 0.3012}
+    assert "setup_first_s" not in tool.read_stdout(SAMPLE_STDOUT)
+
+
 def test_bench_ab_reads_operations_and_verdict():
     tool = _tool_module()
     record = tool.read_stdout(SAMPLE_STDOUT)

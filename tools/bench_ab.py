@@ -17,7 +17,10 @@ many seed pairs the change won, and the machine.
 
 Each run also records its operation count, read from run.py's
 ``latency samples ... over N operations`` line: queries for
-``identify``, passes for the batch workloads. ``--traced`` adds one
+``identify``, passes for the batch workloads; and, as ``setup_first_s``,
+the first of its ``set-up runs, measured s`` values: the cold set-up,
+which pays for whatever the process builds once and caches. It is
+summarized beside the end-to-end metrics, lower being better. ``--traced`` adds one
 ``--trace 1`` run per side and workload at seed ``TRACE_SEED``, in the
 same alternation, with its wall time, wall time per operation,
 ``correct``, ``failed`` and per-layer metrics; a traced run repeats
@@ -49,6 +52,7 @@ SECONDS = 15      # measured seconds per run, as the benchmark runs it
 TRACE_SEED = 101  # seed of the traced runs
 TIMEOUT_S = 900   # wall seconds after which a run is stopped
 OPERATIONS = re.compile(r"^latency samples \d+ over (\d+) operations;", re.MULTILINE)
+SETUPS = re.compile(r"^set-up runs, measured s: ([^,\n]+)", re.MULTILINE)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -96,11 +100,13 @@ def short_rev(rev: str) -> str:
 
 
 def read_stdout(stdout: str) -> dict:
-    """A run's verdict, metrics and operation count, read from its stdout.
+    """A run's verdict, metrics, operation count and cold set-up, read from its stdout.
 
     The verdict and metrics come from the last line, run.py's JSON
     summary; a stdout with no JSON last line raises ``ValueError``. The
-    operation count is None when no ``latency samples`` line is found.
+    operation count is None when no ``latency samples`` line is found;
+    ``setup_first_s`` is left out when no ``set-up runs`` line is (a
+    traced run prints none).
     """
     lines = stdout.strip().splitlines()
     if not lines:
@@ -110,6 +116,9 @@ def read_stdout(stdout: str) -> dict:
     record = {"correct": last["correct"], "attempted": last["attempted"],
               "failed": last["failed"], "operations": int(found[1]) if found else None}
     record.update({name: round(m["value"], 4) for name, m in last["metrics"].items()})
+    setups = SETUPS.search(stdout)
+    if setups:
+        record["setup_first_s"] = float(setups[1])
     return record
 
 
@@ -187,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]} | {"setup_first_s": "lower"}
     scratch = Path(tempfile.mkdtemp(prefix="bench_ab-", dir=args.workdir))
     try:
         trees = {"parent": extract(args.base, scratch / "parent"),
