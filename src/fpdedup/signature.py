@@ -131,6 +131,11 @@ class Signature:
         """A signature of columns that already keep the constructor's rule, held as they are."""
         return _fill(cls.__new__(cls), record_id, xs, ys, thetas, type_codes)
 
+    def __reduce__(self):
+        # copy and pickle would set each slot, which a frozen print refuses
+        return self._from_columns, (self.record_id, self.xs, self.ys, self.thetas,
+                                    self.type_codes)
+
     def rows(self) -> Iterator[tuple[int, int, float, int]]:
         """The ``(x, y, theta, type_code)`` of each minutia, in order."""
         return zip(self.xs, self.ys, self.thetas, self.type_codes)

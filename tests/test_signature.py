@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import math
+import pickle
 import re
 import struct
 import sys
@@ -475,6 +477,11 @@ def test_signature_fields_are_set_once():
         with pytest.raises(AttributeError):
             s.extra = 1
         assert s == built and serialize_signature(s) == "1;2;0.5;1"
+    # copies and pickles are built, not assigned into
+    for copied in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert type(copied) is Signature and copied == built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.xs = (-5,)
 
 
 def test_type_code_a_file_cannot_hold_is_refused(tmp_path):
