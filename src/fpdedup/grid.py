@@ -16,6 +16,7 @@ holds at most 1,024 tables of at most 1,024 entries, about 8.5 MB at
 worst (4.3 MB for every span of one grid side); a 10,000-print
 synthetic corpus has about 110 spans, tabled in 0.26 MB. A longer side,
 up to the 2**53 a coordinate may reach, applies the rule to each point.
+The key text is written by one cached ``%`` format per grid size.
 """
 
 from __future__ import annotations

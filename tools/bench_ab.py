@@ -20,9 +20,10 @@ Each run also records its operation count, read from run.py's
 ``identify``, passes for the batch workloads; and, as ``setup_first_s``,
 the first of its ``set-up runs, measured s`` values: the cold set-up,
 which pays for whatever the process builds once and caches. It is
-summarized beside the end-to-end metrics, lower being better. ``--traced`` adds one
-``--trace 1`` run per side and workload at seed ``TRACE_SEED``, in the
-same alternation, with its wall time, wall time per operation,
+summarized beside the end-to-end metrics, lower being better.
+``--traced`` adds one ``--trace 1`` run per side and workload at seed
+``TRACE_SEED``, in the same alternation, with its wall time, wall time
+per operation,
 ``correct``, ``failed`` and per-layer metrics; a traced run repeats
 whole passes until its measured time is reached, so its wall time alone
 moves by a pass at a time. A run that takes longer than
