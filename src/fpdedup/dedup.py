@@ -8,8 +8,16 @@ matches into that group. Groups are exactly the sweep's output; they
 are not transitively closed any further. The engine only reports
 duplicates, it never deletes anything.
 
+The sweep decides pairs rather than scoring them: with the built-in
+scorer, a bound on each pair's paired-triplet count rules most
+non-matching pairs out before any is scored (``matcher.bucket_screen``),
+and only the rest are scored. A pair the bound decides still counts as
+a comparison, so groups and comparison counts are those of scoring
+every pair.
+
 An exhaustive all-pairs oracle (connected components of the match
-graph) is included for equivalence testing on small corpora.
+graph) is included for equivalence testing on small corpora. It scores
+every pair exactly, so it checks the bound as well as the sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from itertools import combinations
 from typing import Any
 
 from .cluster import ClusterTable
-from .matcher import Index, Matcher, MatchParams, _scorer, is_match
+from .matcher import Index, Matcher, MatchParams, Screen, _scorer, is_match
 from .signature import Signature, _resolve
 
 REPORT_FORMAT_HEADER = "fpdedup-dedup-report v1"
@@ -64,25 +72,31 @@ WINDOW_PRINTS = 256
 def _sweep_bucket(bucket: list[str],
                   prepared: Mapping[str, Any],
                   params: MatchParams,
-                  index: Index) -> tuple[list[list[str]], int]:
+                  index: Index,
+                  screen: Screen | None) -> tuple[list[list[str]], int]:
     """Sweep one bucket into groups; returns (groups, comparisons).
 
-    The bucket's members are indexed once; each head is then scored
-    against its whole remaining worklist in one call.
+    The bucket's members are indexed once, and screened when the scorer
+    has a screen; each head is then decided against its whole remaining
+    worklist in one call. The screen rules pairs out by a bound alone,
+    and only the pairs it leaves are scored. Every pair of head and
+    worklist member counts as a comparison, scored or ruled out.
     """
     members = [prepared[rid] for rid in bucket]
     compare = index(members, params)
+    undecided = screen(members, params) if screen else None
     groups: list[list[str]] = []
     comparisons = 0
     worklist = list(range(len(bucket)))
     while worklist:
         head = worklist.pop(0)
         group = [head]
-        remaining: list[int] = []
-        results = compare(members[head], worklist)
+        scored = undecided(members[head], worklist) if undecided else worklist
+        results = compare(members[head], scored) if scored else []
+        matched = {other for other, result in zip(scored, results) if is_match(result, params)}
         comparisons += len(worklist)
-        for other, result in zip(worklist, results):
-            (group if is_match(result, params) else remaining).append(other)
+        remaining = [other for other in worklist if other not in matched]
+        group += [other for other in worklist if other in matched]
         worklist = remaining
         groups.append([bucket[i] for i in group])
     return groups, comparisons
@@ -124,12 +138,12 @@ def deduplicate(table: ClusterTable,
     for key, bucket in table.buckets.items():
         # Every key in table order; a swept bucket's groups replace its entry below.
         report.groups_by_key[key] = [list(bucket)]
-    prepare, index = _scorer(matcher)
+    prepare, index, screen = _scorer(matcher)
     for window in _windows(table.buckets):
         ids = [rid for _, bucket in window for rid in bucket]
         prepared = dict(zip(ids, prepare([_resolve(store, rid) for rid in ids], params)))
         for key, bucket in window:
-            groups, comparisons = _sweep_bucket(bucket, prepared, params, index)
+            groups, comparisons = _sweep_bucket(bucket, prepared, params, index, screen)
             report.groups_by_key[key] = groups
             report.comparisons += comparisons
     return report
@@ -171,7 +185,7 @@ def exhaustive_dedup(store: Mapping[str, Signature],
             f"corpus has {n} records, above the exhaustive-oracle cap of {cap}"
         )
 
-    prepare, index = _scorer(matcher)
+    prepare, index, _ = _scorer(matcher)
     prepared = prepare([_resolve(store, rid) for rid in ids], params)
     parent = list(range(n))
 

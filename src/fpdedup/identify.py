@@ -50,7 +50,7 @@ def identify(query: Signature,
     if not bucket:
         return IdentificationResult(key.key_text, [], [], 0.0)
 
-    prepare, index = _scorer(matcher)
+    prepare, index, _ = _scorer(matcher)
     prepared_query, *members = prepare(
         [query] + [_resolve(store, record_id) for record_id in bucket], params)
     results = index(members, params)(prepared_query, range(len(members)))

@@ -37,6 +37,16 @@ band join). Both joins take a head row's largest-side window by the
 same two searches, so each emits exactly the pairs within it, and the
 same screens and walk follow. Each result equals that pair scored alone.
 
+The dedup sweep needs only ``is_match``, never the score, so it first
+decides pairs by a bound (count filtering). ``bucket_screen`` bounds each
+(head, member) pair's paired count by the member's rows that lie in a
+cell of (s1, s2, s3, first-orientation arc) next to a cell holding a
+head row (``_CellGrid``: cells at least a tolerance wide, one capped
+occupancy grid per bucket), and rules out the pairs that could not match
+with that many pairs. Only the rest are scored. ``identify``,
+``match_score``, ``score_indexed`` and ``exhaustive_dedup`` score every
+pair exactly.
+
 This module is also the one home of the scoring protocol that
 ``identify``, ``deduplicate`` and ``exhaustive_dedup`` run (``_scorer``).
 The scorer is deliberately pluggable: anything with the ``(Signature,
@@ -97,10 +107,27 @@ class MatchResult:
 # ---------------------------------------------------------------------------
 # Triangle construction
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: cached arrays are shared by every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=16)
-def _pair_positions(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_positions(k: int) -> tuple[np.ndarray, ...]:
     """Positions (a, b), a < b, of every pair among k neighbors."""
-    return np.triu_indices(k, 1)
+    return _read_only(*np.triu_indices(k, 1))
+
+
+@lru_cache(maxsize=128)
+def _anchor_rows(stack: int, n: int, pairs: int) -> tuple[np.ndarray, ...]:
+    """Per candidate triangle of a stack of ``stack`` prints of ``n`` minutiae, ``pairs``
+    neighbor pairs per anchor: its anchor ``v`` within its print, and the flattened row
+    of its print's minutia 0; ``stack * n * pairs`` entries each."""
+    v = np.tile(np.repeat(np.arange(n), pairs), stack)
+    first = np.repeat(np.arange(0, stack * n, n), n * pairs)
+    return _read_only(v, first)
 
 
 # Whole rows are sorted at or below 32 columns, or below 2048 distances in
@@ -163,8 +190,7 @@ def _triangles(x: np.ndarray, y: np.ndarray, p: MatchParams) -> tuple[np.ndarray
     k = min(p.neighbors_k, n - 1)
     neighbors = _nearest(dist, k)
     a_pos, b_pos = _pair_positions(k)
-    v = np.tile(np.repeat(np.arange(n), a_pos.size), stack)
-    first = np.repeat(np.arange(0, stack * n, n), n * a_pos.size)  # row of the print's minutia 0
+    v, first = _anchor_rows(stack, n, a_pos.size)  # first: row of the print's minutia 0
     a, b = neighbors[:, a_pos].ravel(), neighbors[:, b_pos].ravel()
     nbr = np.zeros((stack * n, n), dtype=bool)
     nbr[np.arange(stack * n)[:, None], neighbors] = True
@@ -364,6 +390,13 @@ def _arc_count(angle_tolerance: float) -> int:
     return arcs if arcs >= 4 else 1
 
 
+def _reach(tol: float, scale: float) -> float:
+    """``tol + (tol + scale) * 2**-49``: a tolerance widened past the rounding of values up
+    to ``scale`` in magnitude; as computed, at least ``tol * (1 + 13u) + 15u * scale``
+    for u = 2**-53."""
+    return tol + (tol + scale) * 2.0 ** -49
+
+
 def _s3_window(s3b: np.ndarray, s3a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Per head row ``s3a``, the positions ``lo:hi`` of ``s3b`` within its largest-side window.
 
@@ -429,7 +462,7 @@ class _JoinIndex:
         w + 6uT puts ``floor(ob / arc)``, or that minus or plus ``arcs``,
         between the floors of the thresholds' quotients. ``reach`` is
         ``t + (t + T) * 2**-49``, at least t(1 + 2u) + 7uT after its own
-        rounding. An arc is at least t and at least T * 2**-24 wide, so a
+        rounding (``_reach``). An arc is at least t and at least T * 2**-24 wide, so a
         window spans under three arcs and reaches at most four, all distinct
         when there are four arcs or more. A single arc is probed once, and a
         tolerance above T, which leaves a single arc as any above T/4 does,
@@ -438,8 +471,7 @@ class _JoinIndex:
         lo, hi = _s3_window(self.s3, fa[:, 2], self.p.side_tolerance)
         oa = fa[:, 6]
         arcs, arc = self.arcs, self.arc
-        t = min(self.p.angle_tolerance, TWO_PI)
-        reach = t + (t + TWO_PI) * 2.0 ** -49
+        reach = _reach(min(self.p.angle_tolerance, TWO_PI), TWO_PI)
         first = np.floor((oa - reach) / arc)
         n = np.minimum(np.floor((oa + reach) / arc) - first, arcs - 1)
         step = np.arange(n.max() + 1)
@@ -459,6 +491,107 @@ class _JoinIndex:
         """Paired-triplet count of ``fa`` against each matrix, 0 where ``live`` is False."""
         ii, jj = self.candidates(fa, live)
         return _pair_counts(fa, self.cols, self.seg, ii, jj, live.size, self.p)
+
+
+# Cells of the occupancy grid at most, a bool each: 1 MiB.
+_GRID_CELLS = 2 ** 20
+
+
+class _CellGrid:
+    """An upper bound on any head's paired-triplet count against each of a list of matrices.
+
+    Each row lies in one cell of (s1, s2, s3, first orientation). A side
+    value v lies in cell ``floor((v - lo) / width)`` of its axis, ``lo``
+    and ``hi`` the matrices' least and greatest values there, and a head's
+    values are first clipped into [lo, hi]. An orientation o lies in arc
+    ``floor(o / arc) mod arcs`` of ``arcs`` equal arcs. ``bounds`` marks
+    in ``grid`` every cell within one of a head row's own on each axis,
+    arcs taken mod ``arcs`` (3 x 3 x 3 x 3 cells a row; each side axis has
+    an empty cell at either end, so that none of them falls off it), and
+    counts, per matrix, its rows in a marked cell. The greedy walk pairs a
+    row at most once, and only with a head row it passes the screens
+    with; such a pair lies in neighbouring cells (below), so the count
+    bounds the pairing.
+
+    Sides, with u = 2**-53, tol the side tolerance and M the larger of
+    ``|lo|`` and ``|hi|`` on an axis. A pair passes the s1 and s2 screens
+    only if the exact difference is at most tol(1 + 2u), and lies in the
+    largest-side window (``_s3_window``) only if it is at most tol(1 +
+    3u) + 2uM; clipping the head's value moves it no farther from any
+    member's. Each computed quotient ``(v - lo) / width`` is within 5uM /
+    width of exact (two roundings of at most 2M), so two rows' quotients
+    differ by under (tol(1 + 3u) + 12uM) / width, below 1 for a width of
+    at least ``_reach(tol, M)``: their floors differ by at most 1. Rounding
+    is monotone, so no value falls outside cells ``0 .. floor((hi - lo) /
+    width)``.
+
+    Arcs, with t the angle tolerance cut to T = TWO_PI, as in
+    ``_JoinIndex.candidates``: a pair passes the orientation screen only
+    if ``ob - oa`` lies within w = t(1 + 2u) + uT of 0, T or -T. Each
+    quotient ``o / arc`` is within uT / arc of exact, and ``arcs * arc``
+    within uT of T, so the two floors differ by at most 1, or by ``arcs``
+    plus or minus at most 1, when ``arc`` exceeds w + 3uT, as
+    ``arc >= _reach(t, T)`` does (``_arc_count``): mod ``arcs`` the arcs
+    are neighbours, whatever ``arcs`` is.
+
+    The grid holds at most ``_GRID_CELLS`` cells whatever the tolerances:
+    while it would hold more, the axis with the most cells is made
+    coarser, a side's width doubled or the arc count halved. A wider cell
+    keeps every argument above, so the bound stays valid.
+    """
+
+    def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
+        rows = np.concatenate(fbs)
+        self.seg_count = len(fbs)
+        self.lo, self.hi = rows[:, :3].min(axis=0), rows[:, :3].max(axis=0)
+        t = min(p.angle_tolerance, TWO_PI)
+        widths = [_reach(p.side_tolerance, max(abs(lo), abs(hi)))
+                  for lo, hi in zip(self.lo.tolist(), self.hi.tolist())]
+        spans = (self.hi - self.lo).tolist()
+        # Cells per axis: a side's, with its empty end cells, then the arcs.
+        counts = [math.floor(span / width) + 3 for span, width in zip(spans, widths)]
+        counts.append(_arc_count(_reach(t, TWO_PI)))
+        while math.prod(counts) > _GRID_CELLS:
+            axis = counts.index(max(counts))
+            if axis == 3:
+                counts[3] //= 2
+            else:
+                widths[axis] *= 2.0
+                counts[axis] = math.floor(spans[axis] / widths[axis]) + 3
+        self.width = np.array(widths)
+        self.arcs = counts[3]
+        self.arc = TWO_PI / self.arcs
+        self.stride = np.array([counts[1] * counts[2] * self.arcs, counts[2] * self.arcs,
+                                self.arcs])
+        step = np.array([-1, 0, 1])
+        self.step = step[:, None]
+        self.near = (step[:, None, None] * self.stride[0] + step[:, None] * self.stride[1]
+                     + step * self.stride[2]).ravel()
+        self.grid = np.zeros(math.prod(counts), dtype=bool)
+        base, arc = self._cells(rows)
+        self.cells = base + arc
+        sizes = np.array([f.shape[0] for f in fbs])
+        self.owners = np.flatnonzero(sizes)  # the matrices with rows, and where their rows start
+        self.starts = (np.cumsum(sizes) - sizes)[self.owners]
+
+    def _cells(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``f``, its cell's position in ``grid`` on the side axes, and its arc."""
+        sides = np.floor((np.minimum(np.maximum(f[:, :3], self.lo), self.hi) - self.lo)
+                         / self.width)
+        base = (sides.astype(np.intp) + 1) @ self.stride
+        return base, (np.floor(f[:, 6] / self.arc) % self.arcs).astype(np.intp)
+
+    def bounds(self, fa: np.ndarray) -> np.ndarray:
+        """Per matrix, its rows in a cell next to one of ``fa``'s: at least its paired count."""
+        base, arc = self._cells(fa)
+        ring = (arc + self.step) % self.arcs  # (3, rows): head rows run along the last axis
+        marked = (self.near[:, None] + base) + ring[:, None]
+        self.grid[marked] = True
+        hit = self.grid[self.cells]
+        self.grid[marked] = False
+        counts = np.zeros(self.seg_count, dtype=np.intp)
+        counts[self.owners] = np.add.reduceat(hit, self.starts, dtype=np.intp)
+        return counts
 
 
 def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
@@ -575,6 +708,43 @@ def bucket_scorer(members: Sequence[TripletIndex], p: MatchParams
     return score
 
 
+def bucket_screen(members: Sequence[TripletIndex], p: MatchParams
+                  ) -> Callable[[TripletIndex, Sequence[int]], list[int]]:
+    """``undecided(a, alive)``: the members in ``alive`` that ``a`` may match, in that order.
+
+    The screen is bound to ``p``. A call with a head that has triplets
+    and two or more members in ``alive`` that have them bounds each such
+    pair's paired count in one pass over the members' ``_CellGrid``,
+    built on the first such call and kept as ``bucket_scorer`` keeps its
+    join index, and drops the pairs whose bound alone fails ``is_match``:
+    ``100.0 * bound / min(na, nb)`` below the score threshold, or the
+    bound below ``min_matched_descriptors``. The score and the count both
+    grow with the paired count, which the bound is at least, so a dropped
+    pair cannot match. Any other call keeps every member: on a
+    one-member call the bound costs about what the exact window join
+    does, and triplet-less prints score by minutiae equality.
+    """
+    sizes = [m.features.shape[0] for m in members]
+    # Triplet counts, 1 for a triplet-less member, which is never dropped.
+    counts = np.maximum(sizes, 1)
+    bare = np.equal(sizes, 0)
+    grid: _CellGrid | None = None
+
+    def undecided(a: TripletIndex, alive: Sequence[int]) -> list[int]:
+        nonlocal grid
+        na = a.features.shape[0]
+        if not na or sum(1 for j in alive if sizes[j]) < 2:
+            return list(alive)
+        if grid is None:
+            grid = _CellGrid([m.features for m in members], p)
+        bound = grid.bounds(a.features)
+        dropped = (((100.0 * bound / np.minimum(counts, na) < p.score_threshold)
+                    | (bound < p.min_matched_descriptors)) & ~bare).tolist()
+        return [j for j in alive if not dropped[j]]
+
+    return undecided
+
+
 # ---------------------------------------------------------------------------
 # The scoring protocol
 
@@ -582,10 +752,11 @@ Matcher = Callable[[Signature, Signature, MatchParams], MatchResult]
 Prepare = Callable[[list[Signature], MatchParams], list[Any]]
 Compare = Callable[[Any, Sequence[int]], list[MatchResult]]
 Index = Callable[[list[Any], MatchParams], Compare]
+Screen = Callable[[list[Any], MatchParams], Callable[[Any, Sequence[int]], list[int]]]
 
 
-def _scorer(matcher: Matcher | None) -> tuple[Prepare, Index]:
-    """The (prepare, index) pair every scoring call site runs.
+def _scorer(matcher: Matcher | None) -> tuple[Prepare, Index, Screen | None]:
+    """The (prepare, index, screen) triple every scoring call site runs.
 
     Records are prepared once, a list at a time. ``index(members, p)``
     binds ``p`` and returns ``compare(a, alive)``, which scores one
@@ -596,14 +767,18 @@ def _scorer(matcher: Matcher | None) -> tuple[Prepare, Index]:
     on its first compare of two or more members (``bucket_scorer``); a
     custom ``matcher`` prepares nothing and is called on each pair of
     signatures in ``alive`` order, with the ``p`` its index was given.
+    ``screen(members, p)``, built-in only (``bucket_screen``), returns
+    ``undecided(a, alive)``: the positions of ``alive`` that ``a`` may
+    match. The dedup sweep, which needs only ``is_match``, scores those
+    alone; ``identify`` and the oracle score every pair.
     """
     if matcher is None:
-        return index_signatures, bucket_scorer
+        return index_signatures, bucket_scorer, bucket_screen
 
     def index(members: list[Any], p: MatchParams) -> Compare:
         return lambda a, alive: [matcher(a, members[j], p) for j in alive]
 
-    return (lambda signatures, _p: list(signatures)), index
+    return (lambda signatures, _p: list(signatures)), index, None
 
 
 def score_indexed(a: TripletIndex, b: TripletIndex, p: MatchParams = MatchParams()) -> MatchResult:

@@ -11,7 +11,7 @@ from fpdedup import matcher as matcher_module
 from fpdedup.cluster import build_table
 from fpdedup.dedup import (DuplicateReport, OracleCapExceededError, _windows, comparison_count,
                            deduplicate, exhaustive_dedup, format_report, pair_relation)
-from fpdedup.grid import compute_index
+from fpdedup.grid import GridParams, compute_index
 from fpdedup.identify import identify
 from fpdedup.matcher import (MatchParams, MatchResult, _JoinIndex, bucket_scorer, index_signature,
                              is_match, match_score)
@@ -179,6 +179,30 @@ def test_windowed_sweep_custom_matcher(windowed):
     assert format_report(report) == format_report(reference)
     assert report.comparisons == reference.comparisons == counter.count
     assert counter.pairs == reference_counter.pairs
+
+
+def test_bound_decides_most_impostor_pairs(monkeypatch):
+    # one grid block per key: prints sharing a minutiae count share a bucket
+    signatures, _ = generate(GenSpec(subjects=150, dup_fraction=0.1,
+                                     minutiae_per_print=(25, 32), seed=808))
+    store = {s.record_id: s for s in signatures}
+    table = build_table((s.record_id, compute_index(s, GridParams(1)).key_text)
+                        for s in signatures)
+    reference = _reference_sweep(table, store, PARAMS)
+    scored = []
+    scorer = matcher_module.bucket_scorer
+
+    def counting_scorer(members, p):
+        score = scorer(members, p)
+        return lambda a, alive: scored.append(len(alive)) or score(a, alive)
+
+    monkeypatch.setattr(matcher_module, "bucket_scorer", counting_scorer)
+    report = deduplicate(table, store, PARAMS)
+    assert format_report(report) == format_report(reference)
+    assert report.comparisons == reference.comparisons > 1000
+    assert len(report.duplicate_groups()) == 15
+    # the exact scorer sees the planted pairs and few impostors besides
+    assert sum(scored) < report.comparisons / 20
 
 
 def test_bucket_index_sweep_equals_head_by_head():
@@ -356,13 +380,13 @@ def test_oracle_indexes_the_corpus_once(monkeypatch):
     scorer = dedup_module._scorer
 
     def counting_scorer(matcher):
-        prepare, index = scorer(matcher)
+        prepare, index, screen = scorer(matcher)
 
         def counting_index(members, p):
             indexed.append(len(members))
             return index(members, p)
 
-        return prepare, counting_index
+        return prepare, counting_index, screen
 
     class Counting(_JoinIndex):
         def __init__(self, fbs, p):

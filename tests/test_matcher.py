@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from fpdedup import matcher
-from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _JoinIndex,
-                             _arc_count, _greedy_pair_counts, _heading_table, _nearest,
-                             _triangles, bucket_scorer, index_signature, index_signatures,
-                             is_match, match_score, score_indexed)
+from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _CellGrid,
+                             _JoinIndex, _arc_count, _greedy_pair_counts, _heading_table,
+                             _nearest, _triangles, bucket_scorer, bucket_screen,
+                             index_signature, index_signatures, is_match, match_score,
+                             score_indexed)
 from fpdedup.signature import TWO_PI, Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -813,6 +814,146 @@ def test_one_member_scorer_builds_no_join_index(monkeypatch, random_suite):
     monkeypatch.setattr(matcher, "_JoinIndex", Counting)
     for alive in ([0, 1, 2, 3], [1], [2, 0], [3, 1, 0], [0]):
         assert score(query, alive) == [expected[j] for j in alive]
+    assert built == [4]  # built once, on the first call of two members or more
+
+
+# ---------------------------------------------------------------------------
+# The cell-count bound the dedup sweep decides impostor pairs by
+
+
+def _cell_edge_features(grid: _CellGrid, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Rows with sides on the grid's cell edges and orientations on its arc edges, some moved
+    1 ulp up (sides) or either way (orientations)."""
+    edges = grid.lo + rng.integers(0, 4, size=(n, 3)) * grid.width
+    sides = np.where(rng.integers(0, 2, size=(n, 3)) == 1, np.nextafter(edges, np.inf), edges)
+    arcs = rng.integers(0, grid.arcs + 1, size=(n, 3)) * grid.arc
+    nudge = rng.integers(-1, 2, size=arcs.shape)
+    orientations = np.clip(np.where(nudge < 0, np.nextafter(arcs, -np.inf),
+                                    np.where(nudge > 0, np.nextafter(arcs, np.inf), arcs)),
+                           0.0, np.nextafter(TWO_PI, 0.0))
+    angles = rng.integers(0, 6, size=(n, 3)) * 0.1
+    return np.concatenate((np.sort(sides, axis=1), angles, orientations), axis=1)
+
+
+def _assert_screen_exact(members: list[TripletIndex], heads: list[TripletIndex],
+                         p: MatchParams) -> tuple[int, int]:
+    """For every (head, member) pair: the bound is at least the brute-force paired count, the
+    grid within its cap, and the screen drops only pairs that ``is_match`` refuses on the
+    exact score. Returns how many pairs the screen dropped and how many it kept."""
+    with_rows = [m.features for m in members if m.features.shape[0]]
+    grid = _CellGrid(with_rows, p)
+    assert grid.grid.size <= matcher._GRID_CELLS
+    screen, score = bucket_screen(members, p), bucket_scorer(members, p)
+    dropped = kept = 0
+    for a in heads:
+        if a.features.shape[0]:
+            bounds = grid.bounds(a.features).tolist()
+            assert all(b >= _brute_counts(a.features, fb, p) for b, fb in zip(bounds, with_rows))
+        alive = list(range(len(members)))
+        undecided = screen(a, alive)
+        assert undecided == [j for j in alive if j in set(undecided)]
+        results = score(a, alive)
+        for j, result in zip(alive, results):
+            if j in undecided:
+                kept += 1
+            else:
+                dropped += 1
+                assert not is_match(result, p)
+    return dropped, kept
+
+
+BOUND_PARAMS = [
+    MatchParams(), MatchParams(side_tolerance=0.001, angle_tolerance=0.001),
+    MatchParams(side_tolerance=1e-13, angle_tolerance=1e-13),
+    MatchParams(side_tolerance=20.0, angle_tolerance=1.0), MatchParams(angle_tolerance=2.5),
+    MatchParams(max_edge=300.0), MatchParams(min_matched_descriptors=5),
+    MatchParams(score_threshold=0.0), MatchParams(score_threshold=100.0),
+]
+BOUND_IDS = ["default", "milli", "ulp", "wide", "few-arcs", "max-edge-300", "min-matched-5",
+             "threshold-0", "threshold-100"]
+
+
+@pytest.mark.parametrize("p", BOUND_PARAMS, ids=BOUND_IDS)
+def test_cell_bound_on_prints(random_suite, p):
+    small = sorted(random_suite, key=lambda s: len(s.xs))[:5]
+    copies = [translate(small[0], 9, -4, "moved"), quarter_turn(small[1], 500)]
+    one_off = Signature("one-off", [(x + (i == 3), y, t, c) for i, (x, y, t, c)
+                                    in enumerate(small[2].rows())])
+    two = make_signature("two", [(10, 20), (40, 60)])
+    members = index_signatures(small + copies + [one_off, two], p)
+    query = index_signature(random_suite[-1], p)
+    dropped, kept = _assert_screen_exact(members, members + [query], p)
+    assert kept >= len(members) + 2  # each print against itself, and the copies
+    if p.score_threshold > 0 and p.angle_tolerance < 1.0:
+        assert dropped > kept  # most of the 90 pairs are impostors, and the bound finds them
+
+
+@pytest.mark.parametrize("p", BOUND_PARAMS, ids=BOUND_IDS)
+def test_cell_bound_on_lattices(p):
+    # rows on half-tolerance lattices, sides on cell edges and orientations
+    # straddling 0 and 2*pi, then rows on the grid's own cell and arc edges
+    rng = np.random.default_rng(4242)
+    for _ in range(25):
+        members = [_sorted_index(_edge_features(rng, int(rng.integers(1, 12)), p))
+                   for _ in range(int(rng.integers(2, 5)))]
+        heads = members + [_sorted_index(_edge_features(rng, int(rng.integers(1, 12)), p), "a")]
+        _assert_screen_exact(members, heads, p)
+        grid = _CellGrid([m.features for m in members], p)
+        members = [_sorted_index(_cell_edge_features(grid, rng, int(rng.integers(1, 12))))
+                   for _ in range(3)]
+        _assert_screen_exact(members, members, p)
+
+
+def test_cell_bound_keeps_pair_past_rounded_bound():
+    # |s1a - s1b| rounds down to the tolerance although s1b lies above
+    # s1a + tol; with the s1 cells starting at lo, s1a's quotient falls just
+    # short of 1 and s1b's reaches 2, so cells exactly one tolerance wide
+    # would put the pair two cells apart
+    p = MatchParams(side_tolerance=1.078628066597612)
+    s1a, s1b, s3 = 0.5662739630985573, 1.6449020296961694, 3.0935121026603496
+    lo = -0.5123541034990545
+    tol = p.side_tolerance
+    assert math.floor((s1b - lo) / tol) - math.floor((s1a - lo) / tol) == 2
+
+    def row(s1: float, s: float) -> np.ndarray:
+        return np.array([[s1, s, s, 0.5, 1.0, 1.5, 1.0, 2.0, 3.0]])
+
+    fa, fbs = row(s1a, s3), [row(s1b, s3), row(lo, 100.0)]
+    bounds = _CellGrid(fbs, p).bounds(fa).tolist()
+    assert bounds == [_brute_counts(fa, fb, p) for fb in fbs] == [1, 0]
+
+
+def test_cell_grid_capped_at_any_tolerance(random_suite):
+    # a tolerance near the float resolution would ask for some 2**60 cells uncapped
+    for p in (MatchParams(side_tolerance=5e-324, angle_tolerance=5e-324),
+              MatchParams(side_tolerance=1e-13), MatchParams(angle_tolerance=1e-20)):
+        fbs = [f.features for f in index_signatures(random_suite[:6], p)]
+        grid = _CellGrid(fbs, p)
+        assert 0 < grid.grid.size <= matcher._GRID_CELLS
+        assert grid.bounds(fbs[0])[0] == fbs[0].shape[0]  # a print bounds itself by its rows
+
+
+def test_screen_keeps_one_member_and_triplet_less_calls(monkeypatch, random_suite):
+    members = index_signatures(random_suite[:3] + [make_signature("two", [(10, 20), (40, 60)])],
+                               PARAMS)
+    bare = index_signature(make_signature("bare", [(10, 20), (40, 60)]), PARAMS)
+    built = []
+
+    class Counting(_CellGrid):
+        def __init__(self, fbs, p):
+            built.append(len(fbs))
+            super().__init__(fbs, p)
+
+    monkeypatch.setattr(matcher, "_CellGrid", Counting)
+    screen = bucket_screen(members, PARAMS)
+    # one member with triplets, or a triplet-less head: every member kept, no grid
+    assert screen(members[0], [1]) == [1]
+    assert screen(members[0], [3, 2]) == [3, 2]
+    assert screen(bare, [0, 1, 2, 3]) == [0, 1, 2, 3]
+    assert built == []
+    # two members with triplets: unrelated prints dropped, the triplet-less one kept
+    assert screen(members[0], [3, 1, 2, 0]) == [3, 0]
+    assert screen(members[1], [2, 3, 0]) == [3]
     assert built == [4]  # built once, on the first call of two members or more
 
 
