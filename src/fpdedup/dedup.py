@@ -91,12 +91,13 @@ def _sweep_bucket(bucket: list[str],
     while worklist:
         head = worklist.pop(0)
         group = [head]
+        remaining: list[int] = []
         scored = undecided(members[head], worklist) if undecided else worklist
-        results = compare(members[head], scored) if scored else []
-        matched = {other for other, result in zip(scored, results) if is_match(result, params)}
+        matched = {other for other, result in zip(scored, compare(members[head], scored))
+                   if is_match(result, params)}
         comparisons += len(worklist)
-        remaining = [other for other in worklist if other not in matched]
-        group += [other for other in worklist if other in matched]
+        for other in worklist:
+            (group if other in matched else remaining).append(other)
         worklist = remaining
         groups.append([bucket[i] for i in group])
     return groups, comparisons

@@ -38,12 +38,14 @@ same two searches, so each emits exactly the pairs within it, and the
 same screens and walk follow. Each result equals that pair scored alone.
 
 The dedup sweep needs only ``is_match``, never the score, so it first
-decides pairs by a bound (count filtering). ``bucket_screen`` bounds each
-(head, member) pair's paired count by the member's rows that lie in a
-cell of (s1, s2, s3, first-orientation arc) next to a cell holding a
-head row (``_CellGrid``: cells at least a tolerance wide, one capped
-occupancy grid per bucket), and rules out the pairs that could not match
-with that many pairs. Only the rest are scored. ``identify``,
+decides pairs by a bound (count filtering: Gravano et al., "Approximate
+String Joins in a Database (Almost) for Free", VLDB 2001).
+``bucket_screen`` bounds each (head, member) pair's paired count by the
+member's rows that lie in a cell of (s1, s2, s3, first-orientation arc)
+next to a cell holding a head row (``_CellGrid``: cells at least a
+tolerance wide, one capped occupancy grid per bucket), and rules out the
+pairs that could not match with that many pairs. Only the rest are
+scored. ``identify``,
 ``match_score``, ``score_indexed`` and ``exhaustive_dedup`` score every
 pair exactly.
 
@@ -461,12 +463,12 @@ class _JoinIndex:
         error of u, and ``arcs * arc`` is within uT of T; summed, a reach of
         w + 6uT puts ``floor(ob / arc)``, or that minus or plus ``arcs``,
         between the floors of the thresholds' quotients. ``reach`` is
-        ``t + (t + T) * 2**-49``, at least t(1 + 2u) + 7uT after its own
-        rounding (``_reach``). An arc is at least t and at least T * 2**-24 wide, so a
-        window spans under three arcs and reaches at most four, all distinct
-        when there are four arcs or more. A single arc is probed once, and a
-        tolerance above T, which leaves a single arc as any above T/4 does,
-        is cut to T.
+        ``_reach(t, T)``, ``t + (t + T) * 2**-49``, at least t(1 + 2u) + 7uT
+        after its own rounding. An arc is at least t and at least T * 2**-24
+        wide, so a window spans under three arcs and reaches at most four,
+        all distinct when there are four arcs or more. A single arc is
+        probed once, and a tolerance above T, which leaves a single arc as
+        any above T/4 does, is cut to T.
         """
         lo, hi = _s3_window(self.s3, fa[:, 2], self.p.side_tolerance)
         oa = fa[:, 6]
@@ -542,7 +544,6 @@ class _CellGrid:
 
     def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
         rows = np.concatenate(fbs)
-        self.seg_count = len(fbs)
         self.lo, self.hi = rows[:, :3].min(axis=0), rows[:, :3].max(axis=0)
         t = min(p.angle_tolerance, TWO_PI)
         widths = [_reach(p.side_tolerance, max(abs(lo), abs(hi)))
@@ -570,9 +571,9 @@ class _CellGrid:
         self.grid = np.zeros(math.prod(counts), dtype=bool)
         base, arc = self._cells(rows)
         self.cells = base + arc
-        sizes = np.array([f.shape[0] for f in fbs])
-        self.owners = np.flatnonzero(sizes)  # the matrices with rows, and where their rows start
-        self.starts = (np.cumsum(sizes) - sizes)[self.owners]
+        self.sizes = np.array([f.shape[0] for f in fbs])
+        self.owners = np.flatnonzero(self.sizes)  # the matrices with rows, and where they start
+        self.starts = (np.cumsum(self.sizes) - self.sizes)[self.owners]
 
     def _cells(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``f``, its cell's position in ``grid`` on the side axes, and its arc."""
@@ -589,7 +590,7 @@ class _CellGrid:
         self.grid[marked] = True
         hit = self.grid[self.cells]
         self.grid[marked] = False
-        counts = np.zeros(self.seg_count, dtype=np.intp)
+        counts = np.zeros(self.sizes.size, dtype=np.intp)
         counts[self.owners] = np.add.reduceat(hit, self.starts, dtype=np.intp)
         return counts
 
@@ -725,9 +726,6 @@ def bucket_screen(members: Sequence[TripletIndex], p: MatchParams
     does, and triplet-less prints score by minutiae equality.
     """
     sizes = [m.features.shape[0] for m in members]
-    # Triplet counts, 1 for a triplet-less member, which is never dropped.
-    counts = np.maximum(sizes, 1)
-    bare = np.equal(sizes, 0)
     grid: _CellGrid | None = None
 
     def undecided(a: TripletIndex, alive: Sequence[int]) -> list[int]:
@@ -738,8 +736,9 @@ def bucket_screen(members: Sequence[TripletIndex], p: MatchParams
         if grid is None:
             grid = _CellGrid([m.features for m in members], p)
         bound = grid.bounds(a.features)
-        dropped = (((100.0 * bound / np.minimum(counts, na) < p.score_threshold)
-                    | (bound < p.min_matched_descriptors)) & ~bare).tolist()
+        smaller = np.minimum(grid.sizes, na)  # 0 for a triplet-less member, never dropped
+        dropped = (((100.0 * bound / np.maximum(smaller, 1) < p.score_threshold)
+                    | (bound < p.min_matched_descriptors)) & (smaller > 0)).tolist()
         return [j for j in alive if not dropped[j]]
 
     return undecided

@@ -822,8 +822,8 @@ def test_one_member_scorer_builds_no_join_index(monkeypatch, random_suite):
 
 
 def _cell_edge_features(grid: _CellGrid, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Rows with sides on the grid's cell edges and orientations on its arc edges, some moved
-    1 ulp up (sides) or either way (orientations)."""
+    """Rows with sides on the grid's cell edges and orientations on its arc edges, 0 and
+    2*pi among them, some moved 1 ulp up (sides) or either way (orientations)."""
     edges = grid.lo + rng.integers(0, 4, size=(n, 3)) * grid.width
     sides = np.where(rng.integers(0, 2, size=(n, 3)) == 1, np.nextafter(edges, np.inf), edges)
     arcs = rng.integers(0, grid.arcs + 1, size=(n, 3)) * grid.arc
@@ -832,7 +832,16 @@ def _cell_edge_features(grid: _CellGrid, rng: np.random.Generator, n: int) -> np
                                     np.where(nudge > 0, np.nextafter(arcs, np.inf), arcs)),
                            0.0, np.nextafter(TWO_PI, 0.0))
     angles = rng.integers(0, 6, size=(n, 3)) * 0.1
-    return np.concatenate((np.sort(sides, axis=1), angles, orientations), axis=1)
+    return np.concatenate((sides, angles, orientations), axis=1)
+
+
+def _partners(rows: np.ndarray, rng: np.random.Generator, p: MatchParams) -> np.ndarray:
+    """Each row with every side moved by -tol, 0 or +tol and every orientation by -angle_tol,
+    0 or +angle_tol, wrapping at 2*pi: pairs on the screens' edges, many of them kept."""
+    sides = rows[:, :3] + rng.integers(-1, 2, size=(rows.shape[0], 3)) * p.side_tolerance
+    turns = rng.integers(-1, 2, size=(rows.shape[0], 3)) * p.angle_tolerance
+    orientations = np.minimum(np.mod(rows[:, 6:] + turns, TWO_PI), np.nextafter(TWO_PI, 0.0))
+    return np.concatenate((sides, rows[:, 3:6], orientations), axis=1)
 
 
 def _assert_screen_exact(members: list[TripletIndex], heads: list[TripletIndex],
@@ -899,9 +908,10 @@ def test_cell_bound_on_lattices(p):
         heads = members + [_sorted_index(_edge_features(rng, int(rng.integers(1, 12)), p), "a")]
         _assert_screen_exact(members, heads, p)
         grid = _CellGrid([m.features for m in members], p)
-        members = [_sorted_index(_cell_edge_features(grid, rng, int(rng.integers(1, 12))))
-                   for _ in range(3)]
-        _assert_screen_exact(members, members, p)
+        heads = [_sorted_index(_cell_edge_features(grid, rng, int(rng.integers(1, 12))), "a")
+                 for _ in range(2)]
+        members = [_sorted_index(_partners(h.features, rng, p)) for h in heads for _ in range(2)]
+        _assert_screen_exact(members, heads + members, p)
 
 
 def test_cell_bound_keeps_pair_past_rounded_bound():
