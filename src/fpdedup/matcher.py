@@ -590,9 +590,9 @@ class _CellGrid:
         self.grid[marked] = True
         hit = self.grid[self.cells]
         self.grid[marked] = False
-        counts = np.zeros(self.sizes.size, dtype=np.intp)
-        counts[self.owners] = np.add.reduceat(hit, self.starts, dtype=np.intp)
-        return counts
+        per_matrix = np.zeros(self.sizes.size, dtype=np.intp)
+        per_matrix[self.owners] = np.add.reduceat(hit, self.starts, dtype=np.intp)
+        return per_matrix
 
 
 def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
@@ -722,8 +722,9 @@ def bucket_screen(members: Sequence[TripletIndex], p: MatchParams
     bound below ``min_matched_descriptors``. The score and the count both
     grow with the paired count, which the bound is at least, so a dropped
     pair cannot match. Any other call keeps every member: on a
-    one-member call the bound costs about what the exact window join
-    does, and triplet-less prints score by minutiae equality.
+    one-member call the grid's build and one bound cost more than the
+    exact window join, and triplet-less prints score by minutiae
+    equality.
     """
     sizes = [m.features.shape[0] for m in members]
     grid: _CellGrid | None = None
