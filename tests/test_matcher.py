@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fpdedup import matcher
+from fpdedup.dedup import _sweep_bucket
 from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _CellGrid,
                              _JoinIndex, _arc_count, _greedy_pair_counts, _heading_table,
                              _nearest, _triangles, bucket_scorer, bucket_screen,
@@ -895,12 +896,18 @@ def test_cell_bound_on_prints(random_suite, p):
     assert kept >= len(members) + 2  # each print against itself, and the copies
     if p.score_threshold > 0 and p.angle_tolerance < 1.0:
         assert dropped > kept  # most of the 90 pairs are impostors, and the bound finds them
+    # the sweep of these prints as one bucket: the same groups and comparisons screened or not
+    bucket = [m.signature.record_id for m in members]
+    prepared = dict(zip(bucket, members))
+    assert (_sweep_bucket(bucket, prepared, p, bucket_scorer, bucket_screen)
+            == _sweep_bucket(bucket, prepared, p, bucket_scorer, None))
 
 
 @pytest.mark.parametrize("p", BOUND_PARAMS, ids=BOUND_IDS)
 def test_cell_bound_on_lattices(p):
     # rows on half-tolerance lattices, sides on cell edges and orientations
     # straddling 0 and 2*pi, then rows on the grid's own cell and arc edges
+    # against partners one tolerance away
     rng = np.random.default_rng(4242)
     for _ in range(25):
         members = [_sorted_index(_edge_features(rng, int(rng.integers(1, 12)), p))
