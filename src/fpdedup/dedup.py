@@ -8,12 +8,11 @@ matches into that group. Groups are exactly the sweep's output; they
 are not transitively closed any further. The engine only reports
 duplicates, it never deletes anything.
 
-The sweep decides pairs rather than scoring them: with the built-in
-scorer, a bound on each pair's paired-triplet count rules most
-non-matching pairs out before any is scored (``matcher.bucket_screen``),
-and only the rest are scored. A pair the bound decides still counts as
-a comparison, so groups and comparison counts are those of scoring
-every pair.
+The sweep decides pairs rather than scoring them: a bound on each
+pair's paired-triplet count rules most non-matching pairs out before
+any is scored (``matcher.bucket_screen``), and only the rest are
+scored. A pair the bound decides still counts as a comparison, so
+groups and comparison counts are those of scoring every pair.
 
 An exhaustive all-pairs oracle (connected components of the match
 graph) is included for equivalence testing on small corpora. It scores
@@ -25,10 +24,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any
 
 from .cluster import ClusterTable
-from .matcher import Index, Matcher, MatchParams, Screen, _scorer, is_match
+from .matcher import (MatchParams, TripletIndex, bucket_scorer, bucket_screen, index_signatures,
+                      is_match)
 from .signature import Signature, _resolve
 
 REPORT_FORMAT_HEADER = "fpdedup-dedup-report v1"
@@ -70,21 +69,19 @@ WINDOW_PRINTS = 256
 
 
 def _sweep_bucket(bucket: list[str],
-                  prepared: Mapping[str, Any],
-                  params: MatchParams,
-                  index: Index,
-                  screen: Screen | None) -> tuple[list[list[str]], int]:
+                  prepared: Mapping[str, TripletIndex],
+                  params: MatchParams) -> tuple[list[list[str]], int]:
     """Sweep one bucket into groups; returns (groups, comparisons).
 
-    The bucket's members are indexed once, and screened when the scorer
-    has a screen; each head is then decided against its whole remaining
-    worklist in one call. The screen rules pairs out by a bound alone,
-    and only the pairs it leaves are scored. Every pair of head and
-    worklist member counts as a comparison, scored or ruled out.
+    The bucket's members are indexed and screened once; each head is
+    then decided against its whole remaining worklist in one call. The
+    screen rules pairs out by a bound alone, and only the pairs it
+    leaves are scored. Every pair of head and worklist member counts as
+    a comparison, scored or ruled out.
     """
     members = [prepared[rid] for rid in bucket]
-    compare = index(members, params)
-    undecided = screen(members, params) if screen else None
+    compare = bucket_scorer(members, params)
+    undecided = bucket_screen(members, params)
     groups: list[list[str]] = []
     comparisons = 0
     worklist = list(range(len(bucket)))
@@ -92,7 +89,7 @@ def _sweep_bucket(bucket: list[str],
         head = worklist.pop(0)
         group = [head]
         remaining: list[int] = []
-        scored = undecided(members[head], worklist) if undecided else worklist
+        scored = undecided(members[head], worklist)
         matched = {other for other, result in zip(scored, compare(members[head], scored))
                    if is_match(result, params)}
         comparisons += len(worklist)
@@ -126,8 +123,7 @@ def _windows(buckets: Mapping[str, list[str]]) -> Iterator[list[tuple[str, list[
 
 def deduplicate(table: ClusterTable,
                 store: Mapping[str, Signature],
-                params: MatchParams = MatchParams(),
-                matcher: Matcher | None = None) -> DuplicateReport:
+                params: MatchParams = MatchParams()) -> DuplicateReport:
     """Run the duplicate sweep over every bucket of a loaded table.
 
     Buckets of size <= 1 are recorded as singleton groups without any
@@ -139,12 +135,11 @@ def deduplicate(table: ClusterTable,
     for key, bucket in table.buckets.items():
         # Every key in table order; a swept bucket's groups replace its entry below.
         report.groups_by_key[key] = [list(bucket)]
-    prepare, index, screen = _scorer(matcher)
     for window in _windows(table.buckets):
         ids = [rid for _, bucket in window for rid in bucket]
-        prepared = dict(zip(ids, prepare([_resolve(store, rid) for rid in ids], params)))
+        prepared = dict(zip(ids, index_signatures([_resolve(store, rid) for rid in ids], params)))
         for key, bucket in window:
-            groups, comparisons = _sweep_bucket(bucket, prepared, params, index, screen)
+            groups, comparisons = _sweep_bucket(bucket, prepared, params)
             report.groups_by_key[key] = groups
             report.comparisons += comparisons
     return report
@@ -171,8 +166,7 @@ def pair_relation(groups: Iterable[Sequence[str]]) -> set[frozenset[str]]:
 
 def exhaustive_dedup(store: Mapping[str, Signature],
                      params: MatchParams = MatchParams(),
-                     cap: int = ORACLE_CAP,
-                     matcher: Matcher | None = None) -> list[list[str]]:
+                     cap: int = ORACLE_CAP) -> list[list[str]]:
     """All-pairs grouping: connected components of the match graph.
 
     Scores every one of the n*(n-1)/2 pairs, so it is only usable as a
@@ -186,8 +180,7 @@ def exhaustive_dedup(store: Mapping[str, Signature],
             f"corpus has {n} records, above the exhaustive-oracle cap of {cap}"
         )
 
-    prepare, index, _ = _scorer(matcher)
-    prepared = prepare([_resolve(store, rid) for rid in ids], params)
+    prepared = index_signatures([_resolve(store, rid) for rid in ids], params)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -196,7 +189,7 @@ def exhaustive_dedup(store: Mapping[str, Signature],
             i = parent[i]
         return i
 
-    compare = index(prepared, params)
+    compare = bucket_scorer(prepared, params)
     for i in range(n - 1):
         results = compare(prepared[i], range(i + 1, n))
         for j, result in enumerate(results, start=i + 1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cluster import ClusterTable
 from .grid import GridParams, compute_index
-from .matcher import MatchParams, Matcher, _scorer, is_match
+from .matcher import MatchParams, bucket_scorer, index_signatures, is_match
 from .signature import Signature, _resolve
 
 
@@ -32,14 +32,12 @@ def identify(query: Signature,
              table: ClusterTable,
              store: Mapping[str, Signature],
              grid: GridParams = GridParams(),
-             params: MatchParams = MatchParams(),
-             matcher: Matcher | None = None) -> IdentificationResult:
+             params: MatchParams = MatchParams()) -> IdentificationResult:
     """Identify a query against a loaded table.
 
     ``store`` must resolve every record id appearing in the table.
     Comparisons performed equal the bucket size exactly. Candidates come
-    back sorted by descending score, ties broken by record id. Passing a
-    ``matcher`` overrides the built-in triplet scorer.
+    back sorted by descending score, ties broken by record id.
 
     Raises:
         KeyError: a bucket member missing from the store (table and
@@ -50,10 +48,9 @@ def identify(query: Signature,
     if not bucket:
         return IdentificationResult(key.key_text, [], [], 0.0)
 
-    prepare, index, _ = _scorer(matcher)
-    prepared_query, *members = prepare(
+    query_index, *members = index_signatures(
         [query] + [_resolve(store, record_id) for record_id in bucket], params)
-    results = index(members, params)(prepared_query, range(len(members)))
+    results = bucket_scorer(members, params)(query_index, range(len(members)))
     scored = [(record_id, result.score, result) for record_id, result in zip(bucket, results)]
 
     scored.sort(key=lambda item: (-item[1], item[0]))

@@ -45,15 +45,8 @@ member's rows that lie in a cell of (s1, s2, s3, first-orientation arc)
 next to a cell holding a head row (``_CellGrid``: cells at least a
 tolerance wide, one capped occupancy grid per bucket), and rules out the
 pairs that could not match with that many pairs. Only the rest are
-scored. ``identify``,
-``match_score``, ``score_indexed`` and ``exhaustive_dedup`` score every
-pair exactly.
-
-This module is also the one home of the scoring protocol that
-``identify``, ``deduplicate`` and ``exhaustive_dedup`` run (``_scorer``).
-The scorer is deliberately pluggable: anything with the ``(Signature,
-Signature, MatchParams) -> MatchResult`` shape (a ``Matcher``) can stand
-in for the built-in implementation.
+scored. ``identify``, ``match_score``, ``score_indexed`` and
+``exhaustive_dedup`` score every pair exactly.
 """
 
 from __future__ import annotations
@@ -63,7 +56,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, starmap
-from typing import Any
 
 import numpy as np
 
@@ -743,42 +735,6 @@ def bucket_screen(members: Sequence[TripletIndex], p: MatchParams
         return [j for j in alive if not dropped[j]]
 
     return undecided
-
-
-# ---------------------------------------------------------------------------
-# The scoring protocol
-
-Matcher = Callable[[Signature, Signature, MatchParams], MatchResult]
-Prepare = Callable[[list[Signature], MatchParams], list[Any]]
-Compare = Callable[[Any, Sequence[int]], list[MatchResult]]
-Index = Callable[[list[Any], MatchParams], Compare]
-Screen = Callable[[list[Any], MatchParams], Callable[[Any, Sequence[int]], list[int]]]
-
-
-def _scorer(matcher: Matcher | None) -> tuple[Prepare, Index, Screen | None]:
-    """The (prepare, index, screen) triple every scoring call site runs.
-
-    Records are prepared once, a list at a time. ``index(members, p)``
-    binds ``p`` and returns ``compare(a, alive)``, which scores one
-    prepared form against the members at positions ``alive``, one result
-    per position, in that order. The built-in scorer prepares the
-    signatures' triplet indexes in stacked passes (``index_signatures``),
-    and builds the members' join index at most once per ``index`` call,
-    on its first compare of two or more members (``bucket_scorer``); a
-    custom ``matcher`` prepares nothing and is called on each pair of
-    signatures in ``alive`` order, with the ``p`` its index was given.
-    ``screen(members, p)``, built-in only (``bucket_screen``), returns
-    ``undecided(a, alive)``: the positions of ``alive`` that ``a`` may
-    match. The dedup sweep, which needs only ``is_match``, scores those
-    alone; ``identify`` and the oracle score every pair.
-    """
-    if matcher is None:
-        return index_signatures, bucket_scorer, bucket_screen
-
-    def index(members: list[Any], p: MatchParams) -> Compare:
-        return lambda a, alive: [matcher(a, members[j], p) for j in alive]
-
-    return (lambda signatures, _p: list(signatures)), index, None
 
 
 def score_indexed(a: TripletIndex, b: TripletIndex, p: MatchParams = MatchParams()) -> MatchResult:

@@ -321,21 +321,26 @@ def serialize_signature(s: Signature) -> str:
 
 
 # Tables and reports separate record ids with tabs, commas and line breaks;
-# the class holds both separators and every str.splitlines boundary.
-_ID_SEPARATORS = re.compile(r"[\t,\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]")
+# the class holds both separators and every str.splitlines boundary, then
+# the lone surrogates, which stand for the undecodable bytes of a file name.
+_ID_SEPARATORS = re.compile(r"[\t,\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029\ud800-\udfff]")
 
 
 def check_record_ids(ids: Iterable[str], what: str = "record id") -> None:
-    """Raise ParseError naming the first id that holds a tab, a comma or a line boundary.
+    """Raise ParseError naming the first id that holds a tab, a comma, a line boundary
+    or a lone surrogate.
 
-    Such an id would be written to a table or report as two ids, or
-    split its line, and be read back as something else. ``what`` names
-    the kind of id in the message.
+    An id with a separator would be written to a table or report as two
+    ids, or split its line, and be read back as something else; one with
+    a lone surrogate cannot be written as text at all. ``what`` names the
+    kind of id in the message.
     """
     search = _ID_SEPARATORS.search
     for record_id in ids:
-        if search(record_id):
-            raise ParseError(f"{what} {record_id!r} contains a separator character")
+        found = search(record_id)
+        if found:
+            kind = "an undecodable byte" if found[0] >= "\ud800" else "a separator character"
+            raise ParseError(f"{what} {record_id!r} contains {kind}")
 
 
 def _read_text(path: Path) -> str:

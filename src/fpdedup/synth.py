@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .signature import _MAX_COORD, Signature
+from .signature import _MAX_COORD, ParseError, Signature, _read_text
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -247,9 +247,17 @@ def write_ground_truth(pairs: list[tuple[str, str]], path: str | Path) -> None:
 
 
 def read_ground_truth(path: str | Path) -> list[tuple[str, str]]:
+    """The ``(dup_id, source_id)`` pairs of a ground-truth file, in file order.
+
+    Blank lines are skipped. A line that is not two tab-separated ids,
+    or a file that does not decode, raises ParseError naming the file.
+    """
+    path = Path(path)
     pairs = []
-    for line in Path(path).read_text().splitlines():
+    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
         if line.strip():
-            dup, src = line.split("\t")
-            pairs.append((dup, src))
+            parts = line.split("\t")
+            if len(parts) != 2 or not all(parts):
+                raise ParseError(f"{path}: line {line_no}: expected 'dup_id<TAB>source_id'")
+            pairs.append((parts[0], parts[1]))
     return pairs

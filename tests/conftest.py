@@ -1,4 +1,4 @@
-"""Shared fixtures: the reference worked-example signature and a counting matcher."""
+"""Shared fixtures: the reference worked-example signature and a spy on the sweep's pairs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fpdedup.matcher import MatchParams, MatchResult, match_score
+from fpdedup import dedup
 from fpdedup.signature import Minutia, Signature, read_signature_file
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -31,16 +31,24 @@ def translate(s: Signature, dx: int, dy: int, record_id: str | None = None) -> S
                      [Minutia(m.x + dx, m.y + dy, m.theta, m.type_code) for m in s.minutiae])
 
 
-class CountingMatcher:
-    """Wraps the built-in scorer and records every compared pair."""
+@pytest.fixture
+def compared_pairs(monkeypatch) -> list[tuple[str, str]]:
+    """Every (head, member) pair the dedup sweep decides, in sweep order.
 
-    def __init__(self):
-        self.pairs: list[tuple[str, str]] = []
+    Each pair the sweep compares passes through its screen's
+    ``undecided(head, alive)``, ruled out there or scored after.
+    """
+    pairs: list[tuple[str, str]] = []
+    screen = dedup.bucket_screen
 
-    def __call__(self, a: Signature, b: Signature, p: MatchParams) -> MatchResult:
-        self.pairs.append((a.record_id, b.record_id))
-        return match_score(a, b, p)
+    def spying_screen(members, p):
+        undecided = screen(members, p)
 
-    @property
-    def count(self) -> int:
-        return len(self.pairs)
+        def spy(a, alive):
+            pairs.extend((a.signature.record_id, members[j].signature.record_id) for j in alive)
+            return undecided(a, alive)
+
+        return spy
+
+    monkeypatch.setattr(dedup, "bucket_screen", spying_screen)
+    return pairs

@@ -23,7 +23,7 @@ from fpdedup.stats import (REFERENCE_ROWS, REFERENCE_SIZE_AVG_PAIRS, estimate_wo
                            fit_regression, materialize_corpus, predict_avg)
 from fpdedup.synth import GenSpec, SplitMix64, generate, iter_records
 
-from .conftest import REFERENCE_KEY, CountingMatcher
+from .conftest import REFERENCE_KEY
 from .test_matcher import quarter_turn
 
 PARAMS = MatchParams()
@@ -229,14 +229,13 @@ def test_criterion_10_matcher_invariant_suite():
        f"(mean score by removals: {', '.join(f'{m:.1f}' for m in means)})")
 
 
-def test_criterion_11_zero_cross_bucket_comparisons(planted_1k):
+def test_criterion_11_zero_cross_bucket_comparisons(planted_1k, compared_pairs):
     table, store, _, _ = planted_1k
-    counter = CountingMatcher()
-    report = deduplicate(table, store, PARAMS, matcher=counter)
+    report = deduplicate(table, store, PARAMS)
     key_of = {rid: key for key, bucket in table.buckets.items() for rid in bucket}
-    assert counter.pairs, "expected multi-member buckets"
-    cross = sum(1 for a, b in counter.pairs if key_of[a] != key_of[b])
+    assert compared_pairs, "expected multi-member buckets"
+    cross = sum(1 for a, b in compared_pairs if key_of[a] != key_of[b])
     assert cross == 0
-    assert counter.count == report.comparisons
-    assert counter.count <= comparison_count(table)
-    ok(f"11: {counter.count} comparisons, all within buckets, zero cross-bucket")
+    assert len(compared_pairs) == report.comparisons
+    assert len(compared_pairs) <= comparison_count(table)
+    ok(f"11: {len(compared_pairs)} comparisons, all within buckets, zero cross-bucket")

@@ -2,14 +2,35 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fpdedup.cli import EXIT_DATA, main
-from fpdedup.cluster import (ClusterTable, DuplicateRecordIdError, build_table,
-                             load_table, save_table)
+from fpdedup.cluster import (TABLE_FORMAT_HEADER, ClusterTable, DuplicateRecordIdError,
+                             build_table, load_table, save_table)
+from fpdedup.grid import IndexKey
+from fpdedup.signature import ParseError
 from fpdedup.synth import SplitMix64
+
+# Every character that splits an id or its line; ``signature.check_record_ids``
+# refuses these and the lone surrogates (category Cs).
+SEPARATORS = "\t,\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+RECORD_IDS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=SEPARATORS),
+                     min_size=1, max_size=8)
+KEYS = st.lists(st.integers(0, 60), min_size=1, max_size=25).map(
+    lambda counts: IndexKey.from_counts(counts).key_text)
+# Lines of tab-joined fields of comma-joined parts, so that some draws are tables
+TABLE_LINES = st.lists(st.lists(st.lists(st.text(max_size=4), max_size=3).map(",".join),
+                                max_size=3).map("\t".join), max_size=6).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    """One file for every example of a test; each example overwrites it."""
+    return tmp_path_factory.mktemp("tables") / "table.tsv"
 
 
 def test_build_table_basic():
@@ -107,6 +128,26 @@ def test_save_load_large_synthetic(tmp_path):
     assert loaded.size == 10_000
 
 
+@given(st.dictionaries(RECORD_IDS, KEYS, max_size=30))
+def test_save_load_round_trip_drawn(table_path, entries):
+    table = build_table(entries.items())
+    save_table(table, table_path)
+    loaded = load_table(table_path)
+    assert loaded.buckets == table.buckets
+    assert list(loaded.buckets) == list(table.buckets)
+    assert loaded.size == table.size
+
+
+@given(st.one_of(st.text(), TABLE_LINES))
+def test_load_drawn_text_loads_or_raises_value_error(table_path, text):
+    table_path.write_text(f"{TABLE_FORMAT_HEADER}\n{text}")
+    try:
+        table = load_table(table_path)
+    except ValueError:
+        return
+    assert table.size == sum(map(len, table.buckets.values()))
+
+
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("something else\nk\tA\n")
@@ -138,6 +179,16 @@ def test_load_rejects_empty_record_id(tmp_path, capsys):
     with pytest.raises(ValueError, match="empty_id.tsv:2: empty record id"):
         load_table(path)
     _assert_cli_data_error(path, capsys, "empty_id.tsv:2: empty record id")
+
+
+def test_save_rejects_undecodable_id(tmp_path):
+    # os.scandir returns a file name byte that does not decode as a lone surrogate
+    path = tmp_path / "t.tsv"
+    path.write_text("kept\n")
+    for record_id in ("\udcff", "a\ud800"):
+        with pytest.raises(ParseError, match=re.escape(f"{record_id!r} contains an undecodable")):
+            save_table(build_table([(record_id, "0")]), path)
+    assert path.read_text() == "kept\n"
 
 
 def test_save_rejects_separator_in_id(tmp_path):

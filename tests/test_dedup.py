@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from fpdedup.matcher import (MatchParams, MatchResult, _JoinIndex, bucket_scorer
 from fpdedup.signature import Signature
 from fpdedup.synth import GenSpec, generate
 
-from .conftest import CountingMatcher, make_signature
+from .conftest import make_signature
 
 PARAMS = MatchParams()
 
@@ -52,13 +54,12 @@ def test_identical_pair_grouped():
     assert groups[c_key] == [["C"]]
 
 
-def test_all_distinct_zero_comparisons():
+def test_all_distinct_zero_comparisons(compared_pairs):
     signatures, _ = generate(GenSpec(subjects=40, minutiae_per_print=(20, 30), seed=9))
     table, store = _table_and_store(signatures)
     if table.max_bucket_size() == 1:  # distinct keys, as expected for random prints
-        counter = CountingMatcher()
-        report = deduplicate(table, store, PARAMS, matcher=counter)
-        assert counter.count == 0
+        report = deduplicate(table, store, PARAMS)
+        assert compared_pairs == []
         assert report.comparisons == 0
         assert all(len(g) == 1 for groups in report.groups_by_key.values() for g in groups)
 
@@ -82,18 +83,14 @@ def test_sweep_matches_oracle_on_shared_key_pairs(planted_corpus):
     assert sweep_pairs & shared_key == oracle_pairs & shared_key
 
 
-def test_zero_cross_bucket_comparisons(planted_corpus):
+def test_zero_cross_bucket_comparisons(planted_corpus, compared_pairs):
     table, store, _ = planted_corpus
-    counter = CountingMatcher()
-    custom = deduplicate(table, store, PARAMS, matcher=counter)
+    report = deduplicate(table, store, PARAMS)
     key_of = {rid: key for key, bucket in table.buckets.items() for rid in bucket}
-    assert counter.pairs, "multi-member buckets were expected"
-    for a, b in counter.pairs:
+    assert compared_pairs, "multi-member buckets were expected"
+    for a, b in compared_pairs:
         assert key_of[a] == key_of[b]
-    # a custom matcher and the built-in scorer take the same path
-    builtin = deduplicate(table, store, PARAMS)
-    assert custom.groups_by_key == builtin.groups_by_key
-    assert custom.comparisons == builtin.comparisons == counter.count
+    assert len(compared_pairs) == report.comparisons <= comparison_count(table)
 
 
 def test_actual_comparisons_bounded(planted_corpus):
@@ -112,23 +109,16 @@ def test_unresolvable_id_errors(planted_corpus):
 # Windows: buckets prepared together, swept as if one by one
 
 
-def _reference_sweep(table, store, params, matcher=None):
+def _reference_sweep(table, store, params):
     """The sweep bucket by bucket, each print built alone, singletons included."""
-    def prepare(s):
-        return s if matcher else index_signature(s, params)
-
-    def compare(a, others):
-        if matcher:
-            return [matcher(a, b, params) for b in others]
-        return bucket_scorer(others, params)(a, range(len(others)))
-
     report = DuplicateReport()
     for key, bucket in table.buckets.items():
-        prepared = {rid: prepare(store[rid]) for rid in bucket}
+        prepared = {rid: index_signature(store[rid], params) for rid in bucket}
         groups, worklist = [], list(bucket)
         while worklist:
             head, *worklist = worklist
-            results = compare(prepared[head], [prepared[o] for o in worklist])
+            others = [prepared[o] for o in worklist]
+            results = bucket_scorer(others, params)(prepared[head], range(len(others)))
             report.comparisons += len(worklist)
             groups.append([head] + [o for o, r in zip(worklist, results) if is_match(r, params)])
             worklist = [o for o, r in zip(worklist, results) if not is_match(r, params)]
@@ -171,14 +161,25 @@ def test_windowed_sweep_equals_bucket_by_bucket(windowed):
     assert report.comparisons == reference.comparisons
 
 
-def test_windowed_sweep_custom_matcher(windowed):
+def _sweep_pairs(table, report):
+    """The (head, member) pairs a sweep into ``report``'s groups compares, in sweep order."""
+    pairs = []
+    for key, bucket in table.buckets.items():
+        worklist = list(bucket)
+        for group in report.groups_by_key[key]:
+            head, *worklist = worklist
+            pairs += [(head, other) for other in worklist]
+            worklist = [rid for rid in worklist if rid not in group]
+    return pairs
+
+
+def test_windowed_sweep_pair_order(windowed, compared_pairs):
     table, store = windowed
-    counter, reference_counter = CountingMatcher(), CountingMatcher()
-    report = deduplicate(table, store, PARAMS, matcher=counter)
-    reference = _reference_sweep(table, store, PARAMS, matcher=reference_counter)
+    report = deduplicate(table, store, PARAMS)
+    reference = _reference_sweep(table, store, PARAMS)
     assert format_report(report) == format_report(reference)
-    assert report.comparisons == reference.comparisons == counter.count
-    assert counter.pairs == reference_counter.pairs
+    assert report.comparisons == reference.comparisons == len(compared_pairs)
+    assert compared_pairs == _sweep_pairs(table, reference)
 
 
 def test_bound_decides_most_impostor_pairs(monkeypatch):
@@ -190,19 +191,18 @@ def test_bound_decides_most_impostor_pairs(monkeypatch):
                         for s in signatures)
     reference = _reference_sweep(table, store, PARAMS)
     scored = []
-    scorer = matcher_module.bucket_scorer
 
     def counting_scorer(members, p):
-        score = scorer(members, p)
+        score = bucket_scorer(members, p)
         return lambda a, alive: scored.append(len(alive)) or score(a, alive)
 
-    monkeypatch.setattr(matcher_module, "bucket_scorer", counting_scorer)
+    monkeypatch.setattr(dedup_module, "bucket_scorer", counting_scorer)
     report = deduplicate(table, store, PARAMS)
     assert format_report(report) == format_report(reference)
     assert report.comparisons == reference.comparisons > 1000
     assert len(report.duplicate_groups()) == 15
     # the exact scorer sees the planted pairs and few impostors besides
-    assert sum(scored) < report.comparisons / 20
+    assert 15 <= sum(scored) < report.comparisons / 20
 
 
 def test_bucket_index_sweep_equals_head_by_head():
@@ -230,6 +230,21 @@ def test_bucket_index_sweep_equals_head_by_head():
 # Non-default params reach every index
 
 
+def _match_components(store, params):
+    """Connected components of the match graph, each pair scored alone by ``match_score``;
+    groups and members in first-seen order, as ``exhaustive_dedup`` gives them."""
+    ids = list(store)
+    component = list(range(len(ids)))  # each record's lowest-positioned partner so far
+    for i, j in combinations(range(len(ids)), 2):
+        if is_match(match_score(store[ids[i]], store[ids[j]], params), params):
+            low, high = sorted((component[i], component[j]))
+            component = [low if c == high else c for c in component]
+    groups = {}
+    for rid, c in zip(ids, component):
+        groups.setdefault(c, []).append(rid)
+    return [groups[c] for c in sorted(groups)]
+
+
 def test_non_default_params_reach_every_index():
     # 1 px jitter: tighter tolerances lower some planted pairs' scores
     # below the threshold, so a caller that fell back to MatchParams()
@@ -250,32 +265,43 @@ def test_non_default_params_reach_every_index():
             ((rid, match_score(query, s, p).score) for rid, s in store.items()),
             key=lambda item: (-item[1], item[0]))
 
-    oracle = exhaustive_dedup(store, p, matcher=match_score)
-    assert oracle != exhaustive_dedup(store, MatchParams(), matcher=match_score)
+    oracle = _match_components(store, p)
+    assert oracle != _match_components(store, MatchParams())
     assert exhaustive_dedup(store, p) == oracle
     table = build_table((rid, "shared") for rid in store)
-    reference = _reference_sweep(table, store, p, matcher=match_score)
+    reference = _reference_sweep(table, store, p)
     assert reference.duplicate_groups() != \
-        _reference_sweep(table, store, MatchParams(), matcher=match_score).duplicate_groups()
+        _reference_sweep(table, store, MatchParams()).duplicate_groups()
     assert format_report(deduplicate(table, store, p)) == format_report(reference)
 
 
 # ---------------------------------------------------------------------------
-# The literal sweep semantics, checked with scripted matchers
+# The literal sweep semantics, checked with a scripted relation
 
 
 def _scripted_dedup(bucket_ids, match_pairs):
-    """Run the sweep on one artificial bucket with a scripted relation."""
+    """Run the sweep on one artificial bucket with a scripted relation.
+
+    The sweep's records stay signatures, scored by the relation on their
+    ids, and its screen keeps every pair.
+    """
     signatures = [make_signature(rid, [(10 * (i + 1), 10), (10 * (i + 1), 30), (15, 70 + i)])
                   for i, rid in enumerate(bucket_ids)]
     table = build_table((s.record_id, "shared-key") for s in signatures)
     store = {s.record_id: s for s in signatures}
 
-    def scripted(a, b, _p):
-        ok = frozenset((a.record_id, b.record_id)) in match_pairs
-        return MatchResult(100.0 if ok else 0.0, 1 if ok else 0)
+    def scripted_scorer(members, _p):
+        def score(a, alive):
+            ok = [frozenset((a.record_id, members[j].record_id)) in match_pairs for j in alive]
+            return [MatchResult(100.0 if o else 0.0, 1 if o else 0) for o in ok]
+        return score
 
-    return deduplicate(table, store, PARAMS, matcher=scripted).groups_by_key["shared-key"]
+    # a context rather than the fixture: Hypothesis reruns one test call for many examples
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dedup_module, "index_signatures", lambda signatures, _p: list(signatures))
+        patch.setattr(dedup_module, "bucket_scorer", scripted_scorer)
+        patch.setattr(dedup_module, "bucket_screen", lambda _m, _p: lambda _a, alive: list(alive))
+        return deduplicate(table, store, PARAMS).groups_by_key["shared-key"]
 
 
 def test_sweep_pop_head_semantics():
@@ -302,8 +328,8 @@ def test_sweep_partitions_bucket(size, raw_pairs):
     assert all(g for g in groups)
 
 
-def test_custom_matcher_pair_order():
-    """A custom matcher is called pair by pair, heads in sweep order, others in list order."""
+def test_sweep_and_oracle_pair_order(compared_pairs, monkeypatch):
+    """Pairs are decided heads in sweep order, others in list order."""
     a = make_signature("A", [(10, 10), (40, 20), (25, 45), (60, 60)])
     b = Signature("B", list(a.minutiae))  # matches A
     c = make_signature("C", [(0, 0), (90, 0), (0, 90), (45, 45), (90, 90)])
@@ -311,16 +337,26 @@ def test_custom_matcher_pair_order():
     store = {s.record_id: s for s in (a, c, b, d)}
     table = build_table((rid, "shared-key") for rid in store)
 
-    counter = CountingMatcher()
-    report = deduplicate(table, store, PARAMS, matcher=counter)
+    report = deduplicate(table, store, PARAMS)
     assert report.groups_by_key["shared-key"] == [["A", "B"], ["C"], ["D"]]
-    assert counter.pairs == [("A", "C"), ("A", "B"), ("A", "D"), ("C", "D")]
+    assert compared_pairs == [("A", "C"), ("A", "B"), ("A", "D"), ("C", "D")]
     assert report.comparisons == 4
 
-    counter = CountingMatcher()
-    exhaustive_dedup(store, PARAMS, matcher=counter)
-    assert counter.pairs == [("A", "C"), ("A", "B"), ("A", "D"),
-                             ("C", "B"), ("C", "D"), ("B", "D")]
+    scored = []
+
+    def spying_scorer(members, p):
+        score = bucket_scorer(members, p)
+
+        def spy(head, alive):
+            scored.extend((head.signature.record_id, members[j].signature.record_id)
+                          for j in alive)
+            return score(head, alive)
+
+        return spy
+
+    monkeypatch.setattr(dedup_module, "bucket_scorer", spying_scorer)
+    assert exhaustive_dedup(store, PARAMS) == [["A", "B"], ["C"], ["D"]]
+    assert scored == [("A", "C"), ("A", "B"), ("A", "D"), ("C", "B"), ("C", "D"), ("B", "D")]
 
 
 def test_perturbed_corpus_recall_reported(capsys):
@@ -375,25 +411,19 @@ def test_oracle_indexes_the_corpus_once(monkeypatch):
     """One scorer index over every record; each head is scored against the later ones."""
     signatures, _ = generate(GenSpec(subjects=12, dup_fraction=0.25, seed=44))
     store = {s.record_id: s for s in signatures}
-    expected = exhaustive_dedup(store, PARAMS, matcher=match_score)
+    expected = _match_components(store, PARAMS)
     indexed, built = [], []
-    scorer = dedup_module._scorer
 
-    def counting_scorer(matcher):
-        prepare, index, screen = scorer(matcher)
-
-        def counting_index(members, p):
-            indexed.append(len(members))
-            return index(members, p)
-
-        return prepare, counting_index, screen
+    def counting_scorer(members, p):
+        indexed.append(len(members))
+        return bucket_scorer(members, p)
 
     class Counting(_JoinIndex):
         def __init__(self, fbs, p):
             built.append(len(fbs))
             super().__init__(fbs, p)
 
-    monkeypatch.setattr(dedup_module, "_scorer", counting_scorer)
+    monkeypatch.setattr(dedup_module, "bucket_scorer", counting_scorer)
     monkeypatch.setattr(matcher_module, "_JoinIndex", Counting)
     assert exhaustive_dedup(store, PARAMS) == expected
     assert indexed == [len(store)]

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-from fpdedup import matcher as matcher_module
 from fpdedup.cluster import build_table
 from fpdedup.grid import GridParams, compute_index
 from fpdedup.identify import identify
-from fpdedup.matcher import MatchParams, index_signatures, is_match, match_score
+from fpdedup.matcher import MatchParams, bucket_scorer, index_signatures, is_match, match_score
 from fpdedup.signature import Signature
 from fpdedup.synth import GenSpec, generate
 
-from .conftest import CountingMatcher, translate
+from .conftest import translate
 
 PARAMS = MatchParams()
 GRID = GridParams()
+# The module, which the package's ``identify`` function shadows as ``fpdedup.identify``.
+identify_module = importlib.import_module("fpdedup.identify")
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +49,7 @@ def test_miss_builds_no_query_features(small_corpus, monkeypatch):
         calls.extend(s.record_id for s in batch)
         return index_signatures(batch, p)
 
-    # The scoring protocol, in matcher, prepares records through index_signatures.
-    monkeypatch.setattr(matcher_module, "index_signatures", counting_index)
+    monkeypatch.setattr(identify_module, "index_signatures", counting_index)
     result = identify(Signature("q", [signatures[0].minutiae[0]]), table, store, GRID, PARAMS)
     assert result.candidates == [] and result.penetration == 0.0
     assert calls == []
@@ -71,16 +73,23 @@ def test_translated_duplicate_found(small_corpus):
     assert (signatures[10].record_id, 100.0) in result.matches
 
 
-def test_comparisons_equal_bucket_size(small_corpus):
+def test_comparisons_equal_bucket_size(small_corpus, monkeypatch):
     table, store, signatures, _ = small_corpus
+    scored = []
+
+    def counting_scorer(members, p):
+        score = bucket_scorer(members, p)
+        return lambda a, alive: scored.extend(members[j] for j in alive) or score(a, alive)
+
+    monkeypatch.setattr(identify_module, "bucket_scorer", counting_scorer)
     for s in signatures[:20]:
-        counter = CountingMatcher()
+        scored.clear()
         query = Signature("query", list(s.minutiae))
         bucket = table.lookup(compute_index(query, GRID))
-        custom = identify(query, table, store, GRID, PARAMS, matcher=counter)
-        assert counter.count == len(bucket)
-        assert counter.count < table.size
-        assert custom.candidates == identify(query, table, store, GRID, PARAMS).candidates
+        result = identify(query, table, store, GRID, PARAMS)
+        assert [m.signature.record_id for m in scored] == bucket
+        assert len(scored) < table.size
+        assert len(result.candidates) == len(bucket)
 
 
 def test_penetration_exact(small_corpus):

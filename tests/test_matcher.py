@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fpdedup import matcher
+from fpdedup import dedup, matcher
 from fpdedup.dedup import _sweep_bucket
 from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _CellGrid,
                              _JoinIndex, _arc_count, _greedy_pair_counts, _heading_table,
@@ -884,7 +884,7 @@ BOUND_IDS = ["default", "milli", "ulp", "wide", "few-arcs", "max-edge-300", "min
 
 
 @pytest.mark.parametrize("p", BOUND_PARAMS, ids=BOUND_IDS)
-def test_cell_bound_on_prints(random_suite, p):
+def test_cell_bound_on_prints(random_suite, p, monkeypatch):
     small = sorted(random_suite, key=lambda s: len(s.xs))[:5]
     copies = [translate(small[0], 9, -4, "moved"), quarter_turn(small[1], 500)]
     one_off = Signature("one-off", [(x + (i == 3), y, t, c) for i, (x, y, t, c)
@@ -899,8 +899,9 @@ def test_cell_bound_on_prints(random_suite, p):
     # the sweep of these prints as one bucket: the same groups and comparisons screened or not
     bucket = [m.signature.record_id for m in members]
     prepared = dict(zip(bucket, members))
-    assert (_sweep_bucket(bucket, prepared, p, bucket_scorer, bucket_screen)
-            == _sweep_bucket(bucket, prepared, p, bucket_scorer, None))
+    screened = _sweep_bucket(bucket, prepared, p)
+    monkeypatch.setattr(dedup, "bucket_screen", lambda _m, _p: lambda _a, alive: list(alive))
+    assert _sweep_bucket(bucket, prepared, p) == screened
 
 
 @pytest.mark.parametrize("p", BOUND_PARAMS, ids=BOUND_IDS)

@@ -610,6 +610,27 @@ def test_manifest_round_trip(tmp_path):
     assert [(m.x, m.y) for m in loaded["first"].minutiae] == [(1, 2), (30, 40)]
 
 
+# Lines of up to three tab-joined fields, so that some draws are manifests
+MANIFEST_LINES = st.lists(st.lists(st.text(max_size=6), max_size=3).map("\t".join),
+                          max_size=6).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def manifest_path(tmp_path_factory):
+    """One file for every example of a test; each example overwrites it."""
+    return tmp_path_factory.mktemp("manifests") / "m.tsv"
+
+
+@given(st.one_of(st.text(), MANIFEST_LINES))
+def test_manifest_drawn_text_loads_or_raises_parse_error(manifest_path, text):
+    manifest_path.write_text(text)
+    try:
+        store = FileStore.from_manifest(manifest_path)
+    except ParseError:
+        return
+    assert len(store) == len(list(store)) <= len(text.splitlines())
+
+
 def test_manifest_malformed_line(tmp_path):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("only-one-field\n")
@@ -643,16 +664,22 @@ def test_file_parse_error_names_the_file(tmp_path):
 
 
 def test_record_id_rule_is_separators_and_line_boundaries():
-    rejected = set()
+    # and lone surrogates, which stand for undecodable bytes of a file name
+    rejected, undecodable = set(), set()
     for code in range(0x110000):
         c = chr(code)
         try:
             check_record_ids(["a", f"x{c}y"])
         except ParseError as exc:
-            assert repr(f"x{c}y") in str(exc) and "separator" in str(exc)
-            rejected.add(c)
+            assert repr(f"x{c}y") in str(exc)
+            if "undecodable byte" in str(exc):
+                undecodable.add(c)
+            else:
+                assert "separator" in str(exc)
+                rejected.add(c)
     assert rejected == {"\t", ","} | {c for c in map(chr, range(0x110000))
                                       if len(f"x{c}y".splitlines()) > 1}
+    assert undecodable == set(map(chr, range(0xD800, 0xE000)))
 
 
 def test_store_rejects_separator_in_record_id(tmp_path):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import pytest
 
 from fpdedup.grid import compute_index
-from fpdedup.signature import parse_signature, serialize_signature
+from fpdedup.signature import ParseError, parse_signature, serialize_signature
 from fpdedup.synth import (_GAUSS_MAX, GenSpec, SplitMix64, derive_seed, generate,
                            iter_records, read_ground_truth, write_ground_truth)
 
@@ -212,3 +213,22 @@ def test_ground_truth_file_round_trip(tmp_path):
     write_ground_truth(pairs, path)
     assert path.read_text() == "D00001\tS00004\nD00002\tS00011\n"
     assert read_ground_truth(path) == pairs
+
+
+@pytest.mark.parametrize("text, line", [
+    ("D00001\tS00004\nbroken\n", 2),
+    ("D00001\tS00004\tS00005\n", 1),
+    ("\n\tS00004\n", 2),
+], ids=["one-field", "three-fields", "empty-id"])
+def test_ground_truth_malformed_line_names_it(tmp_path, text, line):
+    path = tmp_path / "truth.tsv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: "):
+        read_ground_truth(path)
+
+
+def test_ground_truth_undecodable_names_the_file(tmp_path):
+    path = tmp_path / "truth.tsv"
+    path.write_bytes(b"D00001\tS\xff\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+        read_ground_truth(path)
