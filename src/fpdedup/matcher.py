@@ -267,15 +267,17 @@ def index_signatures(signatures: Sequence[Signature],
 def _stack_features(stack: list[Signature], p: MatchParams) -> list[np.ndarray]:
     """Feature matrices of prints sharing one minutiae count, in one pass.
 
-    Rows come print by print. One stable sort keyed on (print, largest
+    Coordinates come from the prints' tuples, angles from one
+    ``np.frombuffer`` over their joined ``angles`` bytes, with no float
+    boxed on the way. Rows come print by print. One stable sort keyed on (print, largest
     side) orders every print's rows by column 2 at once, and each print's
     matrix is its slice of the result.
     """
     n = len(stack[0].xs)
-    columns = np.array([(s.xs, s.ys, s.thetas) for s in stack], dtype=np.float64)
-    x, y, theta = columns.transpose(1, 0, 2)  # each (B, n): B prints of n minutiae
-    tri, opposite = _triangles(x, y, p)
-    x, y, theta = x.ravel(), y.ravel(), theta.ravel()
+    x, y = np.array([(s.xs, s.ys) for s in stack], dtype=np.float64).transpose(1, 0, 2)
+    tri, opposite = _triangles(x, y, p)  # x and y (B, n): B prints of n minutiae
+    x, y = x.ravel(), y.ravel()
+    theta = np.frombuffer(b"".join([s.angles for s in stack]), np.float64)
     nt = tri.shape[0]
     # One flat gather puts each row's vertices in ascending opposite-side order.
     flat = np.argsort(opposite, axis=1, kind="stable") + 3 * np.arange(nt)[:, None]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import struct
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, fields
@@ -65,17 +66,20 @@ class Minutia(NamedTuple):
     type_code: int
 
 
-@dataclass(init=False, frozen=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True)
 class Signature:
     """An ordered, non-empty set of minutiae for one fingerprint record, held as columns.
 
-    ``xs``, ``ys``, ``thetas`` and ``type_codes`` are tuples with one entry
-    per minutia, in order. The cyclic GC stops tracking a tuple of plain
-    numbers at its first collection, so a parsed signature costs the
-    collector one object whatever its minutiae count. ``Signature(record_id,
-    rows)`` takes any iterable of ``(x, y, theta, type_code)`` rows,
-    ``Minutia`` included, and transposes it once; ``minutiae`` is a
-    read-only view that builds a tuple of ``Minutia`` on each access.
+    ``xs``, ``ys`` and ``type_codes`` are tuples with one entry per
+    minutia, in order; ``angles`` holds the ridge angles as one ``bytes``
+    of native float64, 8 bytes a minutia where a tuple of floats takes
+    32. The cyclic GC stops tracking a tuple of plain numbers at its first
+    collection and never tracks a ``bytes``, so a parsed signature costs
+    the collector one object whatever its minutiae count.
+    ``Signature(record_id, rows)`` takes any iterable of ``(x, y, theta,
+    type_code)`` rows, ``Minutia`` included, and transposes it once;
+    ``thetas`` and ``minutiae`` are read-only views that build a tuple of
+    floats, or of ``Minutia``, on each access.
 
     A signature holds what a signature file can: the constructor converts
     coordinates and type codes with ``operator.index`` (a numpy integer or
@@ -86,17 +90,21 @@ class Signature:
     raises ValueError naming the record. A signature is frozen: its
     fields are set once, when it is built, so the code after it trusts
     these columns and checks none of them again.
+
+    ``==``, ``hash`` and ``repr`` read the angles as floats, as a
+    dataclass of four tuples would: prints whose angles differ only as
+    0.0 against -0.0 are equal, and the repr shows ``thetas``.
     """
 
     # Slots named here, not by slots=True: the class that slots=True
     # rebuilds raises TypeError, not FrozenInstanceError, on assigning a
     # name that is not a field (CPython before 3.12).
-    __slots__ = ("record_id", "xs", "ys", "thetas", "type_codes")
+    __slots__ = ("record_id", "xs", "ys", "angles", "type_codes")
 
     record_id: str
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    thetas: tuple[float, ...]
+    angles: bytes  # native float64, one per minutia
     type_codes: tuple[int, ...]
 
     def __init__(self, record_id: str, rows: Iterable[tuple[int, int, float, int]]):
@@ -112,10 +120,10 @@ class Signature:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"signature {record_id!r} has a row that is not "
                              f"(int x, int y, real theta, int type_code): {exc}") from None
-        if not _in_range(*columns[:3]):
+        xs, ys, thetas, codes = columns
+        if not _in_range(xs, ys, thetas):
             raise ValueError(f"signature {record_id!r} has a coordinate outside [0, 2**53] "
                              "or an angle outside [0, 2*pi)")
-        codes = columns[3]
         if not -_PLAIN_CODE <= min(codes) <= max(codes) < _PLAIN_CODE:
             try:
                 for code in codes:
@@ -123,48 +131,73 @@ class Signature:
             except ValueError as exc:
                 raise ValueError(f"signature {record_id!r} has a type code that a signature "
                                  f"file cannot hold: {exc}") from None
-        _fill(self, record_id, *columns)
+        _fill(self, record_id, xs, ys, _packed_angles(thetas), codes)
 
     @classmethod
     def _from_columns(cls, record_id: str, xs: tuple[int, ...], ys: tuple[int, ...],
-                      thetas: tuple[float, ...], type_codes: tuple[int, ...]) -> Signature:
+                      angles: bytes, type_codes: tuple[int, ...]) -> Signature:
         """A signature of columns that already keep the constructor's rule, held as they are."""
-        return _fill(cls.__new__(cls), record_id, xs, ys, thetas, type_codes)
+        return _fill(cls.__new__(cls), record_id, xs, ys, angles, type_codes)
 
     def __reduce__(self):
-        # copy and pickle would set each slot, which a frozen print refuses
-        return self._from_columns, (self.record_id, self.xs, self.ys, self.thetas,
-                                    self.type_codes)
+        # copy and pickle would set each slot, which a frozen print refuses;
+        # rows of floats, not native bytes, read back on any byte order
+        return Signature, (self.record_id, tuple(self.rows()))
+
+    @property
+    def thetas(self) -> tuple[float, ...]:
+        """The angles as a tuple of floats, built on each access."""
+        return tuple(memoryview(self.angles).cast("d"))
 
     def rows(self) -> Iterator[tuple[int, int, float, int]]:
         """The ``(x, y, theta, type_code)`` of each minutia, in order."""
-        return zip(self.xs, self.ys, self.thetas, self.type_codes)
+        return zip(self.xs, self.ys, memoryview(self.angles).cast("d"), self.type_codes)
 
     @property
     def minutiae(self) -> tuple[Minutia, ...]:
         """The columns as one ``Minutia`` row per minutia, built on each access."""
-        return tuple(map(Minutia, self.xs, self.ys, self.thetas, self.type_codes))
+        return tuple(map(Minutia, self.xs, self.ys, memoryview(self.angles).cast("d"),
+                         self.type_codes))
 
     def __len__(self) -> int:
         return len(self.xs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.record_id == other.record_id and self.xs == other.xs
+                and self.ys == other.ys and self.type_codes == other.type_codes
+                and self.thetas == other.thetas)
+
+    def __hash__(self) -> int:
+        return hash((self.record_id, self.xs, self.ys, self.thetas, self.type_codes))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(record_id={self.record_id!r}, xs={self.xs!r}, "
+                f"ys={self.ys!r}, thetas={self.thetas!r}, type_codes={self.type_codes!r})")
 
 
 # The slot setters of Signature's fields, whose assignment a frozen
 # dataclass refuses: _fill sets each field once, through its slot, in
 # about half the time object.__setattr__ takes.
-_SET_ID, _SET_XS, _SET_YS, _SET_THETAS, _SET_CODES = (
+_SET_ID, _SET_XS, _SET_YS, _SET_ANGLES, _SET_CODES = (
     Signature.__dict__[field.name].__set__ for field in fields(Signature))
 
 
 def _fill(s: Signature, record_id: str, xs: tuple[int, ...], ys: tuple[int, ...],
-          thetas: tuple[float, ...], type_codes: tuple[int, ...]) -> Signature:
+          angles: bytes, type_codes: tuple[int, ...]) -> Signature:
     """``s`` with its fields set to these values."""
     _SET_ID(s, record_id)
     _SET_XS(s, xs)
     _SET_YS(s, ys)
-    _SET_THETAS(s, thetas)
+    _SET_ANGLES(s, angles)
     _SET_CODES(s, type_codes)
     return s
+
+
+def _packed_angles(thetas: tuple[float, ...]) -> bytes:
+    """A column of angles as ``Signature.angles``: native float64, in order."""
+    return struct.pack(f"{len(thetas)}d", *thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +291,7 @@ def parse_signature(text: str, record_id: str) -> Signature:
         return _parse_lines(text, record_id)
     if not _in_range(xs, ys, thetas):
         return _parse_lines(text, record_id)
-    return Signature._from_columns(record_id, xs, ys, thetas, type_codes)
+    return Signature._from_columns(record_id, xs, ys, _packed_angles(thetas), type_codes)
 
 
 def _parse_lines(text: str, record_id: str) -> Signature:
@@ -433,7 +466,8 @@ class FileStore(Mapping):
 
         Relative paths resolve against the manifest's directory. A line
         that is not two tab-separated fields, or a record id listed
-        twice, raises ParseError naming the line.
+        twice, raises ParseError naming the file and the line
+        (``path:line: ...``).
         """
         manifest = Path(manifest)
         base = manifest.parent
@@ -444,10 +478,10 @@ class FileStore(Mapping):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ParseError(f"manifest line {line_no}: expected 'record_id<TAB>path'")
+                raise ParseError(f"{manifest}:{line_no}: expected 'record_id<TAB>path'")
             record_id, rel = parts
             if record_id in paths:
-                raise ParseError(f"manifest line {line_no}: duplicate record id {record_id!r}")
+                raise ParseError(f"{manifest}:{line_no}: duplicate record id {record_id!r}")
             paths[record_id] = base / rel
         return cls(paths)
 
@@ -473,7 +507,7 @@ def _packed(s: Signature) -> bytes | None:
     beyond 64 bits, with OverflowError.
     """
     try:
-        return b"".join((array("d", s.thetas).tobytes(), array("q", s.type_codes).tobytes(),
+        return b"".join((s.angles, array("q", s.type_codes).tobytes(),
                          array("I", s.xs).tobytes(), array("I", s.ys).tobytes()))
     except OverflowError:
         return None
@@ -484,7 +518,9 @@ class SerializedStore(Mapping):
 
     A signature is held as one ``bytes`` value of its columns (angles and
     type codes 8 bytes each, coordinates 4), about 24 bytes per minutia,
-    and rebuilt from them on access; one whose coordinates reach 2**32 or
+    and rebuilt from them on access: its first 8n bytes are the print's
+    ``angles`` as they stand, the other columns are read back as tuples.
+    One whose coordinates reach 2**32 or
     whose type codes pass 64 bits is held as its serialized text and
     parsed on access. Either way ``store[rid]`` equals ``s``, column for
     column.
@@ -505,8 +541,7 @@ class SerializedStore(Mapping):
         n = len(record) // _PACKED_BYTES
         view = memoryview(record)
         return Signature._from_columns(record_id, tuple(view[16 * n:20 * n].cast("I")),
-                                       tuple(view[20 * n:].cast("I")),
-                                       tuple(view[:8 * n].cast("d")),
+                                       tuple(view[20 * n:].cast("I")), record[:8 * n],
                                        tuple(view[8 * n:16 * n].cast("q")))
 
     def __iter__(self):

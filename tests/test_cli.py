@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpdedup.cli import EXIT_CAP, EXIT_DATA, EXIT_OK, main
 from fpdedup.signature import FileStore, write_corpus_dir
@@ -97,7 +101,20 @@ def test_manifest_repeated_id_data_error(generated, tmp_path, capsys):
     manifest.write_text(f"S00000\t{corpus}/S00000.sig\nS00001\t{corpus}/S00001.sig\n"
                         f"S00000\t{corpus}/S00002.sig\n")
     assert main(["oracle", "--manifest", str(manifest)]) == EXIT_DATA
-    assert "manifest line 3: duplicate record id 'S00000'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {manifest}:3: duplicate record id 'S00000'\n"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("S00000\t{corpus}/S00000.sig\nonly-one-field\n", "2: expected 'record_id<TAB>path'"),
+    ("S00001\t{corpus}/S00001.sig\nS00001\t{corpus}/S00002.sig\n",
+     "2: duplicate record id 'S00001'"),
+])
+def test_manifest_error_names_the_file(generated, tmp_path, capsys, lines, message):
+    _, corpus, table = generated
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_text(lines.format(corpus=corpus))
+    assert main(["dedup", "--manifest", str(manifest), "--table", str(table)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {manifest}:{message}\n"
 
 
 def test_table_of_another_grid_data_error(generated, tmp_path, capsys):
@@ -375,6 +392,46 @@ def test_regress_bad_points_line_data_error(tmp_path, capsys):
     rc = main(["regress", "--points", str(points)])
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == f"error: {points}:3: expected 'size,avg'\n"
+
+
+# Fields as a points file may hold them: any float's repr, integers and
+# decimals beyond the float range, words float() reads, and short text.
+_POINT_FIELDS = st.one_of(st.floats().map(repr), st.integers().map(str),
+                          st.sampled_from(["1e400", "-1e400", "1e-400", "5e-324", "-0", "inf",
+                                           "nan", " 2 ", "1_0", "", "9" * 400]),
+                          st.text(max_size=4))
+_POINT_FILES = st.lists(st.one_of(st.tuples(_POINT_FIELDS, _POINT_FIELDS).map(",".join),
+                                  st.sampled_from(["", "# size,avg"]), st.text(max_size=8)),
+                        max_size=8).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def points_path(tmp_path_factory):
+    """One file for every example of a test; each example overwrites it."""
+    return tmp_path_factory.mktemp("points") / "points.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_POINT_FILES.map(str.encode), st.text().map(str.encode), st.binary()))
+@example(b"0,0\n0,0\n")
+@example(b"5e-324,1e308\n-5e-324,-1e308\n")
+@example(b"1e308,1\n-1e308,1\n1e-300,1\n")
+@example("1,1\n2,\udcff\n".encode("utf-8", "surrogatepass"))
+def test_regress_drawn_points_file_fits_or_is_a_data_error(points_path, content):
+    # any text or bytes as the points file: a fit, or one error line, and
+    # no exception; RuntimeWarnings are errors here, so none escapes either
+    points_path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["regress", "--points", str(points_path)])
+    if rc == EXIT_OK:
+        assert [line.split("\t")[0] for line in out.getvalue().splitlines()] == ["slope",
+                                                                                  "intercept"]
+        assert err.getvalue() == ""
+    else:
+        assert rc == EXIT_DATA
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, points", [
