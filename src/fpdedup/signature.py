@@ -115,12 +115,12 @@ class Signature:
             raise ValueError(f"signature {record_id!r} has no minutiae")
         try:
             xs, ys, thetas, codes = zip(*rows, strict=True)
-            columns = (_converted(xs, int, index), _converted(ys, int, index),
-                       _converted(thetas, float, float), _converted(codes, int, index))
+            xs, ys, thetas, codes = (_converted(xs, int, index), _converted(ys, int, index),
+                                     _converted(thetas, float, float),
+                                     _converted(codes, int, index))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"signature {record_id!r} has a row that is not "
                              f"(int x, int y, real theta, int type_code): {exc}") from None
-        xs, ys, thetas, codes = columns
         if not _in_range(xs, ys, thetas):
             raise ValueError(f"signature {record_id!r} has a coordinate outside [0, 2**53] "
                              "or an angle outside [0, 2*pi)")
@@ -520,10 +520,9 @@ class SerializedStore(Mapping):
     type codes 8 bytes each, coordinates 4), about 24 bytes per minutia,
     and rebuilt from them on access: its first 8n bytes are the print's
     ``angles`` as they stand, the other columns are read back as tuples.
-    One whose coordinates reach 2**32 or
-    whose type codes pass 64 bits is held as its serialized text and
-    parsed on access. Either way ``store[rid]`` equals ``s``, column for
-    column.
+    One whose coordinates reach 2**32 or whose type codes pass 64 bits is
+    held as its serialized text and parsed on access. Either way
+    ``store[rid]`` equals ``s``, column for column.
     """
 
     def __init__(self):
