@@ -215,6 +215,8 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     store = _corpus_store(args)
+    if not store:
+        raise ParseError("empty corpus")
     groups = exhaustive_dedup(store, cfg.match, cap=cfg.oracle_cap)
     for group in groups:
         print(",".join(group))
@@ -271,6 +273,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # Records written over an earlier corpus would mix with it, and its truth file be replaced.
+    if args.out.is_dir() and any(args.out.iterdir()):
+        raise ParseError(f"{args.out}: output directory is not empty")
     spec = GenSpec(
         subjects=args.subjects,
         minutiae_per_print=(args.minutiae_min, args.minutiae_max),

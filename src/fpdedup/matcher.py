@@ -23,19 +23,22 @@ normalized by the smaller triplet-set size, gives a 0-100 score.
 ``bucket_scorer`` indexes a list of prints once, bound to one
 ``MatchParams``: their rows are concatenated with each row's member
 position, and keyed and sorted on (arc, s3) as one integer, the arc
-of the first orientation (the circle cut into equal arcs at least
-``angle_tolerance`` wide) and the rank of s3 among the indexed rows.
-Any head, a member or not, is then scored against any subset of the
-members in one numpy pass: one join with the subset's rows finds every
-candidate triplet pair, the screens run once over all of them, and one
-greedy walk pairs them per member. A bucket sweep thus builds one index
-per bucket, however many heads it scores. A call that scores one
-member alone, as ``score_indexed`` and most ``identify`` hits do,
-builds no index: two binary searches per head row over the member's
-rows, already sorted by largest side, find its candidates (a sort-merge
-band join). Both joins take a head row's largest-side window by the
-same two searches, so each emits exactly the pairs within it, and the
-same screens and walk follow. Each result equals that pair scored alone.
+of the first orientation and the rank of s3 among the indexed rows.
+The circle is cut as the bound below cuts it, into equal arcs a little
+wider than ``angle_tolerance`` (one arc where fewer than four fit), so
+that a pair passing the orientation screen lies on neighbouring arcs. Any head, a member or not, is then
+scored against any subset of the members in one numpy pass: one join
+with the subset's rows, each head row probing its own arc and the two
+beside it, finds every candidate triplet pair, the screens run once
+over all of them, and one greedy walk pairs them per member. A bucket
+sweep thus builds one index per bucket, however many heads it scores.
+A call that scores one member alone, as ``score_indexed`` and most
+``identify`` hits do, builds no index: two binary searches per head
+row over the member's rows, already sorted by largest side, find its
+candidates (a sort-merge band join). Both joins take a head row's
+largest-side window by the same two searches, so each emits exactly
+the pairs within it, and the same screens and walk follow. Each result
+equals that pair scored alone.
 
 The dedup sweep needs only ``is_match``, never the score, so it first
 decides pairs by a bound (count filtering: Gravano et al., "Approximate
@@ -43,10 +46,11 @@ String Joins in a Database (Almost) for Free", VLDB 2001).
 ``bucket_screen`` bounds each (head, member) pair's paired count by the
 member's rows that lie in a cell of (s1, s2, s3, first-orientation arc)
 next to a cell holding a head row (``_CellGrid``: cells at least a
-tolerance wide, one capped occupancy grid per bucket), and rules out the
-pairs that could not match with that many pairs. Only the rest are
-scored. ``identify``, ``match_score``, ``score_indexed`` and
-``exhaustive_dedup`` score every pair exactly.
+tolerance wide, the join's arcs, one occupancy grid per bucket, capped
+by coarser cells), and rules out the pairs that could not match with
+that many pairs. Only the rest are scored. ``identify``,
+``match_score``, ``score_indexed`` and ``exhaustive_dedup`` score every
+pair exactly.
 """
 
 from __future__ import annotations
@@ -139,8 +143,8 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     whole rows: ``np.partition`` finds each row's k-th distance, the
     columns at or below it are picked in column order, and a stable sort
     orders those k. A row with more than k columns at or below its k-th
-    distance (a tie across it), or fewer (NaN distances), is sorted
-    whole, as is every row of a small matrix.
+    distance (a tie across it) is sorted whole, as is every row of a
+    small matrix.
     """
     rows, n = dist.shape
     if k >= n - 1 or n <= _SORT_COLUMNS or rows * n < _SORT_DISTANCES:
@@ -376,9 +380,10 @@ _MAX_ARCS = 2 ** 24
 def _arc_count(angle_tolerance: float) -> int:
     """Number of equal arcs of [0, TWO_PI), each at least the tolerance wide.
 
-    At most ``_MAX_ARCS``, and 1 where fewer than 4 would fit, so that
-    an orientation window, which reaches at most four arcs, never wraps
-    onto an arc it has probed already.
+    At most ``_MAX_ARCS``, and 1 where fewer than 4 would fit: on two or
+    three arcs a row's ring (``_arc_ring``) would cover the circle anyway,
+    so one arc, probed once, serves; on four or more a ring's three arcs
+    are distinct, so the join probes none twice.
     """
     arcs = math.floor(min(TWO_PI / angle_tolerance, _MAX_ARCS))  # the quotient may be inf
     if arcs >= 4 and TWO_PI / arcs < angle_tolerance:
@@ -404,20 +409,38 @@ def _s3_window(s3b: np.ndarray, s3a: np.ndarray, tol: float) -> tuple[np.ndarray
             np.searchsorted(s3b, s3a + tol, side="right"))
 
 
+_STEPS = np.array([-1, 0, 1])  # a cell's neighbours on one axis, itself included
+
+
+def _arc_of(o: np.ndarray, arcs: int) -> np.ndarray:
+    """Per orientation o in [0, TWO_PI], its arc ``floor(o / arc) mod arcs`` of ``arcs``
+    equal arcs."""
+    return (np.floor(o / (TWO_PI / arcs)) % arcs).astype(np.intp)
+
+
+def _arc_ring(o: np.ndarray, arcs: int) -> np.ndarray:
+    """Per orientation o, the arcs a row probes: (3, rows), the arc before its own
+    (``_arc_of``), its own and the one after, mod ``arcs``, or (1, rows), its own alone,
+    when there is one arc."""
+    own = _arc_of(o, arcs)
+    return own[None] if arcs == 1 else (own + _STEPS[:, None]) % arcs
+
+
 class _JoinIndex:
     """The rows of a list of feature matrices, keyed once for the candidate join.
 
     ``cols`` holds every row, matrix after matrix, column-major (9, rows),
     and ``seg`` the matrix each row comes from. The join is keyed on
     (arc, s3): the circle of first orientations (column 6) is cut into
-    ``_arc_count`` equal arcs of width ``arc``, and a row of arc k keys
-    as the integer ``k * (rows + 1) + rank``, ``rank`` the count of
-    indexed s3 values below its own (its position in ``s3``, the sorted
-    column). The keys are sorted here, once; ``candidates`` and
-    ``pair_counts`` then serve any number of heads, members or not, each
-    against the rows of the matrices it marks alive, with the tolerances
-    of ``p``, the ``MatchParams`` the index was built with, read on each
-    call.
+    the arcs of ``_CellGrid``, ``_arc_count(_reach(t, TWO_PI))`` of them
+    for t the angle tolerance cut to ``TWO_PI``, and a row of arc k
+    (``_arc_of``) keys as the integer ``k * (rows + 1) + rank``,
+    ``rank`` the count of indexed s3 values below its own (its position
+    in ``s3``, the sorted column). The keys are sorted here, once;
+    ``candidates`` and ``pair_counts`` then serve any number of heads,
+    members or not, each against the rows of the matrices it marks
+    alive, with the tolerances of ``p``, the ``MatchParams`` the index
+    was built with, read on each call.
     """
 
     def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
@@ -425,11 +448,8 @@ class _JoinIndex:
         self.cols = np.concatenate([f.T for f in fbs], axis=1) if fbs else np.empty((9, 0))
         self.seg = np.repeat(np.arange(len(fbs)), [f.shape[0] for f in fbs])
         self.s3 = np.sort(self.cols[2])
-        self.arcs = _arc_count(p.angle_tolerance)
-        self.arc = TWO_PI / self.arcs
-        arc_of = np.floor(self.cols[6] / self.arc)
-        arc_of[arc_of >= self.arcs] = 0.0  # a quotient that rounds up onto arcs wraps to 0
-        key = (arc_of.astype(np.int64) * (self.s3.size + 1)
+        self.arcs = _arc_count(_reach(min(p.angle_tolerance, TWO_PI), TWO_PI))
+        key = (_arc_of(self.cols[6], self.arcs).astype(np.int64) * (self.s3.size + 1)
                + np.searchsorted(self.s3, self.cols[2], side="left"))
         self.order = np.argsort(key)
         self.key = key[self.order]
@@ -440,40 +460,19 @@ class _JoinIndex:
 
         Only rows of the matrices ``live`` marks (a bool per matrix) take
         part: they are picked out of the sorted keys, which keeps them
-        sorted. Each row of ``fa`` probes the arcs its orientation window
-        ``oa -/+ reach`` reaches, taken mod ``arcs``, and in each the ranks
-        of its largest-side window (``_s3_window``), which stop short of
-        the next arc's keys. The pairs are thus exactly those within the
-        window on the probed arcs: every pair that also passes the
-        orientation screen ``min(d, TWO_PI - d) <= angle_tolerance`` (d
-        the computed ``|oa - ob|``) is among them, for orientations in
-        [0, TWO_PI].
-
-        The reach. With u = 2**-53, t the angle tolerance and T = TWO_PI,
-        a pair passes only if ``ob - oa`` lies within w = t(1 + 2u) + uT of
-        0, T or -T: either d rounds to at most t, or T - d does and d is
-        within uT of the exact difference. The thresholds ``oa -/+ reach``
-        are within 2uT of exact, the quotients by ``arc`` carry a relative
-        error of u, and ``arcs * arc`` is within uT of T; summed, a reach of
-        w + 6uT puts ``floor(ob / arc)``, or that minus or plus ``arcs``,
-        between the floors of the thresholds' quotients. ``reach`` is
-        ``_reach(t, T)``, ``t + (t + T) * 2**-49``, at least t(1 + 2u) + 7uT
-        after its own rounding. An arc is at least t and at least T * 2**-24
-        wide, so a window spans under three arcs and reaches at most four,
-        all distinct when there are four arcs or more. A single arc is
-        probed once, and a tolerance above T, which leaves a single arc as
-        any above T/4 does, is cut to T.
+        sorted. Each row of ``fa`` probes the arcs of its ring
+        (``_arc_ring``: its own arc and the two beside it, or its own
+        alone when there is one), and in each the ranks of its
+        largest-side window (``_s3_window``), which stop short of the
+        next arc's keys. The pairs are thus exactly those within the
+        window on the probed arcs, and every pair that also passes the
+        orientation screen lies on them, by ``_CellGrid``'s argument for
+        its arcs, which are these.
         """
         lo, hi = _s3_window(self.s3, fa[:, 2], self.p.side_tolerance)
-        oa = fa[:, 6]
-        arcs, arc = self.arcs, self.arc
-        reach = _reach(min(self.p.angle_tolerance, TWO_PI), TWO_PI)
-        first = np.floor((oa - reach) / arc)
-        n = np.minimum(np.floor((oa + reach) / arc) - first, arcs - 1)
-        step = np.arange(n.max() + 1)
-        probe = step <= n[:, None]
-        row = np.nonzero(probe)[0]
-        base = ((first[:, None] + step) % arcs)[probe].astype(np.int64) * (self.s3.size + 1)
+        ring = _arc_ring(fa[:, 6], self.arcs)
+        row = np.tile(np.arange(fa.shape[0]), ring.shape[0])
+        base = ring.ravel().astype(np.int64) * (self.s3.size + 1)
         kept = np.flatnonzero(live[self.seg_by_key])
         key, order = self.key.take(kept), self.order.take(kept)
         start = np.searchsorted(key, base + lo[row], side="left")
@@ -500,12 +499,13 @@ class _CellGrid:
     value v lies in cell ``floor((v - lo) / width)`` of its axis, ``lo``
     and ``hi`` the matrices' least and greatest values there, and a head's
     values are first clipped into [lo, hi]. An orientation o lies in arc
-    ``floor(o / arc) mod arcs`` of ``arcs`` equal arcs. ``bounds`` marks
-    in ``grid`` every cell within one of a head row's own on each axis,
-    arcs taken mod ``arcs`` (3 x 3 x 3 x 3 cells a row; each side axis has
-    an empty cell at either end, so that none of them falls off it), and
-    counts, per matrix, its rows in a marked cell. The greedy walk pairs a
-    row at most once, and only with a head row it passes the screens
+    ``floor(o / arc) mod arcs`` of ``arcs`` equal arcs (``_arc_of``).
+    ``bounds`` marks in ``grid`` every cell within one of a head row's own
+    on each side axis, on the arcs of its ring (``_arc_ring``): 3 x 3 x 3
+    side cells a row, times three arcs or one (each side axis has an empty
+    cell at either end, so that none of them falls off it), and counts,
+    per matrix, its rows in a marked cell. The greedy walk pairs a row at
+    most once, and only with a head row it passes the screens
     with; such a pair lies in neighbouring cells (below), so the count
     bounds the pairing.
 
@@ -521,14 +521,18 @@ class _CellGrid:
     is monotone, so no value falls outside cells ``0 .. floor((hi - lo) /
     width)``.
 
-    Arcs, with t the angle tolerance cut to T = TWO_PI, as in
-    ``_JoinIndex.candidates``: a pair passes the orientation screen only
-    if ``ob - oa`` lies within w = t(1 + 2u) + uT of 0, T or -T. Each
-    quotient ``o / arc`` is within uT / arc of exact, and ``arcs * arc``
-    within uT of T, so the two floors differ by at most 1, or by ``arcs``
-    plus or minus at most 1, when ``arc`` exceeds w + 3uT, as
-    ``arc >= _reach(t, T)`` does (``_arc_count``): mod ``arcs`` the arcs
-    are neighbours, whatever ``arcs`` is.
+    Arcs, with t the angle tolerance cut to T = TWO_PI (a t above T/4
+    leaves one arc, cut or not): a pair passes the orientation screen
+    ``min(d, T - d) <= t``, d the computed ``|oa - ob|``, only if ``ob -
+    oa`` lies within w = t(1 + 2u) + uT of 0, T or -T: either d rounds to
+    at most t, or T - d does and d is within uT of the exact difference.
+    Each quotient ``o / arc`` is within uT / arc of exact, and ``arcs *
+    arc`` within uT of T, so the two floors differ by at most 1, or by
+    ``arcs`` plus or minus at most 1, when ``arc`` exceeds w + 3uT, as
+    ``arc >= _reach(t, T)`` does (``_arc_count``): mod ``arcs`` each of
+    the two arcs lies in the other's ring, whatever ``arcs`` is.
+    ``_JoinIndex`` cuts the circle by this rule, uncapped, and rests on
+    this argument.
 
     The grid holds at most ``_GRID_CELLS`` cells whatever the tolerances:
     while it would hold more, the axis with the most cells is made
@@ -555,32 +559,26 @@ class _CellGrid:
                 counts[axis] = math.floor(spans[axis] / widths[axis]) + 3
         self.width = np.array(widths)
         self.arcs = counts[3]
-        self.arc = TWO_PI / self.arcs
         self.stride = np.array([counts[1] * counts[2] * self.arcs, counts[2] * self.arcs,
                                 self.arcs])
-        step = np.array([-1, 0, 1])
-        self.step = step[:, None]
-        self.near = (step[:, None, None] * self.stride[0] + step[:, None] * self.stride[1]
-                     + step * self.stride[2]).ravel()
+        self.near = (_STEPS[:, None, None] * self.stride[0] + _STEPS[:, None] * self.stride[1]
+                     + _STEPS * self.stride[2]).ravel()
         self.grid = np.zeros(math.prod(counts), dtype=bool)
-        base, arc = self._cells(rows)
-        self.cells = base + arc
+        self.cells = self._side_cells(rows) + _arc_of(rows[:, 6], self.arcs)
         self.sizes = np.array([f.shape[0] for f in fbs])
         self.owners = np.flatnonzero(self.sizes)  # the matrices with rows, and where they start
         self.starts = (np.cumsum(self.sizes) - self.sizes)[self.owners]
 
-    def _cells(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of ``f``, its cell's position in ``grid`` on the side axes, and its arc."""
+    def _side_cells(self, f: np.ndarray) -> np.ndarray:
+        """Per row of ``f``, its cell's position in ``grid`` on the side axes."""
         sides = np.floor((np.minimum(np.maximum(f[:, :3], self.lo), self.hi) - self.lo)
                          / self.width)
-        base = (sides.astype(np.intp) + 1) @ self.stride
-        return base, (np.floor(f[:, 6] / self.arc) % self.arcs).astype(np.intp)
+        return (sides.astype(np.intp) + 1) @ self.stride
 
     def bounds(self, fa: np.ndarray) -> np.ndarray:
         """Per matrix, its rows in a cell next to one of ``fa``'s: at least its paired count."""
-        base, arc = self._cells(fa)
-        ring = (arc + self.step) % self.arcs  # (3, rows): head rows run along the last axis
-        marked = (self.near[:, None] + base) + ring[:, None]
+        ring = _arc_ring(fa[:, 6], self.arcs)  # head rows run along the last axis
+        marked = (self.near[:, None] + self._side_cells(fa)) + ring[:, None]
         self.grid[marked] = True
         hit = self.grid[self.cells]
         self.grid[marked] = False

@@ -7,6 +7,7 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -273,6 +274,19 @@ def test_index_empty_corpus_data_error(tmp_path, capsys):
     rc = main(["index", "--corpus", str(empty), "--out", str(tmp_path / "t.tsv")])
     assert rc == EXIT_DATA
     assert "empty corpus" in capsys.readouterr().err
+
+
+def test_oracle_empty_corpus_data_error(tmp_path, capsys):
+    # an empty directory or an empty manifest, as index, dedup and stats refuse them
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("")
+    for source in (["--corpus", str(empty)], ["--manifest", str(manifest)]):
+        assert main(["oracle", *source]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "error: empty corpus\n"
+        assert captured.out == ""
 
 
 def test_huge_coordinate_data_error(tmp_path, capsys):
@@ -639,3 +653,19 @@ def test_generate_past_coordinate_limit_writes_nothing(tmp_path, capsys, flag, v
     assert rc == EXIT_DATA
     assert "2**53" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_into_nonempty_directory_writes_nothing(tmp_path, capsys):
+    # a second corpus over a first would mix their records and replace the truth file
+    out = tmp_path / "corpus"
+
+    def files() -> dict[Path, bytes]:
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    assert main(["generate", "--subjects", "30", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    before = files()
+    capsys.readouterr()
+    rc = main(["generate", "--subjects", "10", "--seed", "2", "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {out}: output directory is not empty\n"
+    assert files() == before

@@ -678,10 +678,12 @@ def test_join_tiny_angle_tolerance(random_suite, angle_tol):
 @pytest.mark.parametrize("angle_tol", [math.pi / 2, math.pi, 2 * math.pi, 10.0],
                          ids=["quarter", "half", "full", "beyond"])
 def test_join_wide_angle_tolerance(random_suite, angle_tol):
-    # a quarter turn leaves four arcs exactly one tolerance wide, so a
-    # window reaches all four; wider tolerances leave a single arc
+    # four arcs one quarter turn wide would be narrower than the join's
+    # arcs must be, the tolerance widened past rounding, so a quarter turn
+    # and every wider tolerance leave a single arc, probed once
     p = MatchParams(angle_tolerance=angle_tol)
     assert _arc_count(angle_tol) == (4 if angle_tol == math.pi / 2 else 1)
+    assert _JoinIndex([], p).arcs == 1
     rng = np.random.default_rng(7)
     for _ in range(30):
         fa = _edge_features(rng, int(rng.integers(1, 12)), p)
@@ -720,15 +722,16 @@ def test_join_heads_outside_index_range(side_tol):
     (0.2618, 23),                                   # the default
     (0.5, 12),                                      # arcs wider than the tolerance
     (0.25, 25),                                     # a reach of 0.25 misses 2*pi - 0.25 against 0
-    (math.pi / 2, 4),                               # arcs exactly the tolerance wide
+    (math.pi / 2, 1),                               # 4 arcs one tolerance wide are too narrow
+    (TWO_PI / 5, 4),                                # and 5 such arcs leave 4
     (math.nextafter(TWO_PI / 65, math.inf), 64),    # the quotient rounds up onto 65
     (math.nextafter(TWO_PI / 4, math.inf), 1),      # fewer than 4 fit: a single arc
-], ids=["default", "wide-arcs", "wrap", "quarter", "rounded-quotient", "single"])
+], ids=["default", "wide-arcs", "wrap", "quarter", "fifth", "rounded-quotient", "single"])
 def test_join_orientations_on_arc_edges(angle_tol, arcs):
-    # orientations on each arc edge k * TWO_PI / arcs and 1 ulp either side,
-    # next to 0 and 2*pi included, and one tolerance away from an edge
+    # orientations on each of the join's arc edges k * TWO_PI / arcs and 1 ulp
+    # either side, next to 0 and 2*pi included, and one tolerance away from an edge
     p = MatchParams(angle_tolerance=angle_tol)
-    assert _arc_count(angle_tol) == arcs
+    assert _JoinIndex([], p).arcs == arcs
     assert arcs == 1 or TWO_PI / arcs >= angle_tol
     edges = [k * (TWO_PI / arcs) for k in sorted({0, 1, arcs // 2, arcs - 1, arcs})]
     near = {float(v) for e in edges for c in (e - angle_tol, e, e + angle_tol)
@@ -827,7 +830,7 @@ def _cell_edge_features(grid: _CellGrid, rng: np.random.Generator, n: int) -> np
     2*pi among them, some moved 1 ulp up (sides) or either way (orientations)."""
     edges = grid.lo + rng.integers(0, 4, size=(n, 3)) * grid.width
     sides = np.where(rng.integers(0, 2, size=(n, 3)) == 1, np.nextafter(edges, np.inf), edges)
-    arcs = rng.integers(0, grid.arcs + 1, size=(n, 3)) * grid.arc
+    arcs = rng.integers(0, grid.arcs + 1, size=(n, 3)) * (TWO_PI / grid.arcs)
     nudge = rng.integers(-1, 2, size=arcs.shape)
     orientations = np.clip(np.where(nudge < 0, np.nextafter(arcs, -np.inf),
                                     np.where(nudge > 0, np.nextafter(arcs, np.inf), arcs)),
@@ -949,6 +952,21 @@ def test_cell_grid_capped_at_any_tolerance(random_suite):
         grid = _CellGrid(fbs, p)
         assert 0 < grid.grid.size <= matcher._GRID_CELLS
         assert grid.bounds(fbs[0])[0] == fbs[0].shape[0]  # a print bounds itself by its rows
+
+
+@pytest.mark.parametrize("angle_tol", [0.2618, 0.5, 0.25, TWO_PI / 5, math.pi / 2,
+                                       math.nextafter(TWO_PI / 4, math.inf), math.pi, 10.0],
+                         ids=["default", "wide-arcs", "wrap", "fifth", "quarter", "single",
+                              "half", "beyond"])
+def test_join_cuts_the_circle_as_the_grid_does(random_suite, angle_tol):
+    # under the grid's cap the join and the bound cut the orientation circle
+    # by one rule, so the grid's argument that a pair passing the orientation
+    # screen lies on neighbouring arcs is the join's too
+    p = MatchParams(angle_tolerance=angle_tol)
+    fbs = [f.features for f in index_signatures(random_suite[:4], p)]
+    grid = _CellGrid(fbs, p)
+    assert grid.grid.size < matcher._GRID_CELLS
+    assert _JoinIndex(fbs, p).arcs == grid.arcs
 
 
 def test_screen_keeps_one_member_and_triplet_less_calls(monkeypatch, random_suite):
