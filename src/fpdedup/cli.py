@@ -14,7 +14,7 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .signature import (FileStore, ParseError, Signature, _read_text, check_reco
                         read_signature_file, write_corpus_dir)
 from .stats import (REFERENCE_SIZE_AVG_PAIRS, TABLE_COLUMNS, CorpusStats, estimate_workload,
                     fit_regression, format_rate, predict_avg, scaling_run, sweep_stats)
-from .synth import GenSpec, generate, write_ground_truth
+from .synth import GenSpec, iter_records, write_ground_truth
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,6 +95,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag_value
     grid = GridParams(values.pop("grid_n"))
     oracle_cap = values.pop("oracle_cap")
+    if oracle_cap < 0:
+        raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
     return RunConfig(grid, MatchParams(**values), oracle_cap)
 
 
@@ -276,6 +278,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # Records written over an earlier corpus would mix with it, and its truth file be replaced.
     if args.out.is_dir() and any(args.out.iterdir()):
         raise ParseError(f"{args.out}: output directory is not empty")
+    if args.truth is None and not args.out.name:
+        raise ParseError(f"{args.out}: output directory has no name to derive the truth "
+                         "file's from; give --truth")
+    truth_path = args.truth or args.out.with_suffix(".truth.tsv")
+    # The corpus directory is read as records, its truth file among them.
+    if args.out.resolve() in (truth_path.resolve(), *truth_path.resolve().parents):
+        raise ParseError(f"{truth_path}: truth file inside the output directory {args.out}")
     spec = GenSpec(
         subjects=args.subjects,
         minutiae_per_print=(args.minutiae_min, args.minutiae_max),
@@ -287,9 +296,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
         min_spacing=args.spacing,
     )
-    signatures, ground_truth = generate(spec)
-    count = write_corpus_dir(signatures, args.out)
-    truth_path = args.truth or Path(args.out).with_suffix(".truth.tsv")
+    ground_truth: list[tuple[str, str]] = []
+
+    def records() -> Iterator[Signature]:
+        for signature, source_id in iter_records(spec):
+            if source_id is not None:
+                ground_truth.append((signature.record_id, source_id))
+            yield signature
+
+    created = not args.out.exists()
+    try:
+        count = write_corpus_dir(records(), args.out)
+    except ValueError:  # a print that cannot be placed stops the stream part way
+        for path in args.out.glob("*.sig"):  # the directory was empty: every record is ours
+            path.unlink()
+        if created:
+            args.out.rmdir()
+        raise
     write_ground_truth(ground_truth, truth_path)
     print(f"wrote {count} records to {args.out}; "
           f"{len(ground_truth)} planted duplicates -> {truth_path}", file=sys.stderr)

@@ -20,37 +20,34 @@ give bit for bit what ``math.atan2`` and a stable sort give.
 Two signatures are scored by greedily pairing mutually best-matching
 triplets under per-feature tolerances; the matched-pair count,
 normalized by the smaller triplet-set size, gives a 0-100 score.
-``bucket_scorer`` indexes a list of prints once, bound to one
-``MatchParams``: their rows are concatenated with each row's member
-position, and keyed and sorted on (arc, s3) as one integer, the arc
-of the first orientation and the rank of s3 among the indexed rows.
-The circle is cut as the bound below cuts it, into equal arcs a little
-wider than ``angle_tolerance`` (one arc where fewer than four fit), so
-that a pair passing the orientation screen lies on neighbouring arcs. Any head, a member or not, is then
-scored against any subset of the members in one numpy pass: one join
-with the subset's rows, each head row probing its own arc and the two
-beside it, finds every candidate triplet pair, the screens run once
-over all of them, and one greedy walk pairs them per member. A bucket
-sweep thus builds one index per bucket, however many heads it scores.
-A call that scores one member alone, as ``score_indexed`` and most
-``identify`` hits do, builds no index: two binary searches per head
-row over the member's rows, already sorted by largest side, find its
-candidates (a sort-merge band join). Both joins take a head row's
-largest-side window by the same two searches, so each emits exactly
-the pairs within it, and the same screens and walk follow. Each result
-equals that pair scored alone.
+A bucket's prints have one index, bound to one ``MatchParams``: a grid
+of cells of (s1, s2, s3, first-orientation arc), each at least a
+tolerance wide, a little wider to cover rounding, holding every row of
+every print (``_CellGrid``; the circle is cut into equal arcs, one
+where fewer than four fit, and the grid is capped by coarser cells).
+A pair of rows that passes the screens lies in neighbouring cells.
+``bucket_scorer`` scores any head, a member or not, against any subset
+of the members in one numpy pass: each head row probes the 27 side
+cells around its own on the arcs of its ring (an epsilon-grid join:
+Böhm et al., "Epsilon Grid Order", SIGMOD 2001), which finds every
+candidate triplet pair; the largest-side window, then the screens run
+once over all of them, and one greedy walk pairs them per member. A
+bucket sweep thus builds one grid per bucket, however many heads it
+scores. A call that scores one member alone, as ``score_indexed`` and
+most ``identify`` hits do, builds no grid: two binary searches per
+head row over the member's rows, already sorted by largest side, find
+the rows within its largest-side window (a sort-merge band join), and
+the same screens and walk follow. Each result equals that pair scored
+alone.
 
 The dedup sweep needs only ``is_match``, never the score, so it first
 decides pairs by a bound (count filtering: Gravano et al., "Approximate
 String Joins in a Database (Almost) for Free", VLDB 2001).
 ``bucket_screen`` bounds each (head, member) pair's paired count by the
-member's rows that lie in a cell of (s1, s2, s3, first-orientation arc)
-next to a cell holding a head row (``_CellGrid``: cells at least a
-tolerance wide, the join's arcs, one occupancy grid per bucket, capped
-by coarser cells), and rules out the pairs that could not match with
-that many pairs. Only the rest are scored. ``identify``,
-``match_score``, ``score_indexed`` and ``exhaustive_dedup`` score every
-pair exactly.
+member's rows that lie in a cell the join would probe, and rules out
+the pairs that could not match with that many pairs. Only the rest are
+scored. ``identify``, ``match_score``, ``score_indexed`` and
+``exhaustive_dedup`` score every pair exactly.
 """
 
 from __future__ import annotations
@@ -372,20 +369,18 @@ def _greedy_pair_counts(dist: np.ndarray, seg: np.ndarray, ii: np.ndarray,
     return counts
 
 
-# At most 2**24 arcs: a join key, ``arc * (rows + 1) + rank``, then stays below
-# 2**24 * (rows + 1), within int64 for any index of fewer than 2**39 rows.
-_MAX_ARCS = 2 ** 24
+# Cells of the occupancy grid at most, a bool each: 1 MiB.
+_GRID_CELLS = 2 ** 20
 
 
 def _arc_count(angle_tolerance: float) -> int:
     """Number of equal arcs of [0, TWO_PI), each at least the tolerance wide.
 
-    At most ``_MAX_ARCS``, and 1 where fewer than 4 would fit: on two or
-    three arcs a row's ring (``_arc_ring``) would cover the circle anyway,
-    so one arc, probed once, serves; on four or more a ring's three arcs
-    are distinct, so the join probes none twice.
+    At most ``_GRID_CELLS``, more than any grid holds, and 1 where fewer
+    than 4 would fit: on two or three arcs a row's ring (``_arc_ring``)
+    would cover the circle anyway, so one arc, probed once, serves.
     """
-    arcs = math.floor(min(TWO_PI / angle_tolerance, _MAX_ARCS))  # the quotient may be inf
+    arcs = math.floor(min(TWO_PI / angle_tolerance, _GRID_CELLS))  # the quotient may be inf
     if arcs >= 4 and TWO_PI / arcs < angle_tolerance:
         arcs -= 1  # the quotient rounded up onto an integer
     return arcs if arcs >= 4 else 1
@@ -419,95 +414,30 @@ def _arc_of(o: np.ndarray, arcs: int) -> np.ndarray:
 
 
 def _arc_ring(o: np.ndarray, arcs: int) -> np.ndarray:
-    """Per orientation o, the arcs a row probes: (3, rows), the arc before its own
-    (``_arc_of``), its own and the one after, mod ``arcs``, or (1, rows), its own alone,
-    when there is one arc."""
-    own = _arc_of(o, arcs)
-    return own[None] if arcs == 1 else (own + _STEPS[:, None]) % arcs
-
-
-class _JoinIndex:
-    """The rows of a list of feature matrices, keyed once for the candidate join.
-
-    ``cols`` holds every row, matrix after matrix, column-major (9, rows),
-    and ``seg`` the matrix each row comes from. The join is keyed on
-    (arc, s3): the circle of first orientations (column 6) is cut into
-    the arcs of ``_CellGrid``, ``_arc_count(_reach(t, TWO_PI))`` of them
-    for t the angle tolerance cut to ``TWO_PI``, and a row of arc k
-    (``_arc_of``) keys as the integer ``k * (rows + 1) + rank``,
-    ``rank`` the count of indexed s3 values below its own (its position
-    in ``s3``, the sorted column). The keys are sorted here, once;
-    ``candidates`` and ``pair_counts`` then serve any number of heads,
-    members or not, each against the rows of the matrices it marks
-    alive, with the tolerances of ``p``, the ``MatchParams`` the index
-    was built with, read on each call.
-    """
-
-    def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
-        self.p = p
-        self.cols = np.concatenate([f.T for f in fbs], axis=1) if fbs else np.empty((9, 0))
-        self.seg = np.repeat(np.arange(len(fbs)), [f.shape[0] for f in fbs])
-        self.s3 = np.sort(self.cols[2])
-        self.arcs = _arc_count(_reach(min(p.angle_tolerance, TWO_PI), TWO_PI))
-        key = (_arc_of(self.cols[6], self.arcs).astype(np.int64) * (self.s3.size + 1)
-               + np.searchsorted(self.s3, self.cols[2], side="left"))
-        self.order = np.argsort(key)
-        self.key = key[self.order]
-        self.seg_by_key = self.seg[self.order]
-
-    def candidates(self, fa: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate pairs (row ``ii`` of ``fa``, column ``jj`` of ``cols``), each once.
-
-        Only rows of the matrices ``live`` marks (a bool per matrix) take
-        part: they are picked out of the sorted keys, which keeps them
-        sorted. Each row of ``fa`` probes the arcs of its ring
-        (``_arc_ring``: its own arc and the two beside it, or its own
-        alone when there is one), and in each the ranks of its
-        largest-side window (``_s3_window``), which stop short of the
-        next arc's keys. The pairs are thus exactly those within the
-        window on the probed arcs, and every pair that also passes the
-        orientation screen lies on them, by ``_CellGrid``'s argument for
-        its arcs, which are these.
-        """
-        lo, hi = _s3_window(self.s3, fa[:, 2], self.p.side_tolerance)
-        ring = _arc_ring(fa[:, 6], self.arcs)
-        row = np.tile(np.arange(fa.shape[0]), ring.shape[0])
-        base = ring.ravel().astype(np.int64) * (self.s3.size + 1)
-        kept = np.flatnonzero(live[self.seg_by_key])
-        key, order = self.key.take(kept), self.order.take(kept)
-        start = np.searchsorted(key, base + lo[row], side="left")
-        stop = np.searchsorted(key, base + hi[row], side="left")
-        counts = stop - start
-        ii = np.repeat(row, counts)
-        jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
-        return ii, jj
-
-    def pair_counts(self, fa: np.ndarray, live: np.ndarray) -> list[int]:
-        """Paired-triplet count of ``fa`` against each matrix, 0 where ``live`` is False."""
-        ii, jj = self.candidates(fa, live)
-        return _pair_counts(fa, self.cols, self.seg, ii, jj, live.size, self.p)
-
-
-# Cells of the occupancy grid at most, a bool each: 1 MiB.
-_GRID_CELLS = 2 ** 20
+    """Per orientation o, the arcs a row probes, each once: (min(arcs, 3), rows), the arc
+    before its own (``_arc_of``), its own and the one after, mod ``arcs``."""
+    return (_arc_of(o, arcs) + _STEPS[:min(arcs, 3), None]) % arcs
 
 
 class _CellGrid:
-    """An upper bound on any head's paired-triplet count against each of a list of matrices.
+    """The rows of a list of feature matrices in cells: a paired-count bound, and the join.
 
     Each row lies in one cell of (s1, s2, s3, first orientation). A side
     value v lies in cell ``floor((v - lo) / width)`` of its axis, ``lo``
     and ``hi`` the matrices' least and greatest values there, and a head's
     values are first clipped into [lo, hi]. An orientation o lies in arc
-    ``floor(o / arc) mod arcs`` of ``arcs`` equal arcs (``_arc_of``).
-    ``bounds`` marks in ``grid`` every cell within one of a head row's own
-    on each side axis, on the arcs of its ring (``_arc_ring``): 3 x 3 x 3
-    side cells a row, times three arcs or one (each side axis has an empty
-    cell at either end, so that none of them falls off it), and counts,
-    per matrix, its rows in a marked cell. The greedy walk pairs a row at
-    most once, and only with a head row it passes the screens
-    with; such a pair lies in neighbouring cells (below), so the count
-    bounds the pairing.
+    ``floor(o / arc) mod arcs`` of ``arcs`` equal arcs (``_arc_of``). A
+    head row's neighbouring cells (``_marked``) are those within one of
+    its own on each side axis, on the arcs of its ring (``_arc_ring``):
+    3 x 3 x 3 side cells, times three arcs or fewer, all distinct (each
+    side axis has an empty cell at either end, so that none of them falls
+    off it). A pair of rows that passes the screens and lies in the
+    largest-side window lies in neighbouring cells (below). So ``bounds``,
+    counting per matrix its rows in a cell next to a head row's, bounds
+    the pairing: the greedy walk pairs a row at most once, and only with
+    a head row it passes the screens with. And ``pair_counts``, joining
+    each head row with the rows in its neighbouring cells, each pair once,
+    finds every pair the window and the screens keep.
 
     Sides, with u = 2**-53, tol the side tolerance and M the larger of
     ``|lo|`` and ``|hi|`` on an axis. A pair passes the s1 and s2 screens
@@ -531,18 +461,19 @@ class _CellGrid:
     ``arcs`` plus or minus at most 1, when ``arc`` exceeds w + 3uT, as
     ``arc >= _reach(t, T)`` does (``_arc_count``): mod ``arcs`` each of
     the two arcs lies in the other's ring, whatever ``arcs`` is.
-    ``_JoinIndex`` cuts the circle by this rule, uncapped, and rests on
-    this argument.
 
     The grid holds at most ``_GRID_CELLS`` cells whatever the tolerances:
     while it would hold more, the axis with the most cells is made
     coarser, a side's width doubled or the arc count halved. A wider cell
-    keeps every argument above, so the bound stays valid.
+    keeps every argument above, so the bound and the join stay exact.
+    ``cols`` holds every row, matrix after matrix, as one C-contiguous
+    (9, rows) block, and ``seg`` the matrix each row comes from.
     """
 
     def __init__(self, fbs: Sequence[np.ndarray], p: MatchParams):
-        rows = np.concatenate(fbs)
-        self.lo, self.hi = rows[:, :3].min(axis=0), rows[:, :3].max(axis=0)
+        self.p = p
+        self.cols = np.concatenate(fbs).T.copy()
+        self.lo, self.hi = self.cols[:3].min(axis=1), self.cols[:3].max(axis=1)
         t = min(p.angle_tolerance, TWO_PI)
         widths = [_reach(p.side_tolerance, max(abs(lo), abs(hi)))
                   for lo, hi in zip(self.lo.tolist(), self.hi.tolist())]
@@ -564,21 +495,26 @@ class _CellGrid:
         self.near = (_STEPS[:, None, None] * self.stride[0] + _STEPS[:, None] * self.stride[1]
                      + _STEPS * self.stride[2]).ravel()
         self.grid = np.zeros(math.prod(counts), dtype=bool)
-        self.cells = self._side_cells(rows) + _arc_of(rows[:, 6], self.arcs)
+        self.cells = self._side_cells(self.cols[:3]) + _arc_of(self.cols[6], self.arcs)
         self.sizes = np.array([f.shape[0] for f in fbs])
+        self.seg = np.repeat(np.arange(self.sizes.size), self.sizes)
         self.owners = np.flatnonzero(self.sizes)  # the matrices with rows, and where they start
         self.starts = (np.cumsum(self.sizes) - self.sizes)[self.owners]
 
-    def _side_cells(self, f: np.ndarray) -> np.ndarray:
-        """Per row of ``f``, its cell's position in ``grid`` on the side axes."""
-        sides = np.floor((np.minimum(np.maximum(f[:, :3], self.lo), self.hi) - self.lo)
-                         / self.width)
-        return (sides.astype(np.intp) + 1) @ self.stride
+    def _side_cells(self, sides: np.ndarray) -> np.ndarray:
+        """Per column of ``sides`` (3, n), its cell's position in ``grid`` on the side axes."""
+        lo, hi, width = self.lo[:, None], self.hi[:, None], self.width[:, None]
+        cells = np.floor((np.minimum(np.maximum(sides, lo), hi) - lo) / width)
+        return self.stride @ (cells.astype(np.intp) + 1)
+
+    def _marked(self, fa: np.ndarray) -> np.ndarray:
+        """The cells next to each row of ``fa``: (arcs of a ring, 27, rows), the rows last."""
+        ring = _arc_ring(fa[:, 6], self.arcs)
+        return (self.near[:, None] + self._side_cells(fa[:, :3].T)) + ring[:, None]
 
     def bounds(self, fa: np.ndarray) -> np.ndarray:
         """Per matrix, its rows in a cell next to one of ``fa``'s: at least its paired count."""
-        ring = _arc_ring(fa[:, 6], self.arcs)  # head rows run along the last axis
-        marked = (self.near[:, None] + self._side_cells(fa)) + ring[:, None]
+        marked = self._marked(fa)
         self.grid[marked] = True
         hit = self.grid[self.cells]
         self.grid[marked] = False
@@ -586,18 +522,52 @@ class _CellGrid:
         per_matrix[self.owners] = np.add.reduceat(hit, self.starts, dtype=np.intp)
         return per_matrix
 
+    @cached_property
+    def _by_cell(self) -> tuple[np.ndarray, ...]:
+        """The rows in cell order, their cells and matrices, and per cell whether it holds one."""
+        order = np.argsort(self.cells, kind="stable")
+        occupied = np.zeros(self.grid.size, dtype=bool)
+        occupied[self.cells] = True
+        return order, self.cells[order], self.seg[order], occupied
+
+    def pair_counts(self, fa: np.ndarray, live: np.ndarray) -> list[int]:
+        """Paired-triplet count of ``fa`` against each matrix, 0 where ``live`` is False.
+
+        The rows are ordered by cell on the first call, once. Each call
+        picks the rows of the matrices ``live`` marks (a bool per matrix)
+        out of that order, which keeps it. Each head row probes its
+        neighbouring cells that hold any row, the probes sorted (sorted
+        probes search the sorted cells several times faster), and is
+        paired with every picked row in them; no two of a row's probes
+        are one cell, so each pair comes once. The pairs within the head
+        row's largest-side window (``_s3_kept``) go on to the screens.
+        """
+        order, cells, seg, occupied = self._by_cell
+        kept = np.flatnonzero(live[seg])
+        order, cells = order.take(kept), cells.take(kept)
+        probes = self._marked(fa).ravel()
+        hit = np.flatnonzero(occupied[probes])
+        hit = hit[np.argsort(probes[hit])]
+        probes = probes[hit]
+        start = np.searchsorted(cells, probes, side="left")
+        counts = np.searchsorted(cells, probes, side="right") - start
+        ii = np.repeat(hit % fa.shape[0], counts)
+        jj = order[np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - start, counts)]
+        return _pair_counts(fa, self.cols, self.seg, ii, jj, live.size, self.p,
+                            (_s3_kept, _side_kept, _orientation_kept))
+
 
 def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
     """Paired-triplet count of ``fa`` against the one matrix ``fb``, joined by a window.
 
     For each row of ``fa``, ``_s3_window`` over ``fb``'s largest sides
     (column 2) gives the rows with ``s3a - tol <= s3b <= s3a + tol`` (a
-    sort-merge band join), as the (arc, s3) join does; ``fb``'s rows
-    ascend in column 2 (the ``TripletIndex`` contract). The
-    first-orientation screen runs before the side screen here: on window
-    candidates it keeps fewer pairs (about 13% against 15% on
-    ``identify`` hits) for two gathers against four. The screens are a
-    conjunction, so the order moves no pair.
+    sort-merge band join), the pairs ``_s3_kept`` keeps of the grid
+    join's; ``fb``'s rows ascend in column 2 (the ``TripletIndex``
+    contract). The first-orientation screen runs before the side screen
+    here: on window candidates it keeps fewer pairs (about 13% against
+    15% on ``identify`` hits) for two gathers against four. The screens
+    are a conjunction, so the order moves no pair.
     """
     lo, hi = _s3_window(fb[:, 2], fa[:, 2], p.side_tolerance)
     counts = hi - lo
@@ -609,10 +579,18 @@ def _window_pair_count(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
 
 def _side_kept(fa: np.ndarray, cols: np.ndarray, ii: np.ndarray, jj: np.ndarray,
                p: MatchParams) -> np.ndarray:
-    """Per candidate pair: s1 and s2 within tolerance; both joins keep s3 within its window."""
+    """Per candidate pair: s1 and s2 within tolerance; s3 is the window's (``_s3_kept``)."""
     tol = p.side_tolerance
     return ((np.abs(fa[:, 0][ii] - cols[0][jj]) <= tol)
             & (np.abs(fa[:, 1][ii] - cols[1][jj]) <= tol))
+
+
+def _s3_kept(fa: np.ndarray, cols: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+             p: MatchParams) -> np.ndarray:
+    """Per candidate pair: s3 within the head row's largest-side window, compared as
+    ``_s3_window`` compares."""
+    s3a, s3b, tol = fa[:, 2][ii], cols[2][jj], p.side_tolerance
+    return (s3b >= s3a - tol) & (s3b <= s3a + tol)
 
 
 def _orientation_kept(fa: np.ndarray, cols: np.ndarray, ii: np.ndarray, jj: np.ndarray,
@@ -629,15 +607,16 @@ def _pair_counts(fa: np.ndarray, cols: np.ndarray, seg: np.ndarray, ii: np.ndarr
     """Screen candidate pairs, row ``ii`` of ``fa`` and column ``jj`` of ``cols``; pair per segment.
 
     ``cols`` holds the candidates' rows column-major, (9, rows), and
-    ``seg`` the segment of each. Both joins, the window and the (arc,
-    s3) join, emit exactly the pairs within the largest-side window and
-    end here, so a pair scores the same through either. The screens
-    then decide exactly as for a single pair: s1, s2, each interior
-    angle and each orientation (on the circle) within tolerance; the
-    pairing order is one combined distance. ``screens`` run first, in
-    the order given, each on the pairs the one before kept: the side
-    screen and then one orientation alone, which between them reject
-    most pairs before full rows are touched.
+    ``seg`` the segment of each. Both joins end here: the window join
+    emits exactly the pairs within the largest-side window, and the
+    grid join keeps exactly those by its first screen, so a pair scores
+    the same through either. The screens then decide exactly as for a
+    single pair: s1, s2, each interior angle and each orientation (on
+    the circle) within tolerance; the pairing order is one combined
+    distance. ``screens`` run first, in the order given, each on the
+    pairs the one before kept: the join's side screens and one
+    orientation alone, which between them reject most pairs before full
+    rows are touched.
     """
     for screen in screens:
         keep = screen(fa, cols, ii, jj, p)
@@ -663,31 +642,31 @@ def bucket_scorer(members: Sequence[TripletIndex], p: MatchParams
     with triplets, in ``alive``) joins the head with that member's rows
     by a largest-side window (``_window_pair_count``). A call that scores
     two or more joins the head with the rows of the members it names
-    alone, through the members' join index, built on the first such call
-    and kept: a sweep that scores each head against its shrinking
-    worklist copies, keys and sorts a bucket's rows once, not once per
-    head, and a one-member scorer (``score_indexed``, an ``identify`` hit
-    on a one-record bucket) never builds it. Both joins end in the same
+    alone, through the members' ``_CellGrid``, built on the first such
+    call and kept: a sweep that scores each head against its shrinking
+    worklist copies and orders a bucket's rows once, not once per head,
+    and a one-member scorer (``score_indexed``, an ``identify`` hit on a
+    one-record bucket) never builds it. Both joins end in the same
     screens and the same greedy walk (``_pair_counts``). The head need
     not be a member. Each result is the pair's own: triplets are paired
     one-to-one within a pair only, and the score is the paired count
     over the smaller triplet count, times 100.
     """
     sizes = [m.features.shape[0] for m in members]
-    join: _JoinIndex | None = None
+    grid: _CellGrid | None = None
 
     def score(a: TripletIndex, alive: Sequence[int]) -> list[MatchResult]:
-        nonlocal join
+        nonlocal grid
         na = a.features.shape[0]
         scored = [j for j in alive if sizes[j]] if na else []
         if len(scored) == 1:
             matched = {scored[0]: _window_pair_count(a.features, members[scored[0]].features, p)}
         elif scored:
-            if join is None:
-                join = _JoinIndex([m.features for m in members], p)
+            if grid is None:
+                grid = _CellGrid([m.features for m in members], p)
             live = np.zeros(len(members), dtype=bool)
             live[scored] = True
-            matched = join.pair_counts(a.features, live)
+            matched = grid.pair_counts(a.features, live)
         results = []
         for j in alive:
             if na == 0 or sizes[j] == 0:
@@ -709,7 +688,7 @@ def bucket_screen(members: Sequence[TripletIndex], p: MatchParams
     and two or more members in ``alive`` that have them bounds each such
     pair's paired count in one pass over the members' ``_CellGrid``,
     built on the first such call and kept as ``bucket_scorer`` keeps its
-    join index, and drops the pairs whose bound alone fails ``is_match``:
+    own, and drops the pairs whose bound alone fails ``is_match``:
     ``100.0 * bound / min(na, nb)`` below the score threshold, or the
     bound below ``min_matched_descriptors``. The score and the count both
     grow with the paired count, which the bound is at least, so a dropped

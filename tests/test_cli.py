@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fpdedup.cli import EXIT_CAP, EXIT_DATA, EXIT_OK, main
 from fpdedup.signature import FileStore, write_corpus_dir
 from fpdedup.stats import TABLE_COLUMNS
-from fpdedup.synth import GenSpec, generate, write_ground_truth
+from fpdedup.synth import GenSpec, generate, iter_records, write_ground_truth
 
 from .conftest import REFERENCE_SIGNATURE_PATH
 
@@ -669,3 +669,73 @@ def test_generate_into_nonempty_directory_writes_nothing(tmp_path, capsys):
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == f"error: {out}: output directory is not empty\n"
     assert files() == before
+
+
+def test_negative_oracle_cap_refused(generated, tmp_path, capsys):
+    # refused before any work, by flag or by config, as other out-of-range values are
+    root, corpus, _ = generated
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"oracle_cap": -1}))
+    for source in (["--oracle-cap", "-1"], ["--config", str(config)]):
+        for command in (["dedup", "--oracle"], ["oracle"]):
+            rc = main(command + ["--corpus", str(corpus)] + source)
+            assert rc == EXIT_DATA
+            assert capsys.readouterr() == ("", "error: oracle_cap must be >= 0, got -1\n")
+    assert main(["oracle", "--corpus", str(corpus), "--oracle-cap", "0"]) == EXIT_CAP
+
+
+def test_generate_into_nameless_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    # '.' names no truth file of its own; the records used to be written before that showed
+    monkeypatch.chdir(tmp_path)
+    rc = main(["generate", "--subjects", "5", "--out", "."])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: .: output directory has no name to derive the truth file's from; "
+        "give --truth\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("truth", ["corpus/truth.tsv", "corpus", "corpus/sub/../t.tsv",
+                                   "corpus/sub/t.tsv"])
+def test_generate_truth_inside_out_writes_nothing(tmp_path, capsys, monkeypatch, truth):
+    # a truth file in the corpus directory would be read as a record by dedup
+    monkeypatch.chdir(tmp_path)
+    rc = main(["generate", "--subjects", "5", "--out", "corpus", "--truth", truth])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {truth}: truth file inside the output directory corpus\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_unplaceable_print_leaves_nothing(tmp_path, capsys):
+    # records are streamed to disk, and the 14th print of seed 2 cannot be placed after
+    # earlier ones were written: those are removed again
+    flags = ["--subjects", "30", "--extent", "60", "--minutiae-min", "4",
+             "--minutiae-max", "14", "--seed", "2"]
+    spec = GenSpec(subjects=30, minutiae_per_print=(4, 14), image_extent=(60, 60), seed=2)
+    streamed = []
+    with pytest.raises(ValueError, match="cannot place"):
+        streamed.extend(iter_records(spec))
+    assert streamed
+    assert main(["generate", *flags, "--out", str(tmp_path / "corpus")]) == EXIT_DATA
+    assert "cannot place" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "empty").mkdir()
+    assert main(["generate", *flags, "--out", str(tmp_path / "empty")]) == EXIT_DATA
+    assert list(tmp_path.iterdir()) == [tmp_path / "empty"]
+    assert list((tmp_path / "empty").iterdir()) == []
+
+
+def test_generate_streams_the_library_corpus(tmp_path):
+    # planted duplicates, jittered and with drops: the same bytes as the materialized corpus
+    flags = ["--subjects", "40", "--dup", "0.3", "--jitter", "1", "--drop", "0.05", "--seed", "9"]
+    assert main(["generate", *flags, "--out", str(tmp_path / "cli")]) == EXIT_OK
+    signatures, truth = generate(GenSpec(subjects=40, dup_fraction=0.3, jitter=1.0,
+                                         drop_prob=0.05, seed=9))
+    assert len(truth) == 12
+    write_corpus_dir(signatures, tmp_path / "lib")
+    write_ground_truth(truth, tmp_path / "lib.truth.tsv")
+    assert ({p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()}
+            == {p.name: p.read_bytes() for p in (tmp_path / "lib").iterdir()})
+    assert ((tmp_path / "cli.truth.tsv").read_bytes()
+            == (tmp_path / "lib.truth.tsv").read_bytes())

@@ -15,7 +15,7 @@ from fpdedup.dedup import (DuplicateReport, OracleCapExceededError, _windows, co
                            deduplicate, exhaustive_dedup, format_report, pair_relation)
 from fpdedup.grid import GridParams, compute_index
 from fpdedup.identify import identify
-from fpdedup.matcher import (MatchParams, MatchResult, _JoinIndex, bucket_scorer, index_signature,
+from fpdedup.matcher import (MatchParams, MatchResult, _CellGrid, bucket_scorer, index_signature,
                              is_match, match_score)
 from fpdedup.signature import Signature
 from fpdedup.synth import GenSpec, generate
@@ -418,13 +418,13 @@ def test_oracle_indexes_the_corpus_once(monkeypatch):
         indexed.append(len(members))
         return bucket_scorer(members, p)
 
-    class Counting(_JoinIndex):
+    class Counting(_CellGrid):
         def __init__(self, fbs, p):
             built.append(len(fbs))
             super().__init__(fbs, p)
 
     monkeypatch.setattr(dedup_module, "bucket_scorer", counting_scorer)
-    monkeypatch.setattr(matcher_module, "_JoinIndex", Counting)
+    monkeypatch.setattr(matcher_module, "_CellGrid", Counting)
     assert exhaustive_dedup(store, PARAMS) == expected
     assert indexed == [len(store)]
     assert built == [len(store)]

@@ -13,10 +13,9 @@ import pytest
 from fpdedup import dedup, matcher
 from fpdedup.dedup import _sweep_bucket
 from fpdedup.matcher import (_STACK, MatchParams, MatchResult, TripletIndex, _CellGrid,
-                             _JoinIndex, _arc_count, _greedy_pair_counts, _heading_table,
-                             _nearest, _triangles, bucket_scorer, bucket_screen,
-                             index_signature, index_signatures, is_match, match_score,
-                             score_indexed)
+                             _arc_count, _greedy_pair_counts, _heading_table, _nearest,
+                             _triangles, bucket_scorer, bucket_screen, index_signature,
+                             index_signatures, is_match, match_score, score_indexed)
 from fpdedup.signature import TWO_PI, Minutia, Signature, normalize_angle
 from fpdedup.synth import GenSpec, generate
 
@@ -587,18 +586,32 @@ def _brute_counts(fa: np.ndarray, fb: np.ndarray, p: MatchParams) -> int:
     return len(rows)
 
 
+def _grid_join(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams,
+               live: np.ndarray | None = None) -> tuple[list[int], list[tuple[int, int]]]:
+    """The grid join's counts of ``fa`` against the ``live`` matrices of ``fbs`` (all by
+    default), and the (head row, matrix row) pairs it emitted, in emitting order."""
+    live = np.ones(len(fbs), dtype=bool) if live is None else live
+    pair_counts, emitted = matcher._pair_counts, []
+
+    def spy(fa, cols, seg, ii, jj, *args):
+        emitted.extend(zip(ii.tolist(), jj.tolist()))
+        return pair_counts(fa, cols, seg, ii, jj, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matcher, "_pair_counts", spy)
+        counts = _CellGrid(fbs, p).pair_counts(fa, live)
+    return counts, emitted
+
+
 def _assert_join_exact(fa: np.ndarray, fbs: list[np.ndarray], p: MatchParams) -> list[int]:
-    """The join emits each pair at most once, every screened pair, and only pairs within the
-    largest-side window, so that the side screen need not test s3; counts match brute force."""
-    tol = p.side_tolerance
+    """The grid join emits each pair at most once and every screened pair; its counts match
+    brute force."""
+    counts, emitted = _grid_join(fa, fbs, p)
+    assert len(set(emitted)) == len(emitted)
+    start = 0
     for fb in fbs:
-        ii, jj = _JoinIndex([fb], p).candidates(fa, np.ones(1, dtype=bool))
-        emitted = list(zip(ii.tolist(), jj.tolist()))
-        assert len(set(emitted)) == len(emitted)
-        assert {(i, j) for _, i, j in _screened(fa, fb, p)} <= set(emitted)
-        s3a, s3b = fa[:, 2], fb[:, 2][jj]
-        assert ((s3b >= (s3a - tol)[ii]) & (s3b <= (s3a + tol)[ii])).all()
-    counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
+        assert {(i, start + j) for _, i, j in _screened(fa, fb, p)} <= set(emitted)
+        start += fb.shape[0]
     assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
     return counts
 
@@ -623,13 +636,16 @@ def _edge_features(rng: np.random.Generator, n: int, p: MatchParams) -> np.ndarr
 @pytest.mark.parametrize("p", [MatchParams(), MatchParams(side_tolerance=0.75, angle_tolerance=0.5)],
                          ids=["default", "narrow"])
 def test_join_matches_brute_force(p):
+    # every matrix joined, then a drawn subset of them, the rest counted 0
     rng = np.random.default_rng(2024)
     for _ in range(80):
         fa = _edge_features(rng, int(rng.integers(1, 12)), p)
         fbs = [_edge_features(rng, int(rng.integers(1, 12)), p)
                for _ in range(int(rng.integers(1, 5)))]
-        counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
-        assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
+        _assert_join_exact(fa, fbs, p)
+        live = rng.integers(0, 2, size=len(fbs)).astype(bool)
+        assert _grid_join(fa, fbs, p, live)[0] == [
+            _brute_counts(fa, fb, p) if alive else 0 for fb, alive in zip(fbs, live)]
 
 
 def test_join_keeps_pair_past_rounded_bound():
@@ -643,8 +659,7 @@ def test_join_keeps_pair_past_rounded_bound():
         return np.array([[s1, s, s, 0.5, 1.0, 1.5, 1.0, 2.0, 3.0]])
 
     fa, fbs = row(s1a, s3), [row(s1b, s3), row(100.0, 100.0)]
-    counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
-    assert counts == [_brute_counts(fa, fb, p) for fb in fbs] == [1, 0]
+    assert _assert_join_exact(fa, fbs, p) == [1, 0]
 
 
 @pytest.mark.parametrize("tol", [1e-13, 1e-20, 5e-324], ids=["ulp", "tiny", "subnormal"])
@@ -655,8 +670,7 @@ def test_join_tiny_side_tolerance(random_suite, tol):
     fa = index_signature(random_suite[0], p).features
     longer = np.concatenate((np.nextafter(fa[:, :3], np.inf), fa[:, 3:]), axis=1)
     fbs = [fa, longer, index_signature(random_suite[1], p).features, fa]
-    counts = _JoinIndex(fbs, p).pair_counts(fa, np.ones(len(fbs), dtype=bool))
-    assert counts == [_brute_counts(fa, fb, p) for fb in fbs]
+    counts = _assert_join_exact(fa, fbs, p)
     assert counts[0] == counts[3] > 0
     assert (counts[1] > 0) == (tol == 1e-13)
 
@@ -666,7 +680,7 @@ def test_join_tiny_angle_tolerance(random_suite, angle_tol):
     # tolerances near and far below the float resolution of orientations in
     # [0, 2*pi); a copy with every orientation 1 ulp larger matches under the first
     p = MatchParams(angle_tolerance=angle_tol)
-    assert _arc_count(angle_tol) == 2 ** 24
+    assert _arc_count(angle_tol) == matcher._GRID_CELLS
     fa = index_signature(random_suite[0], p).features
     turned = np.concatenate((fa[:, :6], np.nextafter(fa[:, 6:], np.inf)), axis=1)
     fbs = [fa, turned, index_signature(random_suite[1], p).features, fa]
@@ -678,13 +692,13 @@ def test_join_tiny_angle_tolerance(random_suite, angle_tol):
 @pytest.mark.parametrize("angle_tol", [math.pi / 2, math.pi, 2 * math.pi, 10.0],
                          ids=["quarter", "half", "full", "beyond"])
 def test_join_wide_angle_tolerance(random_suite, angle_tol):
-    # four arcs one quarter turn wide would be narrower than the join's
+    # four arcs one quarter turn wide would be narrower than the grid's
     # arcs must be, the tolerance widened past rounding, so a quarter turn
     # and every wider tolerance leave a single arc, probed once
     p = MatchParams(angle_tolerance=angle_tol)
     assert _arc_count(angle_tol) == (4 if angle_tol == math.pi / 2 else 1)
-    assert _JoinIndex([], p).arcs == 1
     rng = np.random.default_rng(7)
+    assert _CellGrid([_edge_features(rng, 5, p)], p).arcs == 1
     for _ in range(30):
         fa = _edge_features(rng, int(rng.integers(1, 12)), p)
         _assert_join_exact(fa, [_edge_features(rng, int(rng.integers(1, 12)), p)
@@ -703,8 +717,8 @@ def test_join_largest_angle_tolerance(random_suite):
 @pytest.mark.parametrize("side_tol", [5.0, 1e6], ids=["default", "huge"])
 def test_join_heads_outside_index_range(side_tol):
     # heads whose s3 lies far above, far below, or (under a huge tolerance)
-    # everywhere around the indexed rows' s3: the join index's key width
-    # bounds its own rows only, so a head's probes must still stay on their arc
+    # everywhere around the indexed rows' s3: the grid's cells span its own
+    # rows only, so a head's sides are clipped into them before it probes
     p = MatchParams(side_tolerance=side_tol)
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -728,10 +742,9 @@ def test_join_heads_outside_index_range(side_tol):
     (math.nextafter(TWO_PI / 4, math.inf), 1),      # fewer than 4 fit: a single arc
 ], ids=["default", "wide-arcs", "wrap", "quarter", "fifth", "rounded-quotient", "single"])
 def test_join_orientations_on_arc_edges(angle_tol, arcs):
-    # orientations on each of the join's arc edges k * TWO_PI / arcs and 1 ulp
+    # orientations on each of the grid's arc edges k * TWO_PI / arcs and 1 ulp
     # either side, next to 0 and 2*pi included, and one tolerance away from an edge
     p = MatchParams(angle_tolerance=angle_tol)
-    assert _JoinIndex([], p).arcs == arcs
     assert arcs == 1 or TWO_PI / arcs >= angle_tol
     edges = [k * (TWO_PI / arcs) for k in sorted({0, 1, arcs // 2, arcs - 1, arcs})]
     near = {float(v) for e in edges for c in (e - angle_tol, e, e + angle_tol)
@@ -740,11 +753,59 @@ def test_join_orientations_on_arc_edges(angle_tol, arcs):
     assert orientations[0] == 0.0 and orientations[-1] == TWO_PI
     # rows differ in the first orientation alone, so a pair's count is its screen
     rows = np.array([[20.0, 30.0, 40.0, 0.5, 1.0, 1.5, o, 1.0, 2.0] for o in orientations])
+    assert _CellGrid([rows], p).arcs == arcs  # 27 side cells: the grid is not capped
     singles = list(rows[:, None, :])
     for fa in singles:
         _assert_join_exact(fa, singles, p)
     counts = _assert_join_exact(rows, [rows], p)
     assert counts == [len(rows)]
+
+
+# The joins' parameter sets: the defaults, tiny side and angle tolerances (the grid capped),
+# one arc at a quarter turn and wider, other neighbour counts, and two mixed sets.
+JOIN_PARAMS = [
+    (MatchParams(), False), (MatchParams(side_tolerance=0.001), True),
+    (MatchParams(side_tolerance=1e-13), True), (MatchParams(side_tolerance=5e-324), True),
+    (MatchParams(angle_tolerance=0.001), True), (MatchParams(angle_tolerance=1e-13), True),
+    (MatchParams(angle_tolerance=5e-324), True), (MatchParams(angle_tolerance=math.pi / 2), False),
+    (MatchParams(angle_tolerance=math.nextafter(TWO_PI / 4, math.inf)), False),
+    (MatchParams(angle_tolerance=0.25), False), (MatchParams(angle_tolerance=math.pi), False),
+    (MatchParams(angle_tolerance=7.0), False), (MatchParams(neighbors_k=2), False),
+    (MatchParams(neighbors_k=7), False),
+    (MatchParams(neighbors_k=7, angle_tolerance=0.25, side_tolerance=3.0), False),
+    (MatchParams(neighbors_k=2, angle_tolerance=TWO_PI / 5, side_tolerance=0.001), True),
+]
+JOIN_IDS = ["default", "side-milli", "side-ulp", "side-subnormal", "angle-milli", "angle-ulp",
+            "angle-subnormal", "quarter", "quarter-ulp", "wrap", "half", "beyond", "k2", "k7",
+            "k7-mixed", "k2-mixed"]
+
+
+def _uncapped_cells(fbs: list[np.ndarray], p: MatchParams) -> int:
+    """The cells a grid of ``fbs`` would hold with no cap."""
+    rows = np.concatenate(fbs)
+    sides = [math.floor((hi - lo) / matcher._reach(p.side_tolerance, max(abs(lo), abs(hi)))) + 3
+             for lo, hi in zip(rows[:, :3].min(axis=0).tolist(), rows[:, :3].max(axis=0).tolist())]
+    return math.prod(sides) * _arc_count(matcher._reach(min(p.angle_tolerance, TWO_PI), TWO_PI))
+
+
+@pytest.mark.parametrize("p, capped", JOIN_PARAMS, ids=JOIN_IDS)
+def test_join_on_prints_matches_brute_force(p, capped):
+    # prints, planted copies with 0.5 px jitter, and copies 1 ulp off in every side or every
+    # orientation, in seeded draws of four members and a head
+    signatures, _ = generate(GenSpec(subjects=8, dup_fraction=0.5, jitter=0.5,
+                                     minutiae_per_print=(20, 30), seed=29))
+    fbs = [t.features for t in index_signatures(signatures, p)]
+    fbs += [np.concatenate((np.nextafter(f[:, :3], np.inf), f[:, 3:]), axis=1) for f in fbs[:2]]
+    fbs += [np.concatenate((f[:, :6], np.nextafter(f[:, 6:], np.inf)), axis=1) for f in fbs[:2]]
+    assert (_uncapped_cells(fbs, p) > matcher._GRID_CELLS) == capped
+    assert (_CellGrid(fbs, p).arcs == 1) == (p.angle_tolerance >= math.pi / 2)
+    rng = np.random.default_rng(30)
+    matched = 0
+    for _ in range(4):
+        members = [fbs[i] for i in rng.choice(len(fbs), 4, replace=False)]
+        for head in (members[0], fbs[int(rng.integers(len(fbs)))]):
+            matched += sum(_assert_join_exact(head, members, p))
+    assert matched > 0
 
 
 def _sorted_index(features: np.ndarray, record_id: str = "m") -> TripletIndex:
@@ -762,7 +823,7 @@ def _sorted_index(features: np.ndarray, record_id: str = "m") -> TripletIndex:
         "angle-ulp", "angle-tiny", "angle-subnormal"])
 def test_one_member_window_matches_brute_force(p):
     # a call scoring one member joins by the largest-side window, one
-    # scoring more by the (arc, s3) join: both give the brute-force count
+    # scoring more by the grid join: both give the brute-force count
     rng = np.random.default_rng(1991)
     for _ in range(40):
         a = _sorted_index(_edge_features(rng, int(rng.integers(1, 12)), p), "a")
@@ -800,22 +861,22 @@ def test_one_member_scorer_builds_no_join_index(monkeypatch, random_suite):
     expected = [score_indexed(query, m, PARAMS) for m in members]
     built = []
 
-    class Counting(_JoinIndex):
+    class Counting(_CellGrid):
         def __init__(self, fbs, p):
             built.append(len(fbs))
             super().__init__(fbs, p)
 
     def refuse(fbs, p):
-        raise AssertionError("a join index was built for one member")
+        raise AssertionError("a cell grid was built for one member")
 
-    monkeypatch.setattr(matcher, "_JoinIndex", refuse)
+    monkeypatch.setattr(matcher, "_CellGrid", refuse)
     assert score_indexed(query, members[1], PARAMS) == expected[1]
     assert match_score(random_suite[5], random_suite[1], PARAMS) == expected[1]
     score = bucket_scorer(members, PARAMS)
     # one member with triplets per call: the triplet-less member does not count
     assert score(query, [2]) == [expected[2]]
     assert score(query, [3, 0]) == [expected[3], expected[0]]
-    monkeypatch.setattr(matcher, "_JoinIndex", Counting)
+    monkeypatch.setattr(matcher, "_CellGrid", Counting)
     for alive in ([0, 1, 2, 3], [1], [2, 0], [3, 1, 0], [0]):
         assert score(query, alive) == [expected[j] for j in alive]
     assert built == [4]  # built once, on the first call of two members or more
@@ -952,21 +1013,6 @@ def test_cell_grid_capped_at_any_tolerance(random_suite):
         grid = _CellGrid(fbs, p)
         assert 0 < grid.grid.size <= matcher._GRID_CELLS
         assert grid.bounds(fbs[0])[0] == fbs[0].shape[0]  # a print bounds itself by its rows
-
-
-@pytest.mark.parametrize("angle_tol", [0.2618, 0.5, 0.25, TWO_PI / 5, math.pi / 2,
-                                       math.nextafter(TWO_PI / 4, math.inf), math.pi, 10.0],
-                         ids=["default", "wide-arcs", "wrap", "fifth", "quarter", "single",
-                              "half", "beyond"])
-def test_join_cuts_the_circle_as_the_grid_does(random_suite, angle_tol):
-    # under the grid's cap the join and the bound cut the orientation circle
-    # by one rule, so the grid's argument that a pair passing the orientation
-    # screen lies on neighbouring arcs is the join's too
-    p = MatchParams(angle_tolerance=angle_tol)
-    fbs = [f.features for f in index_signatures(random_suite[:4], p)]
-    grid = _CellGrid(fbs, p)
-    assert grid.grid.size < matcher._GRID_CELLS
-    assert _JoinIndex(fbs, p).arcs == grid.arcs
 
 
 def test_screen_keeps_one_member_and_triplet_less_calls(monkeypatch, random_suite):
